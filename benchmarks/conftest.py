@@ -17,7 +17,6 @@ REPRO_EVAL_CACHE       (output)  JSON-lines evaluation cache shared by all
                                  repeated suite runs skip duplicate model
                                  evaluations.  Set to the empty string to
                                  disable, or delete the file to re-measure.
-REPRO_EVAL_WORKERS     1         parallel evaluation lanes per search
 =====================  ========  ==========================================
 
 Rendered tables/figures are written to ``benchmarks/output/`` and echoed to

@@ -82,23 +82,25 @@ def tune_jointly(
     if not prune:
         return tuner.tune_program(merged)
 
+    settings = tuner.settings
     space = TuningSpace([decide_search_space(merged)])
-    rng = spawn_rng(tuner.seed, "joint-pool", name, tuner.arch.name)
-    pool = space.sample_pool(min(tuner.pool_size, space.size()), rng)
+    rng = spawn_rng(settings.seed, "joint-pool", name, tuner.arch.name)
+    pool = space.sample_pool(min(settings.pool_size, space.size()), rng)
     pool = model_pruned_pool(
         merged, pool, tuner.arch, min_parallelism=min_parallelism
     )
     evaluator = ConfigurationEvaluator(
         [merged],
         tuner.model,
-        seed=tuner.seed,
-        noisy=tuner.noisy,
-        include_transfer=tuner.include_transfer,
+        seed=settings.seed,
+        noisy=settings.noisy,
+        include_transfer=settings.include_transfer,
     )
     from repro.autotune.tuner import _make_searcher
 
     searcher = _make_searcher(
-        tuner.searcher_kind, tuner.batch_size, tuner.max_evaluations, tuner.seed
+        settings.searcher, settings.batch_size, settings.max_evaluations,
+        settings.seed,
     )
     result = searcher.search(
         pool,

@@ -1,0 +1,254 @@
+"""Every :class:`~repro.autotune.tuner.Autotuner` setting, declared once.
+
+Each field of :class:`TuneSettings` carries its default, its environment
+variable (only the three path settings keep one), and exactly one
+**role** — the single place that decides what a setting changes:
+
+``keyed``
+    Changes the tuned result or its accounting (champion, history, best
+    objective, simulated search seconds).  Enters the run manifest's
+    settings — and through them the result-store key
+    (:meth:`repro.serve.store.StoreKey.from_manifest`) — and the
+    checkpoint fingerprint.  ``searcher`` and ``seed`` are keyed too; the
+    manifest holds them as fields of its own.  A keyed setting marked
+    ``omit_default`` enters only when it differs from its default, so
+    keys written before the setting existed stay valid.
+``recorded``
+    Bitwise-invisible in every result (the parallel search core and the
+    elastic pool replay the serial bits; timing tables reproduce the
+    scalar model exactly).  Written to the manifest as provenance only.
+``runtime``
+    Where state lives and how the run is observed: caches, spools, lease
+    lifetime, checkpoints, trace and result store.  Enters neither.
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from pathlib import Path
+
+from repro.errors import ConfigurationError
+from repro.surf.faults import FaultSpec
+from repro.tcr.decision import BACKENDS
+
+__all__ = ["TuneSettings", "KEYED", "RECORDED", "RUNTIME", "KEYED_SETTINGS"]
+
+KEYED = "keyed"
+RECORDED = "recorded"
+RUNTIME = "runtime"
+
+#: Keyed settings the run manifest records as fields of its own.
+MANIFEST_FIELDS = ("searcher", "seed")
+
+
+def _setting(default, role: str, *, env: str | None = None,
+             omit_default: bool = False, encode=None):
+    return field(
+        default=default,
+        metadata={
+            "role": role, "env": env,
+            "omit_default": omit_default, "encode": encode,
+        },
+    )
+
+
+@dataclass(frozen=True)
+class TuneSettings:
+    """The searcher settings of one :class:`~repro.autotune.tuner.Autotuner`.
+
+    Keyed
+    -----
+    searcher:
+        ``"surf"`` (default), ``"random"``, ``"exhaustive"``, or
+        ``"sweep"`` (separability-aware exhaustive optimum over timing
+        tables — exact noise-free best in ``O(sum of kernel-space sizes)``).
+    seed:
+        Master seed: pool sampling, surrogate, measurement noise.
+    max_evaluations / batch_size:
+        SURF's ``nmax`` and ``bs`` (paper defaults: 100 and a small batch).
+    pool_size:
+        Size of the sampled configuration pool ``Xp`` handed to the search.
+    max_variants:
+        Optional cap on OCTOPI variant enumeration.
+    noisy / include_transfer:
+        Measurement noise on evaluations; PCIe transfers in the objective.
+    per_variant:
+        Autotune each OCTOPI variant with its own budget and let the
+        champions compete (the paper's flow, Table II's Eqn.(1) search).
+    batch_parallelism:
+        Concurrent lanes of the simulated tuning rig — sets the simulated
+        wall-clock (Table II's "Search"), never the objective values.
+    faults:
+        Deterministic fault injection (:mod:`repro.surf.faults`): a
+        :class:`FaultSpec` or a spec string for :meth:`FaultSpec.parse`
+        (empty = none).  Enabling faults enables the resilience layer.
+    max_retries:
+        Transient-failure retry budget of the resilience layer.
+    resilient:
+        Force the retry/quarantine layer on or off; ``None`` enables it
+        exactly when faults are injected or a checkpoint directory is set.
+    tie_break:
+        How SURF orders equal predictions: ``"lexsort"`` (default) or
+        ``"jitter"`` (the historical stream, for replaying old runs).
+    acquisition:
+        SURF's ranking rule: ``"mean"`` (default) or ``"lcb"``.
+    backend:
+        Kernel lowering per operation: ``"loopnest"`` (default),
+        ``"ttgt"`` or ``"auto"``.
+
+    Recorded
+    --------
+    search_workers:
+        Fan the search core's hot loops (forest fits, full-pool predict,
+        odometer encode) over this many processes sharing the pool through
+        shared memory (:mod:`repro.surf.shared`).
+    fast_model:
+        Score configurations by precomputed timing-table lookup instead of
+        the scalar model per point.
+    elastic:
+        Evaluate batches on the elastic coordinator/worker pool
+        (:mod:`repro.surf.elastic`) with this many local worker processes;
+        external ``repro elastic-workers --spool DIR`` may join or leave
+        at any time.  ``0`` with a ``spool`` still runs elastic (external
+        workers only; the coordinator evaluates inline as a last resort).
+
+    Runtime
+    -------
+    cache:
+        Evaluation memoization: ``True`` in memory, a path for the
+        persistent JSONL store; ``None`` reads ``REPRO_EVAL_CACHE``.
+    spool:
+        The elastic lease-spool directory; ``None`` reads ``REPRO_SPOOL``.
+        Elastic runs without one use ``checkpoint_dir/spool`` or a fresh
+        temporary directory.
+    lease_ttl:
+        Elastic claim lifetime in seconds: a worker holding a lease past
+        it is presumed dead and the lease is reclaimed.
+    checkpoint_dir / resume:
+        Run directory for the atomic per-batch search state plus the
+        persistent evaluation cache and quarantine set
+        (:mod:`repro.surf.checkpoint`); ``resume`` continues an
+        interrupted run bitwise-identically, and refuses one whose
+        fingerprint differs with a :class:`~repro.errors.CheckpointError`.
+    trace:
+        Write a Chrome trace of every ``tune_*`` call to this path, plus a
+        ``manifest.json`` next to it.
+    result_store:
+        Whole-run memoization (:mod:`repro.serve.store`): a
+        ``ResultStore`` or a directory; ``None`` reads
+        ``REPRO_RESULT_STORE``.
+    """
+
+    searcher: str = _setting("surf", KEYED)
+    seed: int = _setting(0, KEYED)
+    max_evaluations: int = _setting(100, KEYED)
+    batch_size: int = _setting(10, KEYED)
+    pool_size: int = _setting(3000, KEYED)
+    max_variants: int | None = _setting(None, KEYED)
+    noisy: bool = _setting(True, KEYED)
+    include_transfer: bool = _setting(True, KEYED)
+    per_variant: bool = _setting(False, KEYED)
+    batch_parallelism: int = _setting(1, KEYED)
+    faults: FaultSpec | str = _setting("", KEYED, encode=FaultSpec.describe)
+    max_retries: int = _setting(2, KEYED)
+    resilient: bool | None = _setting(None, KEYED)
+    tie_break: str = _setting("lexsort", KEYED)
+    acquisition: str = _setting("mean", KEYED, omit_default=True)
+    backend: str = _setting("loopnest", KEYED, omit_default=True)
+    search_workers: int = _setting(1, RECORDED)
+    fast_model: bool = _setting(False, RECORDED)
+    elastic: int = _setting(0, RECORDED)
+    cache: bool | str | Path | None = _setting(None, RUNTIME, env="REPRO_EVAL_CACHE")
+    spool: str | Path | None = _setting(None, RUNTIME, env="REPRO_SPOOL")
+    lease_ttl: float = _setting(30.0, RUNTIME)
+    checkpoint_dir: str | Path | None = _setting(None, RUNTIME)
+    resume: bool = _setting(False, RUNTIME)
+    trace: str | Path | None = _setting(None, RUNTIME)
+    result_store: object = _setting(None, RUNTIME, env="REPRO_RESULT_STORE")
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ConfigurationError(
+                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
+            )
+        normal = _from_environment(self)
+        faults = self.faults
+        if isinstance(faults, str):
+            faults = FaultSpec.parse(faults, seed=self.seed)
+        normal.update(
+            faults=faults,
+            batch_parallelism=max(1, int(self.batch_parallelism)),
+            search_workers=max(1, int(self.search_workers)),
+            elastic=max(0, int(self.elastic)),
+            fast_model=bool(self.fast_model),
+            lease_ttl=float(self.lease_ttl),
+        )
+        for name in ("spool", "checkpoint_dir", "trace"):
+            value = normal.get(name, getattr(self, name))
+            normal[name] = Path(value) if value else None
+        resilient = self.resilient
+        if resilient is None:
+            resilient = faults.any() or normal["checkpoint_dir"] is not None
+        normal["resilient"] = bool(resilient)
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self, entries) -> dict:
+        values = vars(self)
+        out = {}
+        for name, default, omit_default, encode in entries:
+            value = values[name]
+            if omit_default and value == default:
+                continue
+            out[name] = value if encode is None else encode(value)
+        return out
+
+    @cached_property
+    def keyed(self) -> dict:
+        """Every keyed setting — the checkpoint fingerprint's settings."""
+        return self._values(_KEYED)
+
+    @cached_property
+    def manifest_settings(self) -> dict:
+        """The manifest's ``settings``: keyed (bar its own fields) and recorded."""
+        return self._values(_MANIFEST)
+
+    @property
+    def elastic_enabled(self) -> bool:
+        """True when evaluation runs on the coordinator/worker pool."""
+        return self.elastic > 0 or self.spool is not None
+
+
+def _entries(role: str) -> tuple:
+    """``(name, default, omit_default, encode)`` of each setting of ``role``."""
+    return tuple(
+        (f.name, f.default, f.metadata["omit_default"], f.metadata["encode"])
+        for f in fields(TuneSettings)
+        if f.metadata["role"] == role
+    )
+
+
+_KEYED = _entries(KEYED)
+_MANIFEST = tuple(e for e in _KEYED if e[0] not in MANIFEST_FIELDS) + _entries(
+    RECORDED
+)
+
+#: Names of the keyed settings a manifest's ``settings`` may carry.
+KEYED_SETTINGS = frozenset(
+    name for name, *_ in _KEYED if name not in MANIFEST_FIELDS
+)
+
+_ENV_SETTINGS = tuple(
+    (f.name, f.metadata["env"]) for f in fields(TuneSettings) if f.metadata["env"]
+)
+
+
+def _from_environment(settings: TuneSettings) -> dict:
+    """Fill the unset path settings from their environment variables."""
+    return {
+        name: os.environ.get(env) or None
+        for name, env in _ENV_SETTINGS
+        if getattr(settings, name) is None
+    }

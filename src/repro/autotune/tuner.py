@@ -16,14 +16,14 @@ Reproduces the Fig. 1 flow end to end:
 
 from __future__ import annotations
 
-import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.autotune.settings import TuneSettings
 from repro.core.contraction import Contraction
 from repro.core.pipeline import compile_contraction
-from repro.errors import ConfigurationError, SearchError
+from repro.errors import SearchError
 from repro.gpusim.arch import GPUArch
 from repro.gpusim.calibration import DEFAULT_GPU_CAL, GPUCalibration
 from repro.gpusim.perfmodel import GPUPerformanceModel, ProgramTiming
@@ -36,16 +36,14 @@ from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
 from repro.surf.elastic import ElasticBatchEvaluator
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
-from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
-from repro.surf.parallel import ParallelBatchEvaluator
+from repro.surf.faults import FaultInjectingEvaluator
 from repro.surf.pool import SpacePool, as_pool
 from repro.surf.random_search import RandomSearch
 from repro.surf.resilience import ResilientEvaluator
 from repro.surf.search import SearchResult, SURFSearch
 from repro.surf.separable import SeparableExhaustiveSearch
-from repro.surf.shared import resolve_search_workers
 from repro.surf.telemetry import SearchTelemetry
-from repro.tcr.decision import BACKENDS, decide_search_space
+from repro.tcr.decision import decide_search_space
 from repro.tcr.program import TCRProgram
 from repro.tcr.space import ProgramConfig, TuningSpace
 from repro.util.rng import spawn_rng, stable_hash
@@ -132,245 +130,43 @@ def _make_searcher(
 class Autotuner:
     """Tunes contractions/programs for a GPU architecture.
 
-    Parameters
-    ----------
-    arch:
-        Target device.
-    searcher:
-        ``"surf"`` (default), ``"random"``, ``"exhaustive"``, or
-        ``"sweep"`` (separability-aware exhaustive optimum over timing
-        tables — exact noise-free best in ``O(sum of kernel-space
-        sizes)``).
-    max_evaluations / batch_size:
-        SURF's ``nmax`` and ``bs`` (paper defaults: 100 and a small batch).
-    pool_size:
-        Size of the sampled configuration pool ``Xp`` handed to the search
-        (the full space is usually far too large to enumerate).
-    max_variants:
-        Optional cap on OCTOPI variant enumeration.
-    seed:
-        Master seed: pool sampling, surrogate, measurement noise.
-    batch_parallelism:
-        Concurrent lanes of the simulated tuning rig — affects only the
-        simulated wall-clock accounting (Table II's "Search"), never the
-        objective values.
-    cache:
-        Evaluation memoization.  ``True`` keeps an in-memory store shared
-        by every ``tune_*`` call on this instance; a path string enables
-        the persistent JSON-lines store as well.  ``None`` (default)
-        consults the ``REPRO_EVAL_CACHE`` environment variable (a path;
-        empty/unset = off), so batch drivers can switch it on fleet-wide.
-    workers:
-        Fan ``evaluate_batch`` out over this many worker threads
-        (``parallel_executor="process"`` for processes).  Results are
-        bitwise-identical to serial runs; ``None`` consults
-        ``REPRO_EVAL_WORKERS``.
-    elastic:
-        Evaluate batches on an **elastic coordinator/worker pool** (see
-        :mod:`repro.surf.elastic`): spawn this many local worker
-        processes on a filesystem lease spool that external workers
-        (``repro elastic-workers --spool DIR``) may join — late, briefly,
-        or after being hard-killed — while the champion, history, rng
-        stream, and checkpoints stay bitwise-identical to a serial run.
-        ``0`` with a ``spool`` still enables elastic mode (external
-        workers only; the coordinator evaluates inline as a last
-        resort).  ``None`` consults ``REPRO_ELASTIC``.  Like
-        ``search_workers``, the knob is store-key-, fingerprint-, and
-        checkpoint-neutral.
-    spool:
-        The elastic lease-spool directory.  ``None`` consults
-        ``REPRO_SPOOL``; when elastic workers are requested without a
-        spool, a fresh temporary directory (or ``checkpoint_dir/spool``)
-        is used.
-    lease_ttl:
-        Elastic claim lifetime, seconds: a worker that holds a lease
-        past this deadline is presumed dead and its lease reclaimed.
-    search_workers:
-        Fan the *search core's* hot loops — per-refit forest fits, the
-        full-pool predict pass, the odometer encode — out over this many
-        worker processes sharing the pool through shared memory (see
-        :mod:`repro.surf.shared`).  Orthogonal to ``workers`` (which
-        parallelizes evaluation): results are bitwise-identical for every
-        worker count, so the knob is result-store-neutral and absent from
-        run fingerprints (a checkpoint may resume under a different
-        count).  ``None`` consults ``REPRO_SEARCH_WORKERS`` (unset = 1,
-        today's serial path byte for byte).
-    acquisition:
-        SURF's per-iteration ranking rule: ``"mean"`` (default, the
-        paper's predicted-best rule) or ``"lcb"`` (lower confidence
-        bound ``mean - kappa*std`` from one combined tree descent).
-        Non-default values change the search course and are therefore
-        fingerprinted and store-keyed.
-    telemetry:
-        Emit per-batch :class:`~repro.surf.telemetry.SearchTelemetry`
-        records on every ``SearchResult`` (on by default; costs nothing
-        measurable and never affects search decisions).
-    fast_model:
-        Precompute per-variant
-        :class:`~repro.gpusim.timing_table.ProgramTimingTable`\\ s and
-        score configurations by table lookup instead of re-running the
-        scalar model per point.  Results are bitwise identical (the
-        tables reproduce ``program_timing`` exactly, and measurement
-        noise is layered on from the same per-point rng substream);
-        it only shifts where the time goes — one vectorized pass up
-        front instead of per-evaluation model runs.  ``None`` (default)
-        consults ``REPRO_FAST_MODEL`` (unset/empty/"0" = off).
-    sweep_full:
-        With ``searcher="sweep"``, materialize the broadcast-summed
-        totals of the entire product space per variant instead of the
-        per-kernel argmin (same answer; bounded memory guard applies).
-    faults:
-        Deterministic fault injection (see :mod:`repro.surf.faults`): a
-        :class:`FaultSpec`, a spec string for :meth:`FaultSpec.parse`, or
-        ``None`` (default) to consult ``REPRO_FAULTS`` (empty/unset =
-        none).  Enabling faults automatically enables the resilience
-        layer.
-    max_retries:
-        Transient-failure retry budget of the resilience layer.
-    resilient:
-        Force the :class:`~repro.surf.resilience.ResilientEvaluator`
-        retry/quarantine layer on (True) or off (False); ``None`` enables
-        it exactly when faults are injected or a checkpoint directory is
-        in use.
-    checkpoint_dir:
-        Run directory for fault-tolerant search state: ``state.json``
-        (atomic per-batch search checkpoint) plus the persistent
-        evaluation cache and quarantine set.  See
-        :mod:`repro.surf.checkpoint`.
-    resume:
-        With ``checkpoint_dir``, restore a previous interrupted run's
-        state and continue — bitwise-identical (history and best value)
-        to an uninterrupted run with the same settings.  A fingerprint
-        mismatch (changed seed/space/searcher/budget) raises
-        :class:`~repro.errors.CheckpointError` rather than resuming
-        unsafely; with no state file yet, the run simply starts fresh.
-    tie_break:
-        How SURF orders equal predictions within a batch: ``"lexsort"``
-        (default, scale-independent randomized ties) or ``"jitter"`` (the
-        historical additive-jitter scheme, kept for resuming/replaying
-        runs recorded under it).  See :class:`~repro.surf.search.SURFSearch`.
-    trace:
-        Write a Chrome-trace (Perfetto-loadable) span trace of every
-        ``tune_*`` call to this path, plus a run-provenance
-        ``manifest.json`` next to it (and next to ``checkpoint_dir``
-        when set).  Tracing is pure observability: results are bitwise
-        identical with it on or off, and no wall-clock field enters any
-        fingerprint or checkpoint comparison.
-    result_store:
-        Content-addressed whole-run memoization (see
-        :mod:`repro.serve.store`): a :class:`ResultStore`, a store
-        directory path, or ``None`` (default) to consult
-        ``REPRO_RESULT_STORE``.  A request whose (DSL, arch,
-        calibration, searcher-settings) fingerprints match a stored run
-        is served that run's champion and full history — bitwise
-        identical, zero model evaluations — and every completed miss is
-        stored for the next requester.
+    ``Autotuner(arch, calibration=..., **settings)``: ``arch`` is the
+    target device, ``calibration`` the performance model's constants, and
+    every other keyword is a field of
+    :class:`~repro.autotune.settings.TuneSettings` — which also declares,
+    per setting, whether it changes results (and so the result-store key,
+    the manifest and the checkpoint fingerprint).  The settings are
+    available as :attr:`settings`.
+
+    ``per_variant=True`` reproduces the paper's OCTOPI flow for
+    multi-variant contractions: each algebraic version is autotuned with
+    its own search budget ("OCTOPI generates and sends all versions to
+    CUDA-CHiLL for autotuning") and the champions compete.  This is what
+    makes Eqn.(1)'s search the longest in Table II: 15 variants × the
+    per-version search cost.  The default searches the union space with
+    one budget.
     """
 
     def __init__(
         self,
         arch: GPUArch,
-        searcher: str = "surf",
-        max_evaluations: int = 100,
-        batch_size: int = 10,
-        pool_size: int = 3000,
-        max_variants: int | None = None,
-        seed: int = 0,
         calibration: GPUCalibration = DEFAULT_GPU_CAL,
-        noisy: bool = True,
-        include_transfer: bool = True,
-        per_variant: bool = False,
-        batch_parallelism: int = 1,
-        cache: bool | str | Path | None = None,
-        workers: int | None = None,
-        elastic: int | None = None,
-        spool: str | Path | None = None,
-        lease_ttl: float = 30.0,
-        search_workers: int | None = None,
-        acquisition: str = "mean",
-        telemetry: bool = True,
-        parallel_executor: str = "thread",
-        fast_model: bool | None = None,
-        sweep_full: bool = False,
-        faults: FaultSpec | str | None = None,
-        max_retries: int = 2,
-        resilient: bool | None = None,
-        checkpoint_dir: str | Path | None = None,
-        resume: bool = False,
-        trace: str | Path | None = None,
-        tie_break: str = "lexsort",
-        result_store=None,
-        backend: str = "loopnest",
+        **settings,
     ) -> None:
-        """``per_variant=True`` reproduces the paper's OCTOPI flow for
-        multi-variant contractions: each algebraic version is autotuned
-        with its own search budget ("OCTOPI generates and sends all
-        versions to CUDA-CHiLL for autotuning") and the champions compete.
-        This is what makes Eqn.(1)'s search the longest in Table II: 15
-        variants × the per-version search cost.  The default (False)
-        searches the union space with one budget."""
         self.arch = arch
-        self.searcher_kind = searcher
-        self.max_evaluations = max_evaluations
-        self.batch_size = batch_size
-        self.pool_size = pool_size
-        self.max_variants = max_variants
-        self.seed = seed
+        self.settings = TuneSettings(**settings)
         self.model = GPUPerformanceModel(arch, calibration)
-        self.noisy = noisy
-        self.include_transfer = include_transfer
-        self.per_variant = per_variant
-        self.batch_parallelism = max(1, batch_parallelism)
-        if cache is None:
-            cache = os.environ.get("REPRO_EVAL_CACHE") or False
-        self.cache_spec: bool | str | Path = cache
-        if workers is None:
-            workers = int(os.environ.get("REPRO_EVAL_WORKERS", "1") or 1)
-        self.workers = max(1, workers)
-        if elastic is None:
-            elastic = int(os.environ.get("REPRO_ELASTIC", "0") or 0)
-        self.elastic = max(0, elastic)
-        if spool is None:
-            spool = os.environ.get("REPRO_SPOOL") or None
-        self.spool = Path(spool) if spool else None
-        self.lease_ttl = float(lease_ttl)
-        self.search_workers = resolve_search_workers(search_workers)
-        self.acquisition = acquisition
-        self.telemetry = telemetry
-        self.parallel_executor = parallel_executor
-        if fast_model is None:
-            fast_model = os.environ.get("REPRO_FAST_MODEL", "") not in ("", "0")
-        self.fast_model = bool(fast_model)
-        self.sweep_full = sweep_full
-        if faults is None:
-            faults = os.environ.get("REPRO_FAULTS", "")
-        if isinstance(faults, str):
-            faults = FaultSpec.parse(faults, seed=seed)
-        self.faults: FaultSpec = faults
-        self.max_retries = max_retries
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self.resume = resume
-        self.trace = Path(trace) if trace else None
-        self.tie_break = tie_break
-        if resilient is None:
-            resilient = self.faults.any() or self.checkpoint_dir is not None
-        self.resilient = bool(resilient)
+        checkpoint_dir = self.settings.checkpoint_dir
         # A checkpointed run persists its evaluation cache in the run
         # directory (unless the caller pointed the cache elsewhere), so a
         # resume can serve any work the killed batch already paid for.
-        if self.checkpoint_dir is not None and not self.cache_spec:
-            self.cache_spec = str(CheckpointManager(self.checkpoint_dir).eval_cache_path)
+        self.cache_spec = self.settings.cache
+        if checkpoint_dir is not None and not self.cache_spec:
+            self.cache_spec = str(CheckpointManager(checkpoint_dir).eval_cache_path)
+        self.spool = self.settings.spool
         self._cache_store: EvaluationCache | None = None
         self._quarantine_store: QuarantineStore | None = None
-        if result_store is None:
-            result_store = os.environ.get("REPRO_RESULT_STORE") or None
-        self.result_store_spec = result_store
         self._result_store_obj = None
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def _result_store(self):
@@ -379,12 +175,12 @@ class Autotuner:
         Imported lazily: :mod:`repro.serve` wraps this module (the
         service drives Autotuners), so a top-level import would cycle.
         """
-        if self.result_store_spec is None:
+        spec = self.settings.result_store
+        if spec is None:
             return None
         if self._result_store_obj is None:
             from repro.serve.store import ResultStore
 
-            spec = self.result_store_spec
             self._result_store_obj = (
                 spec if isinstance(spec, ResultStore) else ResultStore(spec)
             )
@@ -403,9 +199,10 @@ class Autotuner:
     def _quarantine(self) -> QuarantineStore:
         """The instance-wide quarantine set (persistent with checkpoints)."""
         if self._quarantine_store is None:
+            checkpoint_dir = self.settings.checkpoint_dir
             path = (
-                CheckpointManager(self.checkpoint_dir).quarantine_path
-                if self.checkpoint_dir is not None
+                CheckpointManager(checkpoint_dir).quarantine_path
+                if checkpoint_dir is not None
                 else None
             )
             self._quarantine_store = QuarantineStore(path)
@@ -418,55 +215,44 @@ class Autotuner:
     ) -> BatchEvaluator:
         """Stack the evaluation engine, innermost first:
         model -> fault injection -> cache -> retry/quarantine -> fan-out."""
+        settings = self.settings
         evaluator: BatchEvaluator = ConfigurationEvaluator(
             programs,
             self.model,
-            seed=self.seed,
-            noisy=self.noisy,
-            include_transfer=self.include_transfer,
-            batch_parallelism=self.batch_parallelism,
+            seed=settings.seed,
+            noisy=settings.noisy,
+            include_transfer=settings.include_transfer,
+            batch_parallelism=settings.batch_parallelism,
             tables=tables,
         )
-        if self.faults.any():
+        if settings.faults.any():
             # Below the cache: a cached result models a rig that is not
             # re-run, so it cannot fault.
-            evaluator = FaultInjectingEvaluator(evaluator, self.faults)
+            evaluator = FaultInjectingEvaluator(evaluator, settings.faults)
         store = self._evaluation_cache()
         if store is not None:
             evaluator = CachedEvaluator(evaluator, store)
-        if self.resilient:
+        if settings.resilient:
             evaluator = ResilientEvaluator(
                 evaluator,
-                max_retries=self.max_retries,
+                max_retries=settings.max_retries,
                 quarantine=self._quarantine(),
             )
-        if self.elastic_enabled:
-            # The elastic pool replaces the in-process fan-out at the same
-            # stack position; `workers` parallelism would be redundant
-            # underneath it (lease scheduling already spreads the batch).
+        if settings.elastic_enabled:
             evaluator = ElasticBatchEvaluator(
                 evaluator,
                 spool=self._spool_dir(),
-                workers=self.elastic,
-                lease_ttl=self.lease_ttl,
-            )
-        elif self.workers > 1:
-            evaluator = ParallelBatchEvaluator(
-                evaluator, workers=self.workers, executor=self.parallel_executor
+                workers=settings.elastic,
+                lease_ttl=settings.lease_ttl,
             )
         return evaluator
-
-    @property
-    def elastic_enabled(self) -> bool:
-        """True when evaluation runs on the coordinator/worker pool."""
-        return self.elastic > 0 or self.spool is not None
 
     def _spool_dir(self) -> Path:
         """The run's lease-spool directory (created by the coordinator)."""
         if self.spool is not None:
             return self.spool
-        if self.checkpoint_dir is not None:
-            self.spool = self.checkpoint_dir / "spool"
+        if self.settings.checkpoint_dir is not None:
+            self.spool = self.settings.checkpoint_dir / "spool"
         else:
             import tempfile
 
@@ -478,7 +264,7 @@ class Autotuner:
     def _observe(self, name: str):
         """Observation scope of one public ``tune_*`` call.
 
-        With :attr:`trace` set (and no ambient tracer already active —
+        With the ``trace`` setting (and no ambient tracer already active —
         e.g. the CLI installs one around workload loading so DSL-parse
         spans are captured), a fresh :class:`~repro.obs.tracer.Tracer`
         becomes ambient for the call; on exit the collected spans are
@@ -487,7 +273,8 @@ class Autotuner:
         """
         ambient = get_tracer()
         created = None
-        if self.trace is not None and not ambient.enabled:
+        trace = self.settings.trace
+        if trace is not None and not ambient.enabled:
             created = Tracer()
         tracer = created if created is not None else ambient
         try:
@@ -498,50 +285,18 @@ class Autotuner:
                     tracer.span(
                         "tune.run", category="tune",
                         workload=name, arch=self.arch.name,
-                        searcher=self.searcher_kind, seed=self.seed,
+                        searcher=self.settings.searcher, seed=self.settings.seed,
                     )
                 )
                 yield tracer
         finally:
-            if self.trace is not None:
-                write_chrome_trace(tracer.finished(), self.trace)
+            if trace is not None:
+                write_chrome_trace(tracer.finished(), trace)
 
     def run_manifest(self, name: str, programs: list[TCRProgram]) -> RunManifest:
         """The provenance manifest of a run over ``programs``."""
         from repro import __version__
 
-        settings = {
-            "max_evaluations": self.max_evaluations,
-            "batch_size": self.batch_size,
-            "pool_size": self.pool_size,
-            "max_variants": self.max_variants,
-            "noisy": self.noisy,
-            "include_transfer": self.include_transfer,
-            "per_variant": self.per_variant,
-            "batch_parallelism": self.batch_parallelism,
-            "workers": self.workers,
-            "search_workers": self.search_workers,
-            "fast_model": self.fast_model,
-            "sweep_full": self.sweep_full,
-            "faults": self.faults.describe(),
-            "max_retries": self.max_retries,
-            "resilient": self.resilient,
-            "tie_break": self.tie_break,
-        }
-        # Only a non-default acquisition changes the search course; the
-        # conditional key keeps store digests of existing runs stable.
-        if self.acquisition != "mean":
-            settings["acquisition"] = self.acquisition
-        # The backend changes which spaces exist, so it is store-key
-        # RELEVANT (never in RESULT_NEUTRAL_SETTINGS); the conditional key
-        # keeps pre-TTGT loop-nest digests byte-stable.
-        if self.backend != "loopnest":
-            settings["backend"] = self.backend
-        # Elastic evaluation is bitwise-identical to serial, so the knob is
-        # provenance only: recorded when on (and store-key-neutral either
-        # way), absent otherwise so serial manifests keep their bytes.
-        if self.elastic_enabled:
-            settings["elastic"] = self.elastic
         return RunManifest(
             name=name,
             package_version=__version__,
@@ -551,18 +306,18 @@ class Autotuner:
             dsl_fingerprint=format(
                 stable_hash("dsl", [p.to_text() for p in programs]), "016x"
             ),
-            seed=self.seed,
-            searcher=self.searcher_kind,
-            settings=settings,
+            seed=self.settings.seed,
+            searcher=self.settings.searcher,
+            settings=dict(self.settings.manifest_settings),
         )
 
     def _write_manifests(self, name: str, programs: list[TCRProgram]) -> None:
         """Write ``manifest.json`` next to the trace and the checkpoints."""
         destinations = []
-        if self.trace is not None:
-            destinations.append(self.trace.parent / MANIFEST_FILENAME)
-        if self.checkpoint_dir is not None:
-            destinations.append(self.checkpoint_dir / MANIFEST_FILENAME)
+        if self.settings.trace is not None:
+            destinations.append(self.settings.trace.parent / MANIFEST_FILENAME)
+        if self.settings.checkpoint_dir is not None:
+            destinations.append(self.settings.checkpoint_dir / MANIFEST_FILENAME)
         if not destinations:
             return
         manifest = self.run_manifest(name, programs)
@@ -574,7 +329,7 @@ class Autotuner:
         """Full pipeline: OCTOPI variants, then search across all of them."""
         with self._observe(contraction.name):
             compiled = compile_contraction(
-                contraction, max_variants=self.max_variants
+                contraction, max_variants=self.settings.max_variants
             )
             programs = [v.program for v in compiled.variants]
             self._write_manifests(contraction.name, programs)
@@ -618,10 +373,9 @@ class Autotuner:
                 workload=name, digest=key.digest(),
             )
             search = unpack_search(record["search"])
-            if self.telemetry:
-                # A fresh empty telemetry: totals() reports 0 evaluations,
-                # which is literally what this request cost.
-                search.telemetry = SearchTelemetry()
+            # A fresh empty telemetry: totals() reports 0 evaluations,
+            # which is literally what this request cost.
+            search.telemetry = SearchTelemetry()
             best = search.best_config
             best_program = programs[best.variant_index]
             return TuneResult(
@@ -644,41 +398,16 @@ class Autotuner:
         return result
 
     def _run_fingerprint(self, name: str, pool, space_size: int) -> dict:
-        """Identity of a run for checkpoint-resume safety.
-
-        Everything that changes the bitwise course of a search belongs
-        here: resuming under a different fingerprint is refused.
-        """
-        fp = {
+        """Identity of a run for checkpoint-resume safety: the run's own
+        identity plus every keyed setting.  Resuming under a different
+        fingerprint is refused."""
+        return {
             "name": name,
             "arch": self.arch.name,
-            "searcher": self.searcher_kind,
-            "seed": self.seed,
-            "max_evaluations": self.max_evaluations,
-            "batch_size": self.batch_size,
             "space_size": space_size,
             "pool": as_pool(pool).fingerprint(),
-            "noisy": self.noisy,
-            "include_transfer": self.include_transfer,
-            "faults": self.faults.describe(),
-            "max_retries": self.max_retries,
+            **self.settings.keyed,
         }
-        # "jitter" reproduces the historical selection stream exactly, so
-        # its fingerprint stays byte-compatible with states written before
-        # the mode existed; any other mode changes the course and is named.
-        if self.tie_break != "jitter":
-            fp["tie_break"] = self.tie_break
-        # Same conditional-key reasoning for the acquisition rule: "mean"
-        # is the historical course.  search_workers is deliberately absent:
-        # the parallel path is bitwise-identical to serial, so a run may be
-        # resumed under any worker count.
-        if self.acquisition != "mean":
-            fp["acquisition"] = self.acquisition
-        # The backend decides which kernel spaces exist at all; "loopnest"
-        # is the historical course and stays unnamed for byte-compatibility.
-        if self.backend != "loopnest":
-            fp["backend"] = self.backend
-        return fp
 
     def _checkpointer(
         self,
@@ -702,7 +431,7 @@ class Autotuner:
                 else None
             ),
         )
-        if self.resume:
+        if self.settings.resume:
             payload = manager.load()  # raises CheckpointError on mismatch
             if payload is not None:
                 checkpointer.resume_state = payload.get("searcher")
@@ -719,33 +448,33 @@ class Autotuner:
         programs: list[TCRProgram],
         checkpoint_dir: Path | None = None,
     ) -> TuneResult:
+        settings = self.settings
         if checkpoint_dir is None:
-            checkpoint_dir = self.checkpoint_dir
-        if self.per_variant and len(programs) > 1:
+            checkpoint_dir = settings.checkpoint_dir
+        if settings.per_variant and len(programs) > 1:
             return self._tune_per_variant(name, programs)
         tracer = get_tracer()
         spaces = [
             decide_search_space(
-                p, variant_index=i, backend=self.backend, model=self.model
+                p, variant_index=i, backend=settings.backend, model=self.model
             )
             for i, p in enumerate(programs)
         ]
         tuning_space = TuningSpace(spaces)
         tables = None
-        if self.fast_model or self.searcher_kind == "sweep":
+        if settings.fast_model or settings.searcher == "sweep":
             tables = []
             for p, s in zip(programs, spaces):
                 with tracer.span(
                     "table.build", category="table", program=p.name
                 ):
                     tables.append(ProgramTimingTable.build(self.model, p, s))
-        if self.searcher_kind == "sweep":
+        if settings.searcher == "sweep":
             # The separable sweep reads the tables directly — no pool, no
             # evaluator; it optimizes the noise-free modeled time.
             searcher = SeparableExhaustiveSearch(
                 tables,
-                include_transfer=self.include_transfer,
-                full_sweep=self.sweep_full,
+                include_transfer=settings.include_transfer,
                 tuning_space=tuning_space,
             )
             pool = []
@@ -754,19 +483,19 @@ class Autotuner:
             )
             with tracer.span(
                 "search.run", category="search",
-                searcher=self.searcher_kind, workload=name,
+                searcher=settings.searcher, workload=name,
             ):
                 result = searcher.search(
                     telemetry=SearchTelemetry(), checkpointer=checkpointer
                 )
         else:
             with tracer.span("space.pool", category="space") as sp:
-                rng = spawn_rng(self.seed, "pool", name, self.arch.name)
+                rng = spawn_rng(settings.seed, "pool", name, self.arch.name)
                 # Ids only — configs materialize lazily per evaluation batch.
                 pool = SpacePool(
                     tuning_space,
                     tuning_space.sample_ids(
-                        min(self.pool_size, tuning_space.size()), rng
+                        min(settings.pool_size, tuning_space.size()), rng
                     ),
                 )
                 if tracer.enabled:
@@ -777,10 +506,10 @@ class Autotuner:
             # batching used for model refresh cadence.
             evaluator = self._build_evaluator(programs, tables=tables)
             searcher = _make_searcher(
-                self.searcher_kind, self.batch_size, self.max_evaluations,
-                self.seed, tie_break=self.tie_break,
-                search_workers=self.search_workers,
-                acquisition=self.acquisition,
+                settings.searcher, settings.batch_size, settings.max_evaluations,
+                settings.seed, tie_break=settings.tie_break,
+                search_workers=settings.search_workers,
+                acquisition=settings.acquisition,
             )
             checkpointer = self._checkpointer(
                 checkpoint_dir, name, pool, tuning_space.size(), evaluator
@@ -788,7 +517,7 @@ class Autotuner:
             try:
                 with tracer.span(
                     "search.run", category="search",
-                    searcher=self.searcher_kind, workload=name,
+                    searcher=settings.searcher, workload=name,
                 ):
                     result = searcher.search(
                         pool,
@@ -803,8 +532,6 @@ class Autotuner:
                 close = getattr(evaluator, "close", None)
                 if close is not None:
                     close()
-        if not self.telemetry:
-            result.telemetry = None
         best = result.best_config
         best_program = programs[best.variant_index]
         timing = self.model.program_timing(best_program, best)
@@ -824,15 +551,12 @@ class Autotuner:
         """Autotune every OCTOPI variant independently; champions compete."""
         results: list[TuneResult] = []
         tracer = get_tracer()
+        checkpoint_dir = self.settings.checkpoint_dir
         for i, program in enumerate(programs):
             # Each variant's search state lives in its own subdirectory;
             # the quarantine set and eval cache stay at the run root
             # (they are instance-wide and config-keyed, so sharing is safe).
-            sub_dir = (
-                self.checkpoint_dir / f"v{i}"
-                if self.checkpoint_dir is not None
-                else None
-            )
+            sub_dir = checkpoint_dir / f"v{i}" if checkpoint_dir is not None else None
             with tracer.span("tune.variant", category="tune", variant=i):
                 sub = self._tune(f"{name}_v{i}", [program], checkpoint_dir=sub_dir)
             # Re-tag the winning config — and every history entry — with the
@@ -874,9 +598,7 @@ class Autotuner:
             history=[h for r in results for h in r.search.history],
             evaluations=total_evals,
             simulated_wall_seconds=total_wall,
-            telemetry=SearchTelemetry.merged(r.search.telemetry for r in results)
-            if self.telemetry
-            else None,
+            telemetry=SearchTelemetry.merged(r.search.telemetry for r in results),
         )
         return TuneResult(
             name=name,

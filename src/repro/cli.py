@@ -61,26 +61,20 @@ def build_parser() -> argparse.ArgumentParser:
         "ineligible operations fall back to loop nests)",
     )
     tune.add_argument(
-        "--fast-model", action="store_true", default=None,
+        "--fast-model", action="store_true",
         help="score configurations by precomputed timing-table lookup "
-        "(bitwise identical to the scalar model; default: $REPRO_FAST_MODEL)",
+        "(bitwise identical to the scalar model)",
     )
     tune.add_argument(
         "--per-variant", action="store_true",
         help="autotune each OCTOPI variant separately (the paper's flow)",
     )
     tune.add_argument(
-        "--workers", type=int, default=None,
-        help="evaluate batches over N worker threads (default: serial or "
-        "$REPRO_EVAL_WORKERS); results are identical to serial",
-    )
-    tune.add_argument(
-        "--elastic", type=int, default=None, metavar="N",
+        "--elastic", type=int, default=0, metavar="N",
         help="evaluate batches on an elastic coordinator/worker pool: "
         "spawn N local worker processes on a lease spool that external "
-        "workers (`elastic-workers`) may join or leave mid-run (default: "
-        "$REPRO_ELASTIC); champion/history/checkpoints are bitwise-"
-        "identical to serial",
+        "workers (`elastic-workers`) may join or leave mid-run; "
+        "champion/history/checkpoints are bitwise-identical to serial",
     )
     tune.add_argument(
         "--spool", default=None, metavar="DIR",
@@ -93,11 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
         "past this deadline is presumed dead and the lease is reclaimed",
     )
     tune.add_argument(
-        "--search-workers", type=int, default=None, metavar="N",
+        "--search-workers", type=int, default=1, metavar="N",
         help="fan the SURF search core (forest fit, full-pool predict, "
         "odometer encode) over N worker processes with shared-memory "
-        "pools (default: serial or $REPRO_SEARCH_WORKERS); champion, "
-        "history and checkpoints are bitwise-identical to serial",
+        "pools; champion, history and checkpoints are bitwise-identical "
+        "to serial",
     )
     tune.add_argument(
         "--cache", default=None, metavar="PATH",
@@ -109,11 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump per-batch search telemetry as JSON to PATH ('-' for stdout)",
     )
     tune.add_argument(
-        "--faults", default=None, metavar="SPEC",
+        "--faults", default="", metavar="SPEC",
         help="inject deterministic evaluation faults: a bare probability "
         "('0.15') or 'compile=..,launch=..,transient=..,worker=..' "
-        "(default: $REPRO_FAULTS or none); enables the retry/quarantine "
-        "resilience layer",
+        "(default: none); enables the retry/quarantine resilience layer",
     )
     tune.add_argument(
         "--retries", type=int, default=2, metavar="N",
@@ -309,7 +302,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         seed=args.seed,
         per_variant=args.per_variant,
         cache=cache,
-        workers=args.workers,
         elastic=args.elastic,
         spool=args.spool,
         lease_ttl=args.lease_ttl,
@@ -341,7 +333,7 @@ def _run_tune(args: argparse.Namespace) -> int:
         failures = {
             key: int(totals.get(key, 0))
             for key in ("invalid", "transient", "permanent", "retries",
-                        "quarantined", "pool_rebuilds")
+                        "quarantined")
         }
         if any(failures.values()):
             print(
@@ -350,8 +342,7 @@ def _run_tune(args: argparse.Namespace) -> int:
                 f"{failures['transient']} transient, "
                 f"{failures['permanent']} permanent, "
                 f"{failures['retries']} retries, "
-                f"{failures['quarantined']} quarantined, "
-                f"{failures['pool_rebuilds']} pool rebuilds"
+                f"{failures['quarantined']} quarantined"
             )
         if args.telemetry:
             payload = result.search.telemetry.to_json()

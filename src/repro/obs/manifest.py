@@ -3,10 +3,12 @@
 A :class:`RunManifest` captures everything needed to attribute and replay
 a tuning run — package version, workload name, architecture and
 calibration fingerprints (stable hashes over their dataclass fields), a
-DSL hash over the tuned TCR programs, the master seed, and the searcher
-settings.  Kernel Tuner persists the same kind of header atop its cache
-files; here it is a standalone JSON document so checkpoints and traces
-stay self-describing.
+DSL hash over the tuned TCR programs, the searcher and master seed, and
+the ``keyed`` and ``recorded`` settings of
+:class:`~repro.autotune.settings.TuneSettings` (the keyed ones alone
+form the result-store key).  Kernel Tuner persists the same kind of
+header atop its cache files; here it is a standalone JSON document so
+checkpoints and traces stay self-describing.
 
 Determinism contract: a manifest contains **no wall-clock fields** — two
 runs with identical settings produce byte-identical ``manifest.json``, so

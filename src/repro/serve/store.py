@@ -15,10 +15,10 @@ determines the outcome bitwise:
 These are exactly the fields a :class:`~repro.obs.manifest.RunManifest`
 records, so the provenance layer doubles as the cache key: two requests
 with identical manifests would run bitwise-identical searches, which is
-what makes serving the stored result safe.  Settings documented to be
-result-neutral (``workers``, ``fast_model``, ``sweep_full`` — all
-bitwise-identical or same-answer by construction) are excluded from the
-key so an operational change cannot shatter the hit rate.
+what makes serving the stored result safe.  Only the manifest settings
+:class:`~repro.autotune.settings.TuneSettings` declares ``keyed`` enter
+the key; the ``recorded`` ones are bitwise-invisible and would only
+shatter the hit rate.
 
 On disk the store is a directory of **sharded append-only JSONL files**
 (``shard-NNN.jsonl``, shard chosen by key digest), each starting with a
@@ -46,6 +46,7 @@ import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from repro.autotune.settings import KEYED_SETTINGS
 from repro.errors import StoreError
 from repro.obs.manifest import RunManifest
 from repro.obs.tracer import get_tracer
@@ -56,7 +57,6 @@ from repro.util.rng import stable_hash
 
 __all__ = [
     "STORE_FORMAT",
-    "RESULT_NEUTRAL_SETTINGS",
     "StoreKey",
     "ResultStore",
     "pack_config",
@@ -71,23 +71,6 @@ STORE_FORMAT = 1
 
 #: The header ``kind`` tag — refuses headers of unrelated JSONL files.
 STORE_KIND = "repro-result-store"
-
-#: Autotuner settings that cannot change the tuned result (each is
-#: documented bitwise-identical or same-answer) and therefore must not
-#: fragment the content address.  The elastic knobs (worker count, spool
-#: location, lease TTL) are pure scheduling: the coordinator merges by
-#: (batch, lease ordinal), so any pool shape replays the serial bytes.
-RESULT_NEUTRAL_SETTINGS = frozenset(
-    {
-        "workers",
-        "search_workers",
-        "fast_model",
-        "sweep_full",
-        "elastic",
-        "spool",
-        "lease_ttl",
-    }
-)
 
 
 # ----------------------------------------------------------------------
@@ -120,9 +103,7 @@ class StoreKey:
     def from_manifest(cls, manifest: RunManifest) -> "StoreKey":
         """Derive the key from a run's provenance manifest."""
         settings = {
-            k: v
-            for k, v in sorted(manifest.settings.items())
-            if k not in RESULT_NEUTRAL_SETTINGS
+            k: v for k, v in manifest.settings.items() if k in KEYED_SETTINGS
         }
         searcher_fp = format(
             stable_hash(
@@ -321,11 +302,13 @@ class ResultStore:
         file and published with ``os.link`` (atomic fail-if-exists), so
         at the instant the shard becomes visible it already carries its
         header — a concurrent appender can never get a record in first.
+        The tmp name is unique per thread, not just per process, so racing
+        threads never unlink each other's file.
         """
         if path.exists():
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.hdr.{os.getpid()}"
+        tmp = path.parent / f".{path.name}.hdr.{os.getpid()}.{threading.get_ident()}"
         tmp.write_text(json.dumps(self._header()) + "\n", encoding="utf-8")
         try:
             os.link(tmp, path)

@@ -20,7 +20,6 @@ from repro.surf.exhaustive import ExhaustiveSearch
 from repro.surf.separable import SeparableExhaustiveSearch
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator, EvalOutcome
 from repro.surf.cache import CachedEvaluator, EvaluationCache, QuarantineStore
-from repro.surf.parallel import ParallelBatchEvaluator
 from repro.surf.telemetry import BatchRecord, SearchTelemetry
 from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
 from repro.surf.resilience import ResilientEvaluator
@@ -50,7 +49,6 @@ __all__ = [
     "CachedEvaluator",
     "EvaluationCache",
     "QuarantineStore",
-    "ParallelBatchEvaluator",
     "BatchRecord",
     "SearchTelemetry",
     "FaultSpec",

@@ -26,10 +26,11 @@ space, searcher, budget, …) resume is *not* bitwise-safe and
 :class:`~repro.errors.CheckpointError` is raised instead of silently
 diverging.
 
-``search_workers`` is deliberately **outside** the fingerprint: the
-parallel search core is bitwise-identical to serial for every worker
-count, so a run checkpointed under one count may be resumed under any
-other (including serial) and still finishes bitwise-identical.
+The fingerprint's settings are the ``keyed`` ones of
+:class:`~repro.autotune.settings.TuneSettings`.  ``search_workers`` and
+``elastic`` are ``recorded``, so **outside** it: both are bitwise-identical
+to serial, and a run checkpointed under one worker count may be resumed
+under any other (including serial) and still finishes bitwise-identical.
 """
 
 from __future__ import annotations

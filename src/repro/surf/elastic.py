@@ -1,8 +1,7 @@
 """Elastic coordinator/worker evaluation over a filesystem lease spool.
 
-This is :class:`~repro.surf.parallel.ParallelBatchEvaluator` generalized
-from "a pool of futures inside one process" to "any number of worker
-*processes*, joining and leaving mid-run".  The coordinator — the search
+This is the one fan-out of the evaluation engine: any number of worker
+*processes*, joining and leaving mid-run.  The coordinator — the search
 driver's :class:`ElasticBatchEvaluator` — publishes each SURF batch as
 leases on a :class:`~repro.surf.lease.LeaseSpool`; workers (spawned
 locally by ``Autotuner(elastic=N)``, or attached externally via the

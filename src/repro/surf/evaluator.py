@@ -20,8 +20,8 @@ bookkeeping happens once per batch on the driver thread):
     tables).
 ``CachedEvaluator`` (:mod:`repro.surf.cache`)
     Memoizes scores across runs, optionally persisted to a JSONL store.
-``ParallelBatchEvaluator`` (:mod:`repro.surf.parallel`)
-    Fans ``evaluate_batch`` out over a ``concurrent.futures`` pool.
+``ElasticBatchEvaluator`` (:mod:`repro.surf.elastic`)
+    Fans ``evaluate_batch`` out over worker processes on a lease spool.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class BatchEvaluator:
         """Counters owned by inner layers (e.g. the quarantine gauge).
 
         Tallying happens once, at the top of the evaluator stack, but some
-        state (quarantine size, pool rebuilds) lives in wrapped layers;
+        state (the quarantine size) lives in wrapped layers;
         this hook lets it surface through however many wrappers sit above.
         """
         inner = getattr(self, "inner", None)

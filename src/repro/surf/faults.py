@@ -21,12 +21,12 @@ deterministically succeed where the first dispatch failed.
 
 Worker death is special: when the evaluation is actually running inside a
 worker *process* (and real death is enabled), the worker exits hard via
-``os._exit`` — exercising the broken-pool recovery in
-:class:`~repro.surf.parallel.ParallelBatchEvaluator`.  Everywhere else
-(serial or thread execution, or a rebuilt "safe" pool) the same draw
-raises :class:`~repro.errors.WorkerDiedError`, which the resilience layer
+``os._exit`` while holding its lease — exercising the lease reclaim in
+:class:`~repro.surf.elastic.ElasticBatchEvaluator`.  Everywhere else
+(the coordinator, or a ``--safe`` elastic worker) the same draw raises
+:class:`~repro.errors.WorkerDiedError`, which the resilience layer
 handles as a transient fault — so the *outcome* (value, wall, attempts) of
-a configuration is identical whichever execution mode evaluated it.
+a configuration is identical whichever process evaluated it.
 """
 
 from __future__ import annotations
@@ -49,17 +49,15 @@ __all__ = [
     "FaultSpec",
     "FaultInjectingEvaluator",
     "disable_real_death",
-    "enable_real_death",
 ]
 
 #: Exit status used when an injected fault kills a worker process (chosen
-#: to be recognizable in CI logs; any nonzero status breaks the pool).
+#: to be recognizable in CI logs).
 WORKER_DEATH_EXIT_CODE = 86
 
-#: Module-level switch for *actual* process death.  Rebuilt pools install
-#: :func:`disable_real_death` as their initializer, so re-dispatched work
-#: downgrades the hazard to a raised :class:`WorkerDiedError` instead of
-#: killing the replacement pool forever.
+#: Module-level switch for *actual* process death.  ``--safe`` elastic
+#: workers call :func:`disable_real_death`, downgrading the hazard to a
+#: raised :class:`WorkerDiedError` (a reliable node).
 _REAL_DEATH_ENABLED = True
 
 
@@ -67,12 +65,6 @@ def disable_real_death() -> None:
     """Downgrade injected worker death to a raised (retryable) error."""
     global _REAL_DEATH_ENABLED
     _REAL_DEATH_ENABLED = False
-
-
-def enable_real_death() -> None:
-    """Re-enable hard worker death (test hygiene; default state)."""
-    global _REAL_DEATH_ENABLED
-    _REAL_DEATH_ENABLED = True
 
 
 @dataclass(frozen=True)
@@ -91,8 +83,8 @@ class FaultSpec:
         (``timeout_fraction`` splits the two).  Keyed on (config, attempt).
     worker_death_rate:
         The worker evaluating the point dies mid-flight.  Keyed on
-        (config, attempt); handled as a transient fault, but in a process
-        pool the first occurrence really kills the worker.
+        (config, attempt); handled as a transient fault, but in an elastic
+        worker process the first occurrence really kills the worker.
     seed:
         Fault substream seed — independent of the measurement-noise seed,
         so enabling faults never perturbs the values of surviving points.

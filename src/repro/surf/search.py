@@ -186,8 +186,7 @@ class SURFSearch:
         per-refit forest fit, the full-pool predict pass, and the odometer
         encode — out over that many worker processes (shared-memory pool,
         see :mod:`repro.surf.shared`).  Results are bitwise-identical for
-        every worker count; ``None`` consults ``REPRO_SEARCH_WORKERS``
-        (unset = 1 = today's serial path, byte for byte).
+        every worker count; ``None`` or 1 is the serial path.
 
         ``acquisition`` ranks the not-yet-evaluated pool each iteration:
         ``"mean"`` (default, the paper's rule) by the ensemble-mean
@@ -233,8 +232,8 @@ class SURFSearch:
         + shared-memory segments) lives for exactly this call; every value
         the search produces — champion, history, rng stream, checkpoint
         states — is bitwise-identical to the serial run, so the worker
-        count is deliberately absent from run fingerprints and checkpoint
-        state (a run may resume under a different count).
+        count is a ``recorded`` setting, absent from run fingerprints and
+        checkpoint state (a run may resume under a different count).
         """
         pool = as_pool(pool)
         n = len(pool)

@@ -39,7 +39,6 @@ a throughput knob, never a semantics knob.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import multiprocessing
@@ -56,15 +55,10 @@ __all__ = [
     "resolve_search_workers",
 ]
 
-#: Environment variable consulted when ``search_workers`` is unset.
-SEARCH_WORKERS_ENV = "REPRO_SEARCH_WORKERS"
-
 
 def resolve_search_workers(value: int | None) -> int:
-    """``value`` if given, else ``REPRO_SEARCH_WORKERS``, else 1 (serial)."""
-    if value is None:
-        value = int(os.environ.get(SEARCH_WORKERS_ENV, "1") or 1)
-    return max(1, int(value))
+    """``value`` floored at 1; ``None`` means 1 (serial)."""
+    return 1 if value is None else max(1, int(value))
 
 
 def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:

@@ -133,10 +133,9 @@ class SearchTelemetry:
             "transient": sum(r.transient for r in self.records),
             "permanent": sum(r.permanent for r in self.records),
             "retries": sum(r.retries for r in self.records),
-            # Gauges from the evaluator stack's latest counter snapshot
-            # (monotone; not meaningful as per-batch deltas).
+            # A gauge from the evaluator stack's latest counter snapshot
+            # (monotone; not meaningful as a per-batch delta).
             "quarantined": float(self._last.get("quarantined", 0)),
-            "pool_rebuilds": float(self._last.get("pool_rebuilds", 0)),
         }
 
     def as_dicts(self) -> list[dict[str, float]]:
@@ -188,10 +187,10 @@ class SearchTelemetry:
         for part_index, part in enumerate(parts):
             if part is None:
                 continue
-            for key in ("quarantined", "pool_rebuilds"):
-                out._last[key] = max(
-                    out._last.get(key, 0.0), float(part._last.get(key, 0.0))
-                )
+            out._last["quarantined"] = max(
+                out._last.get("quarantined", 0.0),
+                float(part._last.get("quarantined", 0.0)),
+            )
             base_wall = max(
                 (r.simulated_wall_seconds for r in out.records), default=0.0
             )

@@ -48,12 +48,21 @@ def atomic_append_jsonl(path: str | Path, obj: Any) -> int:
     number of bytes written.  With ``O_APPEND``, each ``os.write`` is
     atomic with respect to the file offset, so concurrent appenders in
     other threads or processes cannot interleave inside the line.
+
+    When the file does not end in a newline — a crash left a torn final
+    line — the write starts with one, so the torn line stays the only
+    casualty instead of swallowing this record too.  If another writer
+    completes a line in between, the cost is one blank line, which
+    :func:`load_jsonl` skips.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = (json.dumps(obj) + "\n").encode("utf-8")
-    fd = os.open(str(path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    fd = os.open(str(path), os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
         written = os.write(fd, data)
         # A short write on a regular file is essentially impossible (disk
         # full aside); finish the line rather than drop bytes on the rare

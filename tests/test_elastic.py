@@ -23,7 +23,6 @@ from repro.errors import SpoolError
 from repro.gpusim.arch import GTX980
 from repro.obs.tracer import Tracer, use_tracer
 from repro.serve.service import TuneRequest, TuningService
-from repro.serve.store import RESULT_NEUTRAL_SETTINGS, StoreKey
 from repro.surf.elastic import ElasticBatchEvaluator, spawn_workers
 from repro.surf.evaluator import ConfigurationEvaluator
 from repro.surf.faults import WORKER_DEATH_EXIT_CODE
@@ -237,40 +236,20 @@ class TestElasticParity:
         )
         assert _signature(elastic) == _signature(reference)
 
-    def test_store_key_neutral_and_manifest_conditional(
-        self, two_op_program, tmp_path
-    ):
-        def manifest(**overrides):
-            return Autotuner(GTX980, seed=0, **overrides).run_manifest(
-                "m", [two_op_program]
-            )
-
-        base = StoreKey.from_manifest(manifest())
-        assert (
-            StoreKey.from_manifest(
-                manifest(elastic=2, spool=tmp_path / "sp", lease_ttl=1.0)
-            )
-            == base
-        )
-        assert StoreKey.from_manifest(manifest(elastic=4)) == base
-        assert "elastic" in RESULT_NEUTRAL_SETTINGS
-        # Serial manifests keep their exact bytes: the knob is recorded
-        # only when elastic mode is on.
-        assert "elastic" not in manifest().settings
-        assert manifest(elastic=2).settings["elastic"] == 2
-
     def test_env_vars_resolve(self, monkeypatch, tmp_path):
+        # REPRO_SPOOL is the one elastic setting read from the
+        # environment; a spool alone turns elastic mode on.
         monkeypatch.setenv("REPRO_ELASTIC", "3")
         monkeypatch.setenv("REPRO_SPOOL", str(tmp_path / "sp"))
-        tuner = Autotuner(GTX980)
-        assert tuner.elastic == 3
-        assert tuner.spool == tmp_path / "sp"
-        assert tuner.elastic_enabled
+        settings = Autotuner(GTX980).settings
+        assert settings.elastic == 0
+        assert settings.spool == tmp_path / "sp"
+        assert settings.elastic_enabled
 
     def test_service_passes_elastic_to_default_tuner(self, tmp_path):
         with TuningService(tmp_path / "store", workers=1, elastic=2) as service:
             tuner = service._default_tuner(TuneRequest(source="lg3"))
-            assert tuner.elastic == 2
+            assert tuner.settings.elastic == 2
 
 
 # ----------------------------------------------------------------------

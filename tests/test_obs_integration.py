@@ -140,6 +140,40 @@ class TestTraceInspect:
         assert "counter totals" in out
         assert "manifest:" in out
 
+    def test_self_time_beside_inclusive_time(self, tmp_path, capsys):
+        # tune.run 100 > search.run 80 > (search.fit 50, eval.batch 20),
+        # and tune.run > space.pool 10 (microseconds).
+        spans = [
+            ("tune.run", "tune", 100.0, 1, None),
+            ("search.run", "search", 80.0, 2, 1),
+            ("search.fit", "search", 50.0, 3, 2),
+            ("eval.batch", "eval", 20.0, 4, 2),
+            ("space.pool", "space", 10.0, 5, 1),
+        ]
+        events = []
+        for name, cat, dur, span_id, parent in spans:
+            args = {"span_id": span_id}
+            if parent is not None:
+                args["parent_id"] = parent
+            events.append({"name": name, "cat": cat, "ph": "X", "ts": 0.0,
+                           "dur": dur, "pid": 1, "tid": 1, "args": args})
+        trace = tmp_path / "nested.trace"
+        trace.write_text(json.dumps({"traceEvents": events}))
+        inspect = self._module()
+        summary = inspect.summarize(inspect.load_records(trace))
+        cats = summary["categories"]
+        assert {c: a["self_us"] for c, a in cats.items()} == {
+            "tune": 10.0, "search": 60.0, "eval": 20.0, "space": 10.0,
+        }
+        # Nested search spans are not counted twice.
+        assert cats["search"]["inclusive_us"] == 80.0
+        assert sum(a["self_us"] for a in cats.values()) <= 100.0
+        names = summary["names"]
+        assert names["search.run"]["self_us"] == 10.0
+        assert names["search.run"]["inclusive_us"] == 80.0
+        assert inspect.main([str(trace)]) == 0
+        assert "self / inclusive" in capsys.readouterr().out
+
     def test_rejects_invalid_trace(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("{\"nope\": 1}")

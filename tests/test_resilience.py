@@ -13,13 +13,8 @@ from repro.gpusim.arch import GTX980
 from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.surf.cache import CachedEvaluator, QuarantineStore
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator, EvalOutcome
-from repro.surf.faults import (
-    FaultInjectingEvaluator,
-    FaultSpec,
-    disable_real_death,
-    enable_real_death,
-)
-from repro.surf.parallel import ParallelBatchEvaluator
+from repro.surf.elastic import ElasticBatchEvaluator
+from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
 from repro.surf.resilience import FAILURE_VALUE, ResilientEvaluator
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
@@ -230,14 +225,11 @@ class TestResilientEvaluator:
 class TestZeroFaultComposition:
     """At fault rate 0 the full stack must be bitwise-invisible."""
 
-    def _stack(self, program, model, workers=1):
+    def _stack(self, program, model):
         ev = ConfigurationEvaluator([program], model, seed=0)
         ev = FaultInjectingEvaluator(ev, FaultSpec())
         ev = CachedEvaluator(ev)
-        ev = ResilientEvaluator(ev)
-        if workers > 1:
-            ev = ParallelBatchEvaluator(ev, workers=workers)
-        return ev
+        return ResilientEvaluator(ev)
 
     def test_serial_stack_bitwise_identical(self, setup):
         program, model, pool = setup
@@ -246,11 +238,16 @@ class TestZeroFaultComposition:
         assert stack.evaluate_batch(pool[:16]) == plain.evaluate_batch(pool[:16])
         assert stack.simulated_wall_seconds == plain.simulated_wall_seconds
 
-    def test_parallel_stack_bitwise_identical(self, setup):
+    def test_parallel_stack_bitwise_identical(self, setup, tmp_path):
         program, model, pool = setup
         plain = ConfigurationEvaluator([program], model, seed=0)
-        stack = self._stack(program, model, workers=4)
-        assert stack.evaluate_batch(pool[:16]) == plain.evaluate_batch(pool[:16])
+        stack = ElasticBatchEvaluator(
+            self._stack(program, model), spool=tmp_path / "spool", workers=2
+        )
+        try:
+            assert stack.evaluate_batch(pool[:16]) == plain.evaluate_batch(pool[:16])
+        finally:
+            stack.close()
 
     def test_tuner_results_unchanged_by_resilience_layer(self, two_op_program):
         base = Autotuner(
@@ -307,112 +304,3 @@ class TestFaultySearch:
             assert key in totals
         assert totals["permanent"] > 0
         assert totals["quarantined"] > 0
-
-
-class _SuicidalInWorker:
-    """Picklable double: every dispatch inside a pool worker hard-exits,
-    so no replacement pool can ever make progress."""
-
-    def evaluate_one(self, config):
-        import multiprocessing
-        import os
-
-        if multiprocessing.parent_process() is not None:
-            os._exit(1)
-        raise AssertionError("dispatched on the driver")
-
-    def record_outcome(self, outcome):
-        pass
-
-
-class _DieOnMarkedConfig:
-    """Picklable double: tallies every dispatch (one byte appended per
-    call) and hard-kills the worker on its first sight of one designated
-    configuration — slowly, so the rest of the batch finishes first."""
-
-    def __init__(self, inner, counter_file, marker_file, poison_id):
-        self.inner = inner
-        self.counter_file = counter_file
-        self.marker_file = marker_file
-        self.poison_id = poison_id
-
-    def evaluate_one(self, config):
-        import os
-        import time
-
-        with open(self.counter_file, "ab") as handle:
-            handle.write(b"x")
-        if config.global_id == self.poison_id:
-            try:  # O_EXCL: exactly one dispatch wins the right to die
-                os.close(
-                    os.open(
-                        self.marker_file, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                    )
-                )
-            except FileExistsError:
-                pass
-            else:
-                time.sleep(0.75)
-                os._exit(1)
-        return self.inner.evaluate_one(config)
-
-    def record_outcome(self, outcome):
-        self.inner.record_outcome(outcome)
-
-
-class TestPoolRebuildRecovery:
-    def test_exhausted_rebuild_budget_raises_with_pending_count(self, setup):
-        _program, _model, pool = setup
-        par = ParallelBatchEvaluator(
-            _SuicidalInWorker(), workers=2, executor="process",
-            max_pool_rebuilds=1,
-        )
-        with pytest.raises(
-            EvaluationFailure, match=r"broke 2 times .*4 configurations still"
-        ):
-            par.evaluate_batch(pool[:4])
-        assert par.pool_rebuilds == 2
-
-    def test_completed_futures_survive_a_broken_pool(self, setup, tmp_path):
-        program, model, pool = setup
-        counter = tmp_path / "dispatches"
-        plain = ConfigurationEvaluator([program], model, seed=0)
-        par = ParallelBatchEvaluator(
-            _DieOnMarkedConfig(
-                ConfigurationEvaluator([program], model, seed=0),
-                str(counter), str(tmp_path / "died"), pool[0].global_id,
-            ),
-            workers=2, executor="process", max_pool_rebuilds=2,
-        )
-        batch = pool[:6]
-        outcomes = par.evaluate_batch(batch)
-        assert outcomes == plain.evaluate_batch(batch)
-        assert par.pool_rebuilds == 1
-        # While the poisoned dispatch slept toward its death, the other
-        # worker finished the rest of the batch; those futures completed
-        # before the pool broke and must be harvested, not re-dispatched.
-        # Total dispatches = batch + the one re-run of the poisoned config.
-        assert counter.stat().st_size == len(batch) + 1
-
-
-class TestWorkerDeathRecovery:
-    def test_process_pool_rebuilds_and_matches_serial(self, setup):
-        program, model, pool = setup
-        spec = FaultSpec(worker_death_rate=0.2, seed=2)
-        def stack(workers, executor="thread"):
-            ev = ConfigurationEvaluator([program], model, seed=0)
-            ev = FaultInjectingEvaluator(ev, spec)
-            ev = ResilientEvaluator(ev, max_retries=3)
-            if workers > 1:
-                ev = ParallelBatchEvaluator(ev, workers=workers, executor=executor)
-            return ev
-        serial = stack(1)
-        try:
-            disable_real_death()  # serial reference must not exit the test
-            serial_values = serial.evaluate_batch(pool[:12])
-        finally:
-            enable_real_death()
-        par = stack(2, executor="process")
-        par_values = par.evaluate_batch(pool[:12])
-        assert par_values == serial_values
-        assert par.counters()["pool_rebuilds"] >= 1

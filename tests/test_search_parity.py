@@ -345,7 +345,8 @@ class TestParallelParity:
     def test_env_var_is_inert_for_random_and_exhaustive(
         self, setup, tmp_path, monkeypatch
     ):
-        # The baselines never consult the worker pool; the env knob must
+        # The baselines never consult the worker pool, and the retired
+        # REPRO_SEARCH_WORKERS variable is read by nothing: setting it must
         # not perturb them (same history, same state).
         program, _space, _ids, pool, model = setup
         serial_runs = [

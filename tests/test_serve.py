@@ -1,6 +1,9 @@
 """Tests for the result store, tuning service, and one-call client."""
 
+import dataclasses
 import json
+import sys
+import threading
 
 import pytest
 
@@ -11,7 +14,6 @@ from repro.obs.tracer import Tracer, use_tracer
 from repro.serve.client import resolve_source, tune_contraction
 from repro.serve.service import JobState, TuneRequest, TuningService
 from repro.serve.store import (
-    RESULT_NEUTRAL_SETTINGS,
     STORE_FORMAT,
     ResultStore,
     StoreKey,
@@ -50,23 +52,23 @@ class TestStoreKey:
         )
 
     def test_from_manifest_ignores_result_neutral_settings(self, two_op_program):
-        def manifest(**overrides):
-            tuner = Autotuner(GTX980, seed=0, **overrides)
-            return tuner.run_manifest("m", [two_op_program])
-
-        base = StoreKey.from_manifest(manifest())
-        assert StoreKey.from_manifest(manifest(workers=4)) == base
-        assert StoreKey.from_manifest(manifest(fast_model=True)) == base
-        # search_workers is bitwise-neutral (the parallel search core is
-        # pinned identical to serial) and must not fragment the address.
-        assert StoreKey.from_manifest(manifest(search_workers=2)) == base
-        assert StoreKey.from_manifest(manifest(search_workers=8)) == base
-        # ... but result-relevant settings change the address.
-        assert StoreKey.from_manifest(manifest(max_evaluations=7)) != base
-        assert StoreKey.from_manifest(manifest(batch_parallelism=3)) != base
-        assert StoreKey.from_manifest(manifest(acquisition="lcb")) != base
-        assert "workers" in RESULT_NEUTRAL_SETTINGS
-        assert "search_workers" in RESULT_NEUTRAL_SETTINGS
+        # Only keyed settings enter the key: recorded ones, and names the
+        # declaration no longer has (a manifest written before "workers"
+        # and "sweep_full" were deleted), leave the address alone.
+        manifest = Autotuner(GTX980, seed=0).run_manifest("m", [two_op_program])
+        base = StoreKey.from_manifest(manifest)
+        for extra in (
+            {"search_workers": 8}, {"fast_model": True}, {"elastic": 4},
+            {"workers": 4, "sweep_full": True},
+        ):
+            other = dataclasses.replace(
+                manifest, settings={**manifest.settings, **extra}
+            )
+            assert StoreKey.from_manifest(other) == base
+        other = dataclasses.replace(
+            manifest, settings={**manifest.settings, "max_evaluations": 7}
+        )
+        assert StoreKey.from_manifest(other) != base
 
     def test_backend_is_store_key_relevant(self, two_op_program):
         # The backend decides which kernel spaces exist, so "ttgt" and
@@ -84,7 +86,6 @@ class TestStoreKey:
         assert ttgt != base
         assert auto != base
         assert ttgt != auto
-        assert "backend" not in RESULT_NEUTRAL_SETTINGS
 
 
 class TestConfigRoundTrip:
@@ -254,6 +255,39 @@ class TestResultStore:
         assert len(narrow) == 8
         assert all(narrow.get(_key(i)) == {"v": i} for i in range(8))
 
+    def test_threads_creating_one_shard_do_not_race(self, tmp_path):
+        # Regression: the shard-header tmp file was named per process, so
+        # one thread's cleanup unlinked the file another thread was about
+        # to publish (FileNotFoundError from os.link).
+        errors = []
+
+        def put(store, barrier, i):
+            barrier.wait(timeout=10)
+            try:
+                store.put(_key(i), {"v": i})
+            except OSError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(40):
+                store = ResultStore(tmp_path / f"rs{trial}", shards=1)
+                barrier = threading.Barrier(8)
+                threads = [
+                    threading.Thread(target=put, args=(store, barrier, i))
+                    for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(ResultStore(tmp_path / "rs39", shards=1)) == 8
+
 
 # ----------------------------------------------------------------------
 class TestAutotunerStore:
@@ -298,16 +332,6 @@ class TestAutotunerStore:
             GTX980, result_store=root, max_evaluations=20, pool_size=200, seed=1
         ).tune_program(two_op_program)
         assert not other.store_hit
-
-    def test_result_neutral_settings_still_hit(self, two_op_program, tmp_path):
-        root = tmp_path / "rs"
-        Autotuner(GTX980, result_store=root, **self.SETTINGS).tune_program(
-            two_op_program
-        )
-        again = Autotuner(
-            GTX980, result_store=root, workers=2, fast_model=True, **self.SETTINGS
-        ).tune_program(two_op_program)
-        assert again.store_hit
 
     def test_store_env_var(self, two_op_program, tmp_path, monkeypatch):
         root = tmp_path / "env_rs"

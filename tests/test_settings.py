@@ -1,0 +1,251 @@
+"""Tests for the TuneSettings declaration: one place decides what a setting changes.
+
+The test driven by the declaration walks every field: each ``recorded``
+and ``runtime`` setting at a non-default value must reproduce the default
+run bit for bit — champion, history, best objective, simulated search
+seconds — under the same result-store digest, and each ``keyed`` setting
+at a non-default value must change the digest.
+"""
+
+import dataclasses
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.autotune import Autotuner
+from repro.autotune.settings import KEYED, KEYED_SETTINGS, TuneSettings
+from repro.core.pipeline import compile_contraction
+from repro.dsl.parser import parse_contraction
+from repro.errors import CheckpointError
+from repro.gpusim.arch import GTX980
+from repro.serve.store import StoreKey
+
+from tests.conftest import EQN1_TEXT
+
+GOLDEN = Path(__file__).parent / "golden"
+
+BASE = dict(max_evaluations=12, batch_size=4, pool_size=60, seed=3)
+
+#: A cheap non-default value for every setting that is not keyed.  A
+#: checkpoint directory turns the keyed ``resilient`` default on, so the
+#: checkpoint cases pin it to the default run's value.
+NOT_KEYED = {
+    "search_workers": lambda tmp: {"search_workers": 2},
+    "fast_model": lambda tmp: {"fast_model": True},
+    "elastic": lambda tmp: {"elastic": 1, "spool": tmp / "spool"},
+    "cache": lambda tmp: {"cache": True},
+    "spool": lambda tmp: {"spool": tmp / "spool"},
+    "lease_ttl": lambda tmp: {"lease_ttl": 5.0},
+    "checkpoint_dir": lambda tmp: {"checkpoint_dir": tmp / "ck", "resilient": False},
+    "resume": lambda tmp: {
+        "checkpoint_dir": tmp / "ck", "resume": True, "resilient": False,
+    },
+    "trace": lambda tmp: {"trace": tmp / "trace" / "out.trace"},
+    "result_store": lambda tmp: {"result_store": tmp / "rs"},
+}
+
+#: A non-default value for every keyed setting.
+KEYED_VALUES = {
+    "searcher": "random",
+    "seed": 4,
+    "max_evaluations": 13,
+    "batch_size": 5,
+    "pool_size": 61,
+    "max_variants": 1,
+    "noisy": False,
+    "include_transfer": False,
+    "per_variant": True,
+    "batch_parallelism": 4,
+    "faults": "0.1",
+    "max_retries": 3,
+    "resilient": True,
+    "tie_break": "jitter",
+    "acquisition": "lcb",
+    "backend": "ttgt",
+}
+
+#: StoreKey digests computed before the settings were declared in one
+#: place (GTX 980, seed 0): deriving the key from the roles must keep
+#: every stored result reachable.
+GOLDEN_DIGESTS = {
+    "chain/default": "b893a2f2cd29839e",
+    "chain/sweep_auto": "c802548013b36573",
+    "chain/lcb": "ae0f5bd3469f4a90",
+    "chain/ttgt": "2b7570d4e49fc7be",
+    "chain/faults": "edb9011c3de50d31",
+    "chain/per_variant": "5395600d2fba9bf9",
+    "chain/batch_parallelism": "0d29f10fab015d86",
+    "chain/jitter": "2c83d61c1a4531d0",
+    "eqn1/default": "1e260f77f71697c2",
+    "eqn1/sweep_auto": "947d73b048691f30",
+    "eqn1/lcb": "c499e429fd8e924d",
+    "eqn1/ttgt": "627a2e48d03b8984",
+    "eqn1/faults": "0805c266ecdbb1ee",
+    "eqn1/per_variant": "609d19e6f2c2606d",
+    "eqn1/batch_parallelism": "88607b5c13e5f0c4",
+    "eqn1/jitter": "cdeb32e6aa603214",
+}
+
+GOLDEN_CASES = {
+    "default": {},
+    "sweep_auto": {"searcher": "sweep", "backend": "auto"},
+    "lcb": {"acquisition": "lcb"},
+    "ttgt": {"backend": "ttgt"},
+    "faults": {"faults": "0.1"},
+    "per_variant": {"per_variant": True},
+    "batch_parallelism": {"batch_parallelism": 4},
+    "jitter": {"tie_break": "jitter"},
+}
+
+
+def _digest(tuner: Autotuner, name: str, programs) -> str:
+    return StoreKey.from_manifest(tuner.run_manifest(name, programs)).digest()
+
+
+def _outcome(result):
+    return (
+        result.best_config,
+        result.search.history,
+        repr(result.search.best_objective),
+        repr(result.search_seconds),
+    )
+
+
+def _roles() -> dict[str, str]:
+    return {f.name: f.metadata["role"] for f in dataclasses.fields(TuneSettings)}
+
+
+class TestDeclaration:
+    def test_every_setting_has_a_test_value(self):
+        keyed = {name for name, role in _roles().items() if role == KEYED}
+        assert keyed == set(KEYED_VALUES)
+        assert set(_roles()) - keyed == set(NOT_KEYED)
+        assert KEYED_SETTINGS == keyed - {"searcher", "seed"}
+
+    def test_not_keyed_settings_leave_result_and_digest_alone(
+        self, two_op_program, tmp_path
+    ):
+        reference_tuner = Autotuner(GTX980, **BASE)
+        reference = _outcome(reference_tuner.tune_program(two_op_program))
+        digest = _digest(reference_tuner, "chain", [two_op_program])
+        for name, make in NOT_KEYED.items():
+            tuner = Autotuner(GTX980, **BASE, **make(tmp_path / name))
+            assert _digest(tuner, "chain", [two_op_program]) == digest, name
+            first = tuner.tune_program(two_op_program)
+            assert _outcome(first) == reference, name
+            assert not first.store_hit
+            if name == "result_store":
+                again = Autotuner(GTX980, **BASE, **make(tmp_path / name))
+                hit = again.tune_program(two_op_program)
+                assert hit.store_hit
+                assert hit.search.telemetry.totals()["evaluations"] == 0
+                assert _outcome(hit) == reference
+
+    def test_store_written_under_recorded_settings_serves_default_request(
+        self, two_op_program, tmp_path
+    ):
+        root = tmp_path / "rs"
+        written = Autotuner(
+            GTX980, **BASE, result_store=root, search_workers=2, fast_model=True,
+        ).tune_program(two_op_program)
+        served = Autotuner(GTX980, **BASE, result_store=root).tune_program(
+            two_op_program
+        )
+        assert served.store_hit
+        assert _outcome(served) == _outcome(written)
+
+    def test_each_keyed_setting_changes_the_digest(self, two_op_program):
+        base = _digest(Autotuner(GTX980, **BASE), "chain", [two_op_program])
+        digests = {
+            name: _digest(
+                Autotuner(GTX980, **{**BASE, name: value}), "chain", [two_op_program]
+            )
+            for name, value in KEYED_VALUES.items()
+        }
+        assert base not in digests.values()
+        assert len(set(digests.values())) == len(digests)
+
+    def test_explicit_defaults_keep_the_digest(self, two_op_program):
+        defaults = {f.name: f.default for f in dataclasses.fields(TuneSettings)}
+        explicit = {k: defaults[k] for k in ("acquisition", "backend", "tie_break")}
+        assert _digest(
+            Autotuner(GTX980, **BASE, **explicit), "chain", [two_op_program]
+        ) == _digest(Autotuner(GTX980, **BASE), "chain", [two_op_program])
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_digest_unchanged(self, case, two_op_program):
+        eqn1 = parse_contraction(EQN1_TEXT, name="eqn1")
+        eqn1_programs = [v.program for v in compile_contraction(eqn1).variants]
+        tuner = Autotuner(GTX980, seed=0, **GOLDEN_CASES[case])
+        assert _digest(tuner, "chain", [two_op_program]) == GOLDEN_DIGESTS[
+            f"chain/{case}"
+        ]
+        assert _digest(tuner, "eqn1", eqn1_programs) == GOLDEN_DIGESTS[
+            f"eqn1/{case}"
+        ]
+
+
+class TestKeywordsAndEnvironment:
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"workers": 2},
+            {"parallel_executor": "process"},
+            {"sweep_full": True},
+        ],
+    )
+    def test_deleted_keywords_rejected(self, knob):
+        with pytest.raises(TypeError):
+            Autotuner(GTX980, **knob)
+
+    def test_only_path_settings_read_the_environment(self, monkeypatch):
+        envs = {
+            f.metadata["env"]
+            for f in dataclasses.fields(TuneSettings)
+            if f.metadata["env"]
+        }
+        assert envs == {"REPRO_EVAL_CACHE", "REPRO_SPOOL", "REPRO_RESULT_STORE"}
+        for retired in ("REPRO_EVAL_WORKERS", "REPRO_SEARCH_WORKERS",
+                        "REPRO_ELASTIC", "REPRO_FAST_MODEL"):
+            monkeypatch.setenv(retired, "3")
+        monkeypatch.setenv("REPRO_FAULTS", "0.5")
+        settings = TuneSettings()
+        assert settings.search_workers == 1
+        assert settings.elastic == 0
+        assert settings.fast_model is False
+        assert not settings.faults.any()
+
+
+class TestCheckpointFingerprint:
+    def test_fingerprint_is_the_keyed_settings(self, two_op_program, tmp_path):
+        tuner = Autotuner(GTX980, **BASE, checkpoint_dir=tmp_path / "ck")
+        tuner.tune_program(two_op_program)
+        state = json.loads((tmp_path / "ck" / "state.json").read_text())
+        fingerprint = state["fingerprint"]
+        assert set(fingerprint) == {"name", "arch", "space_size", "pool"} | set(
+            tuner.settings.keyed
+        )
+        assert fingerprint["resilient"] is True
+
+    def test_checkpoint_from_before_the_declaration_is_refused(
+        self, two_op_program, tmp_path
+    ):
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        shutil.copy(GOLDEN / "checkpoint_before_settings.json", ck / "state.json")
+        tuner = Autotuner(
+            GTX980, seed=0, max_evaluations=10, batch_size=5, pool_size=40,
+            checkpoint_dir=ck, resume=True,
+        )
+        with pytest.raises(CheckpointError) as info:
+            tuner.tune_program(two_op_program)
+        # The keyed settings the old fingerprint lacked (max_variants
+        # compares equal: absent reads as None, its default).
+        assert (
+            "differing: batch_parallelism, per_variant, pool_size, resilient)"
+            in str(info.value)
+        )

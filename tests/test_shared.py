@@ -21,7 +21,6 @@ from repro.surf.forest import (
 )
 from repro.surf.pool import SharedPool
 from repro.surf.shared import (
-    SEARCH_WORKERS_ENV,
     SearchWorkerContext,
     SharedArray,
     attach_shared,
@@ -75,16 +74,17 @@ class TestChunkRanges:
 
 
 class TestResolveSearchWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(SEARCH_WORKERS_ENV, "7")
+    def test_explicit_wins(self):
         assert resolve_search_workers(3) == 3
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SEARCH_WORKERS_ENV, "4")
-        assert resolve_search_workers(None) == 4
+        # There is no environment fallback any more: the retired
+        # REPRO_SEARCH_WORKERS variable is not read.
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "4")
+        assert resolve_search_workers(None) == 1
 
     def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv(SEARCH_WORKERS_ENV, raising=False)
+        monkeypatch.delenv("REPRO_SEARCH_WORKERS", raising=False)
         assert resolve_search_workers(None) == 1
 
     def test_floor_at_one(self):

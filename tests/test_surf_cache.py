@@ -11,7 +11,7 @@ from repro.surf.cache import CachedEvaluator, EvaluationCache, QuarantineStore
 from repro.surf.evaluator import ConfigurationEvaluator
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
-from repro.util.jsonl import CorruptLinesWarning, atomic_append_jsonl
+from repro.util.jsonl import CorruptLinesWarning, atomic_append_jsonl, load_jsonl
 
 
 @pytest.fixture
@@ -169,6 +169,16 @@ class TestMergeSemantics:
         written = atomic_append_jsonl(path, payload)
         assert written == path.stat().st_size
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_append_after_torn_tail_survives(self, tmp_path):
+        # Regression: a crash left a final line with no newline, and the
+        # next append glued its record onto it, so the load lost both.
+        path = tmp_path / "store.jsonl"
+        atomic_append_jsonl(path, {"a": 1})
+        with path.open("ab") as handle:
+            handle.write(b'{"b": "a torn recor')
+        atomic_append_jsonl(path, {"c": 3})
+        assert load_jsonl(path) == ([{"a": 1}, {"c": 3}], 1)
 
 
 class TestAutotunerCache:

@@ -57,8 +57,10 @@ class TestSearchTelemetry:
         assert len(payload["batches"]) == len(result.search.telemetry.records)
 
     def test_disabled_telemetry(self, two_op_program):
-        result = _tuner(telemetry=False).tune_program(two_op_program)
-        assert result.search.telemetry is None
+        # Telemetry is always on: the keyword that turned it off is gone.
+        with pytest.raises(TypeError):
+            _tuner(telemetry=False)
+        assert _tuner().tune_program(two_op_program).search.telemetry is not None
 
     def test_without_counters_assumes_fresh_evals(self):
         tel = SearchTelemetry()

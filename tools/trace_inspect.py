@@ -8,12 +8,15 @@ Usage::
 
 Accepts both exporter formats of :mod:`repro.obs.exporters`: a Chrome
 trace-event file (``{"traceEvents": [...]}``) or span-per-line JSONL.
-Prints per-category and per-span-name time breakdowns, the longest
-individual spans, and the aggregated search/eval counters carried as span
-attributes (the same numbers ``SearchTelemetry`` reports — the trace is
-the unified carrier).  Exits 1 on an unreadable or structurally invalid
-file, 0 otherwise.  When a ``manifest.json`` sits next to the trace, its
-provenance header is printed too.
+Prints per-category and per-span-name time breakdowns — self time (a
+span's duration minus its direct children's) beside inclusive time (a
+span nested in another of the same category or name is not counted
+twice) — the longest individual spans, and the aggregated search/eval
+counters carried as span attributes (the same numbers
+``SearchTelemetry`` reports — the trace is the unified carrier).  Exits
+1 on an unreadable or structurally invalid file, 0 otherwise.  When a
+``manifest.json`` sits next to the trace, its provenance header is
+printed too.
 """
 
 from __future__ import annotations
@@ -48,13 +51,16 @@ def load_records(path: Path) -> list[dict]:
         if not isinstance(events, list):
             raise ValueError("not a Chrome trace: no traceEvents array")
         for event in events:
+            args = event.get("args", {})
             records.append(
                 {
                     "name": event.get("name", "?"),
                     "cat": event.get("cat", "misc"),
                     "ph": event.get("ph", "X"),
                     "dur_us": float(event.get("dur", 0.0)),
-                    "args": event.get("args", {}),
+                    "args": args,
+                    "id": args.get("span_id"),
+                    "parent": args.get("parent_id"),
                 }
             )
     else:
@@ -71,6 +77,8 @@ def load_records(path: Path) -> list[dict]:
                     "ph": "i" if duration is None else "X",
                     "dur_us": 0.0 if duration is None else float(duration) * 1e6,
                     "args": span.get("attributes", {}),
+                    "id": span.get("span_id"),
+                    "parent": span.get("parent_id"),
                 }
             )
     if not records:
@@ -82,19 +90,35 @@ def summarize(records: list[dict], top: int = 5) -> dict:
     """Build the summary dict the CLI prints (and can dump as JSON)."""
     spans = [r for r in records if r["ph"] == "X"]
     events = [r for r in records if r["ph"] != "X"]
+    by_id = {r["id"]: r for r in spans if r["id"] is not None}
+    children_us: dict[int, float] = defaultdict(float)
+    for r in spans:
+        if r["parent"] in by_id:
+            children_us[r["parent"]] += r["dur_us"]
+
+    def ancestors(r: dict):
+        seen = set()
+        while r["parent"] in by_id and r["parent"] not in seen:
+            seen.add(r["parent"])
+            r = by_id[r["parent"]]
+            yield r
+
     by_category: dict[str, dict[str, float]] = defaultdict(
-        lambda: {"count": 0, "total_us": 0.0}
+        lambda: {"count": 0, "self_us": 0.0, "inclusive_us": 0.0}
     )
     by_name: dict[str, dict[str, float]] = defaultdict(
-        lambda: {"count": 0, "total_us": 0.0, "max_us": 0.0}
+        lambda: {"count": 0, "self_us": 0.0, "inclusive_us": 0.0, "max_us": 0.0}
     )
     for r in spans:
-        cat = by_category[r["cat"]]
-        cat["count"] += 1
-        cat["total_us"] += r["dur_us"]
+        self_us = max(0.0, r["dur_us"] - children_us.get(r["id"], 0.0))
+        lineage = list(ancestors(r))
+        for key, table in (("cat", by_category), ("name", by_name)):
+            agg = table[r[key]]
+            agg["count"] += 1
+            agg["self_us"] += self_us
+            if all(a[key] != r[key] for a in lineage):
+                agg["inclusive_us"] += r["dur_us"]
         name = by_name[r["name"]]
-        name["count"] += 1
-        name["total_us"] += r["dur_us"]
         name["max_us"] = max(name["max_us"], r["dur_us"])
     for r in events:
         by_name[r["name"]]["count"] += 1
@@ -135,20 +159,22 @@ def summarize(records: list[dict], top: int = 5) -> dict:
 def print_summary(summary: dict, path: Path) -> None:
     print(f"trace: {path}")
     print(f"  {summary['spans']} spans, {summary['events']} events")
-    print("per-phase time (by category):")
+    print("per-phase time (by category), self / inclusive:")
     for cat, agg in sorted(
-        summary["categories"].items(), key=lambda kv: -kv[1]["total_us"]
+        summary["categories"].items(), key=lambda kv: -kv[1]["self_us"]
     ):
         print(
-            f"  {cat:<12} {agg['total_us'] / 1e3:10.2f} ms"
+            f"  {cat:<12} {agg['self_us'] / 1e3:10.2f} ms"
+            f" {agg['inclusive_us'] / 1e3:10.2f} ms"
             f"  ({int(agg['count'])} spans)"
         )
-    print("per-span-name time:")
+    print("per-span-name time, self / inclusive:")
     for name, agg in sorted(
-        summary["names"].items(), key=lambda kv: -kv[1]["total_us"]
+        summary["names"].items(), key=lambda kv: -kv[1]["self_us"]
     ):
         print(
-            f"  {name:<20} {agg['total_us'] / 1e3:10.2f} ms"
+            f"  {name:<20} {agg['self_us'] / 1e3:10.2f} ms"
+            f" {agg['inclusive_us'] / 1e3:10.2f} ms"
             f"  ({int(agg['count'])} x, max {agg.get('max_us', 0.0) / 1e3:.2f} ms)"
         )
     print(f"top {len(summary['top_spans'])} spans by duration:")
