@@ -1,18 +1,12 @@
 #!/usr/bin/env python3
 """Bench regression gate: fail CI when a guarded fast path regresses.
 
-Two suites, selected with ``--suite``:
+Three suites, selected with ``--suite``:
 
 ``timing_table`` (default)
     Reruns the :mod:`benchmarks.bench_timing_table` measurement and
     compares the scalar/table *speedup ratio* against the committed
     ``BENCH_pr5.json`` baseline at the repo root.
-``search``
-    Reruns the :mod:`benchmarks.bench_search_throughput` stage
-    measurement (predict+select over the remaining pool — the loop body
-    that dominates large-pool SURF runs) and compares the array-native/
-    seed speedup ratio against the matching pool-size record in the
-    committed ``BENCH_pr6.json`` baseline.
 ``search_parallel``
     Runs the full SURF end-to-end twice — serial and with
     ``--search-workers`` worker processes — on the same pool.  The runs
@@ -30,17 +24,14 @@ CI usage (fails with exit 1 on a >20% speedup drop)::
 
     PYTHONPATH=src python benchmarks/bench_regression_gate.py \
         --configs 1000 --json benchmarks/output/BENCH_pr5.json
-    PYTHONPATH=src python benchmarks/bench_regression_gate.py \
-        --suite search --configs 10000 --json benchmarks/output/BENCH_pr6.json
 
 Refresh a committed baseline after an intentional perf change::
 
     PYTHONPATH=src python benchmarks/bench_regression_gate.py --update
-    PYTHONPATH=src python benchmarks/bench_regression_gate.py --suite search --update
 
-(For the search suite, ``--update`` refreshes the matching record in
-place; regenerate the whole sweep — including the legacy-free 10^6
-record — with ``benchmarks/bench_search_throughput.py --json``.)
+(For the search_parallel suite, ``--update`` refreshes the matching
+record in place; regenerate the whole sweep with
+``benchmarks/bench_search_throughput.py --search-workers 1,2 --json``.)
 """
 
 from __future__ import annotations
@@ -71,12 +62,6 @@ SUITES = {
         "output": OUTPUT_DIR / "BENCH_pr5.json",
         "default_configs": 1000,
         "label": "timing-table fast path",
-    },
-    "search": {
-        "baseline": REPO_ROOT / "BENCH_pr6.json",
-        "output": OUTPUT_DIR / "BENCH_pr6.json",
-        "default_configs": 10000,
-        "label": "search core (predict+select)",
     },
     "search_parallel": {
         "baseline": REPO_ROOT / "BENCH_pr8.json",
@@ -113,18 +98,6 @@ def _load_baseline(path: pathlib.Path) -> dict:
         raise SystemExit(f"FAIL: cannot read baseline {path}: {exc}")
 
 
-def _search_baseline_record(baseline: dict, configs: int) -> dict:
-    """The sweep record gated against: same pool size, legacy measured."""
-    for record in baseline.get("records", []):
-        if record.get("configs") == configs and "speedup" in record:
-            return record
-    raise SystemExit(
-        f"FAIL: baseline has no legacy-measured record at pool {configs}; "
-        "available: "
-        + ", ".join(str(r.get("configs")) for r in baseline.get("records", []))
-    )
-
-
 def _parallel_baseline_record(baseline: dict, configs: int) -> dict:
     """The multi-worker sweep record gated against: same pool size, any
     worker count > 1, with the serial-vs-parallel ratio recorded."""
@@ -147,8 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--suite", choices=sorted(SUITES), default="timing_table",
                         help="which guarded fast path to measure")
     parser.add_argument("--configs", type=int, default=None,
-                        help="pool size scored on both paths "
-                        "(default: 1000 timing_table, 10000 search)")
+                        help="pool size measured (default: the suite's)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--search-workers", type=int, default=None,
                         help="worker count for the search_parallel suite "
@@ -171,29 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline_path = pathlib.Path(args.baseline or suite["baseline"])
     json_path = pathlib.Path(args.json or suite["output"])
 
-    if args.suite == "search":
-        # nmax/batch_size shape the measurement; take them from the
-        # baseline record so the ratio is like-for-like.
-        baseline_all = _load_baseline(baseline_path)
-        baseline_rec = _search_baseline_record(baseline_all, configs)
-        nmax = int(baseline_rec.get("nmax", 200))
-        batch_size = int(baseline_rec.get("batch_size", 10))
-
-        def measure() -> dict:
-            # The full end-to-end runs are covered by the committed sweep
-            # and the parity suite; the gate times the loop body only.
-            # run_bench asserts bitwise agreement of design matrices,
-            # predictions, and the selected batch — a parity break fails
-            # the gate with a traceback.
-            return run_search_bench(
-                configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
-                include_legacy=True, end_to_end=False,
-            )
-
-        result = _best_of(measure, args.repeats)
-        result["exact_match"] = True  # in-run asserts would have raised
-        baseline_speedup = float(baseline_rec["speedup"])
-    elif args.suite == "search_parallel":
+    if args.suite == "search_parallel":
         baseline_all = _load_baseline(baseline_path)
         baseline_rec = _parallel_baseline_record(baseline_all, configs)
         nmax = int(baseline_rec.get("nmax", 200))
@@ -205,12 +155,10 @@ def main(argv: list[str] | None = None) -> int:
         def measure() -> dict:
             serial = run_search_bench(
                 configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
-                include_legacy=False, end_to_end=True, search_workers=1,
-                stages=False,
+                search_workers=1, stages=False,
             )
             parallel = run_search_bench(
                 configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
-                include_legacy=False, end_to_end=True,
                 search_workers=workers, stages=False,
             )
             if (
@@ -261,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.update:
-        if args.suite in ("search", "search_parallel"):
+        if args.suite == "search_parallel":
             baseline_rec.update(
                 {k: v for k, v in result.items() if k != "suite"}
             )

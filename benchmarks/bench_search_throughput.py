@@ -1,36 +1,28 @@
-"""Component bench: array-native search core vs the seed implementation.
+"""Component bench: throughput of the array-native SURF search core.
 
-Not a paper table — this guards the array-native SURF rebuild (id pools,
-space-fed design matrices, the forest's coded pool router, mask-based
-bookkeeping) against its seed counterpart (:mod:`repro.surf._legacy`):
-it must (a) reproduce the seed run *bitwise* in ``tie_break="jitter"``
-mode and (b) beat it on throughput, stage by stage.
+Not a paper table — this times the SURF core (id pools, space-fed design
+matrices, the level-wise forest fit, the coded pool router, mask-based
+bookkeeping) stage by stage and end to end, serial and multi-core.
 
-Stages measured on one pool, both paths:
+Stages measured on one pool:
 
 ``encode``
-    Pool ids -> design matrix.  Seed path: materialize every
-    :class:`ProgramConfig` and binarize per-config ``features()`` dicts.
-    New path: :meth:`SpacePool.design_matrix` (vectorized id decode +
-    ``transform_matrix``), no config objects.
+    Pool ids -> design matrix: :meth:`SpacePool.design_matrix`
+    (vectorized id decode + ``transform_matrix``), no config objects.
 ``fit``
     Surrogate refit on a full history (``nmax`` observations).
 ``predict`` / ``select``
     One search-loop iteration over the whole remaining pool: score it,
     take the best batch, update the bookkeeping.  This is the loop body
-    that dominates large-pool runs; ``speedup`` (the gated ratio) is the
-    combined predict+select throughput ratio.
+    that dominates large-pool runs.
 ``end_to_end``
     A whole SURF run (``nmax`` evaluations in batches of ``bs``) with a
-    cheap deterministic evaluator, champion and history checked equal.
+    cheap deterministic evaluator.
 
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_search_throughput.py \
         --pool-sizes 10000,100000 --json output.json
-
-At 10^6 configs the seed path is minutes-slow, so ``--no-legacy`` (or
-pool sizes above ``LEGACY_CEILING``) records new-path throughput only.
 
 The end-to-end run is traced, and the per-phase wall breakdown (encode,
 rank-coding, every refit, every full-pool predict pass, batch
@@ -55,19 +47,15 @@ import numpy as np
 from repro.core.pipeline import compile_contraction
 from repro.dsl.parser import parse_contraction
 from repro.obs.tracer import Tracer, use_tracer
-from repro.surf._legacy import LegacyExtraTreesRegressor, LegacySURFSearch
 from repro.surf.binarize import FeatureBinarizer
 from repro.surf.forest import ExtraTreesRegressor, pool_codes
 from repro.surf.pool import SpacePool
-from repro.surf.search import SURFSearch, _bottom_k_stable, clamp_targets
+from repro.surf.search import SURFSearch, _bottom_k_lex, clamp_targets
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
 from repro.util.rng import spawn_rng, stable_hash
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-
-#: Largest pool the seed path is run on (it is quadratic-ish beyond this).
-LEGACY_CEILING = 200_000
 
 #: A contraction whose tuning space exceeds 10^7 points, so every bench
 #: pool is a genuine subsample.
@@ -129,12 +117,11 @@ def run_bench(
     seed: int = 1,
     nmax: int = 200,
     batch_size: int = 10,
-    include_legacy: bool = True,
     end_to_end: bool = True,
     search_workers: int = 1,
     stages: bool = True,
 ) -> dict:
-    """Time every search-core stage at one pool size, both paths."""
+    """Time every search-core stage at one pool size."""
     space = bench_space()
     if pool_size > space.size():
         raise ValueError(f"pool_size {pool_size} exceeds space {space.size()}")
@@ -142,24 +129,15 @@ def run_bench(
     pool = SpacePool(space, ids)
     n = len(pool)
     result: dict = {"configs": n, "space": space.size(), "nmax": nmax,
-                    "batch_size": batch_size, "search_workers": search_workers,
-                    "legacy_measured": include_legacy}
+                    "batch_size": batch_size, "search_workers": search_workers}
     if not stages:
         return _bench_end_to_end(result, pool, nmax, batch_size, seed,
-                                 search_workers)[0]
+                                 search_workers)
 
     # --- encode ------------------------------------------------------
     t0 = time.perf_counter()
     X_all = pool.design_matrix(FeatureBinarizer())
     result["encode_seconds"] = time.perf_counter() - t0
-
-    if include_legacy:
-        t0 = time.perf_counter()
-        configs = pool.configs(range(n))
-        X_legacy = FeatureBinarizer().fit_transform([c.features() for c in configs])
-        result["legacy_encode_seconds"] = time.perf_counter() - t0
-        assert np.array_equal(X_all, X_legacy), "design matrices diverged"
-        del X_legacy
 
     # --- fit (full history of nmax observations) ---------------------
     hist_rng = spawn_rng(seed, "bench-history")
@@ -183,87 +161,41 @@ def run_bench(
     result["predict_seconds"] = time.perf_counter() - t0
 
     # --- select + bookkeeping (one loop iteration) -------------------
-    sel_rng = spawn_rng(seed, "bench-select")
-    jitter = sel_rng.uniform(0, 1e-12, size=alive_ids.size)
+    perm = spawn_rng(seed, "bench-select").permutation(alive_ids.size)
     t0 = time.perf_counter()
-    sel = _bottom_k_stable(preds + jitter, batch_size)
+    sel = _bottom_k_lex(preds, perm, batch_size)
     batch_ids = alive_ids[sel]
     alive[batch_ids] = False
     result["select_seconds"] = time.perf_counter() - t0
     alive[batch_ids] = True
 
-    if include_legacy:
-        legacy_forest = LegacyExtraTreesRegressor(n_estimators=30, seed=seed)
-        t0 = time.perf_counter()
-        legacy_forest.fit(X_all[hist_ids], y)
-        result["legacy_fit_seconds"] = time.perf_counter() - t0
-
-        remaining = [int(i) for i in alive_ids]
-        t0 = time.perf_counter()
-        legacy_preds = legacy_forest.predict(X_all[remaining])
-        result["legacy_predict_seconds"] = time.perf_counter() - t0
-        assert np.array_equal(preds, legacy_preds), "predictions diverged"
-
-        t0 = time.perf_counter()
-        order = np.argsort(legacy_preds + jitter, kind="stable")
-        legacy_batch = [remaining[i] for i in order[:batch_size].tolist()]
-        remaining = [i for i in remaining if i not in set(legacy_batch)]
-        result["legacy_select_seconds"] = time.perf_counter() - t0
-        assert sorted(legacy_batch) == sorted(int(i) for i in batch_ids)
-
-        for stage in ("encode", "fit", "predict", "select"):
-            new_s, old_s = result[f"{stage}_seconds"], result[f"legacy_{stage}_seconds"]
-            result[f"speedup_{stage}"] = old_s / new_s if new_s > 0 else float("inf")
-
-        ps_new = result["predict_seconds"] + result["select_seconds"]
-        ps_old = result["legacy_predict_seconds"] + result["legacy_select_seconds"]
-        result["predict_select_configs_per_sec"] = alive_ids.size / ps_new
-        result["legacy_predict_select_configs_per_sec"] = alive_ids.size / ps_old
-        result["speedup"] = ps_old / ps_new
-    else:
-        ps_new = result["predict_seconds"] + result["select_seconds"]
-        result["predict_select_configs_per_sec"] = alive_ids.size / ps_new
+    result["predict_select_configs_per_sec"] = alive_ids.size / (
+        result["predict_seconds"] + result["select_seconds"]
+    )
 
     # --- end-to-end run ----------------------------------------------
     if end_to_end:
-        result, new_result = _bench_end_to_end(
+        result = _bench_end_to_end(
             result, pool, nmax, batch_size, seed, search_workers
         )
-        if include_legacy:
-            surf_kwargs = dict(
-                batch_size=batch_size, max_evaluations=min(nmax, n), seed=seed
-            )
-            t0 = time.perf_counter()
-            legacy_result = LegacySURFSearch(**surf_kwargs).search(
-                configs, synthetic_evaluate
-            )
-            result["legacy_end_to_end_seconds"] = time.perf_counter() - t0
-            result["speedup_end_to_end"] = (
-                result["legacy_end_to_end_seconds"] / result["end_to_end_seconds"]
-            )
-            result["exact_match"] = (
-                new_result.best_objective == legacy_result.best_objective
-                and [y for _c, y in new_result.history]
-                == [y for _c, y in legacy_result.history]
-            )
     return result
 
 
 def _bench_end_to_end(
     result: dict, pool: SpacePool, nmax: int, batch_size: int, seed: int,
     search_workers: int,
-) -> tuple[dict, object]:
+) -> dict:
     """One traced full SURF run; phase breakdown + history digest into
-    ``result``.  Returns the (mutated) record and the SearchResult."""
+    ``result``, which is returned."""
     surf_kwargs = dict(
         batch_size=batch_size, max_evaluations=min(nmax, len(pool)), seed=seed
     )
     tracer = Tracer()
     t0 = time.perf_counter()
     with use_tracer(tracer):
-        run = SURFSearch(
-            tie_break="jitter", search_workers=search_workers, **surf_kwargs
-        ).search(pool, synthetic_evaluate)
+        run = SURFSearch(search_workers=search_workers, **surf_kwargs).search(
+            pool, synthetic_evaluate
+        )
     wall = time.perf_counter() - t0
     result["end_to_end_seconds"] = wall
     result["end_to_end_breakdown"] = _phase_breakdown(tracer.finished(), wall)
@@ -274,16 +206,7 @@ def _bench_end_to_end(
     result["history_digest"] = format(
         stable_hash("bench-run", run.best_objective, ys), "016x"
     )
-    return result, run
-
-
-def test_search_core_faster_than_legacy():
-    """Suite-run guard: bitwise-equal run, and the loop body is faster."""
-    result = run_bench(4000, nmax=60, include_legacy=True)
-    assert result["exact_match"], "array-native run diverged from the seed"
-    assert result["speedup"] > 1.0, (
-        f"predict+select slower than the seed path: {result['speedup']:.2f}x"
-    )
+    return result
 
 
 def _fmt(result: dict) -> str:
@@ -294,17 +217,9 @@ def _fmt(result: dict) -> str:
     for stage in ("encode", "fit", "predict", "select"):
         if f"{stage}_seconds" not in result:
             continue
-        line = f"  {stage:8s} {result[f'{stage}_seconds'] * 1e3:9.1f} ms"
-        if f"legacy_{stage}_seconds" in result:
-            line += (f"  (seed {result[f'legacy_{stage}_seconds'] * 1e3:9.1f} ms"
-                     f" -> {result[f'speedup_{stage}']:6.1f}x)")
-        lines.append(line)
+        lines.append(f"  {stage:8s} {result[f'{stage}_seconds'] * 1e3:9.1f} ms")
     if "end_to_end_seconds" in result:
         line = f"  full run {result['end_to_end_seconds'] * 1e3:9.1f} ms"
-        if "legacy_end_to_end_seconds" in result:
-            line += (f"  (seed {result['legacy_end_to_end_seconds'] * 1e3:9.1f} ms"
-                     f" -> {result['speedup_end_to_end']:6.1f}x, "
-                     f"bitwise={'yes' if result['exact_match'] else 'NO'})")
         if "matches_serial" in result:
             line += (
                 f"  [vs serial: "
@@ -327,10 +242,7 @@ def _fmt(result: dict) -> str:
             )
     if "predict_select_configs_per_sec" in result:
         tput = result["predict_select_configs_per_sec"]
-        line = f"  predict+select throughput {tput:,.0f} configs/s"
-        if "speedup" in result:
-            line += f" ({result['speedup']:.1f}x the seed path)"
-        lines.append(line)
+        lines.append(f"  predict+select throughput {tput:,.0f} configs/s")
     return "\n".join(lines)
 
 
@@ -341,8 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nmax", type=int, default=200)
     parser.add_argument("--batch-size", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the seed-path measurements")
     parser.add_argument("--search-workers", default="1",
                         help="comma-separated search-core worker counts; "
                         "counts > 1 add parallel end-to-end records whose "
@@ -350,9 +260,6 @@ def main(argv: list[str] | None = None) -> int:
                         "bitwise")
     parser.add_argument("--no-end-to-end", action="store_true",
                         help="stage timings only (skip the full SURF runs)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail (exit 1) if any measured predict+select "
-                        "speedup falls below this ratio")
     parser.add_argument("--max-end-to-end-seconds", type=float, default=None,
                         help="fail (exit 1) if a multi-worker end-to-end "
                         "run exceeds this wall time")
@@ -364,12 +271,10 @@ def main(argv: list[str] | None = None) -> int:
     records = []
     diverged = []
     for size in (int(s) for s in args.pool_sizes.split(",")):
-        include_legacy = not args.no_legacy and size <= LEGACY_CEILING
         # The serial record doubles as the stage microbench and the
         # parallel-parity reference, so it always runs.
         serial = run_bench(
             size, seed=args.seed, nmax=args.nmax, batch_size=args.batch_size,
-            include_legacy=include_legacy,
             end_to_end=not args.no_end_to_end,
         )
         records.append(serial)
@@ -379,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             record = run_bench(
                 size, seed=args.seed, nmax=args.nmax,
-                batch_size=args.batch_size, include_legacy=False,
+                batch_size=args.batch_size,
                 end_to_end=True, search_workers=workers, stages=False,
             )
             record["matches_serial"] = (
@@ -406,10 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    failed = [r for r in records if not r.get("exact_match", True)]
-    if failed:
-        print("FAIL: array-native run diverged from the seed run", file=sys.stderr)
-        return 1
     if diverged:
         print(
             f"FAIL: search_workers={diverged[0]['search_workers']} run "
@@ -428,16 +329,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"pool {over[0]['configs']} took "
                 f"{over[0]['end_to_end_seconds']:.1f}s "
                 f"(target {args.max_end_to_end_seconds:.1f}s)",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_speedup is not None:
-        slow = [r for r in records
-                if "speedup" in r and r["speedup"] < args.min_speedup]
-        if slow:
-            print(
-                f"FAIL: predict+select speedup below {args.min_speedup:.1f}x "
-                f"at pool {slow[0]['configs']}: {slow[0]['speedup']:.2f}x",
                 file=sys.stderr,
             )
             return 1

@@ -89,9 +89,6 @@ class TuneSettings:
     resilient:
         Force the retry/quarantine layer on or off; ``None`` enables it
         exactly when faults are injected or a checkpoint directory is set.
-    tie_break:
-        How SURF orders equal predictions: ``"lexsort"`` (default) or
-        ``"jitter"`` (the historical stream, for replaying old runs).
     acquisition:
         SURF's ranking rule: ``"mean"`` (default) or ``"lcb"``.
     backend:
@@ -101,9 +98,9 @@ class TuneSettings:
     Recorded
     --------
     search_workers:
-        Fan the search core's hot loops (forest fits, full-pool predict,
-        odometer encode) over this many processes sharing the pool through
-        shared memory (:mod:`repro.surf.shared`).
+        Fan the search core's pool-sized loops (full-pool predict, rank
+        coding, odometer encode) over this many processes sharing the pool
+        through shared memory (:mod:`repro.surf.shared`).
     fast_model:
         Score configurations by precomputed timing-table lookup instead of
         the scalar model per point.
@@ -154,7 +151,6 @@ class TuneSettings:
     faults: FaultSpec | str = _setting("", KEYED, encode=FaultSpec.describe)
     max_retries: int = _setting(2, KEYED)
     resilient: bool | None = _setting(None, KEYED)
-    tie_break: str = _setting("lexsort", KEYED)
     acquisition: str = _setting("mean", KEYED, omit_default=True)
     backend: str = _setting("loopnest", KEYED, omit_default=True)
     search_workers: int = _setting(1, RECORDED)

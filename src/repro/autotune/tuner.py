@@ -103,7 +103,6 @@ def _make_searcher(
     batch_size: int,
     max_evaluations: int,
     seed: int,
-    tie_break: str = "lexsort",
     search_workers: int = 1,
     acquisition: str = "mean",
 ):
@@ -112,7 +111,6 @@ def _make_searcher(
             batch_size=batch_size,
             max_evaluations=max_evaluations,
             seed=seed,
-            tie_break=tie_break,
             search_workers=search_workers,
             acquisition=acquisition,
         )
@@ -507,8 +505,7 @@ class Autotuner:
             evaluator = self._build_evaluator(programs, tables=tables)
             searcher = _make_searcher(
                 settings.searcher, settings.batch_size, settings.max_evaluations,
-                settings.seed, tie_break=settings.tie_break,
-                search_workers=settings.search_workers,
+                settings.seed, search_workers=settings.search_workers,
                 acquisition=settings.acquisition,
             )
             checkpointer = self._checkpointer(

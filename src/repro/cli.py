@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--search-workers", type=int, default=1, metavar="N",
-        help="fan the SURF search core (forest fit, full-pool predict, "
+        help="fan the SURF search core (full-pool predict, rank coding, "
         "odometer encode) over N worker processes with shared-memory "
         "pools; champion, history and checkpoints are bitwise-identical "
         "to serial",
@@ -127,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome-trace (Perfetto-loadable) span trace of the "
         "whole run to FILE, plus a run-provenance manifest.json next to "
         "it; results are bitwise identical with tracing on or off",
-    )
-    tune.add_argument(
-        "--tie-break", default="lexsort", choices=("lexsort", "jitter"),
-        help="SURF ordering of equal predictions: 'lexsort' (scale-"
-        "independent randomized ties) or 'jitter' (the historical additive-"
-        "jitter stream — use to resume/replay runs recorded under it)",
     )
     tune.add_argument(
         "--store", default=None, metavar="DIR",
@@ -312,7 +306,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         trace=args.trace,
-        tie_break=args.tie_break,
         result_store=args.store,
         backend=args.backend,
     )

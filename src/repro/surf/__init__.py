@@ -11,7 +11,6 @@ Geurts, Ernst & Wehenkel's "Extremely randomized trees" (the paper's [12]).
 """
 
 from repro.surf.binarize import FeatureBinarizer, OrdinalEncoder
-from repro.surf.tree import ExtraTreeRegressor
 from repro.surf.forest import ExtraTreesRegressor, PoolRouter, pool_codes
 from repro.surf.pool import GrowableArray, MaterializedPool, SpacePool, as_pool
 from repro.surf.search import SURFSearch, SearchResult
@@ -30,7 +29,6 @@ from repro.surf.elastic import ElasticBatchEvaluator, spawn_workers, worker_main
 __all__ = [
     "FeatureBinarizer",
     "OrdinalEncoder",
-    "ExtraTreeRegressor",
     "ExtraTreesRegressor",
     "PoolRouter",
     "pool_codes",

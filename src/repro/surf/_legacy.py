@@ -1,281 +1,32 @@
-"""Seed-exact reference implementations of the pre-array-native search core.
+"""Seed-exact reference implementations of the baseline search drivers.
 
-The array-native rebuild of the SURF path (:mod:`repro.surf.search`,
-:mod:`repro.surf.forest`, :mod:`repro.surf.tree`) claims *bitwise* parity
-with the object-at-a-time implementation it replaced: same rng draws, same
-fits, same champion, same history.  That claim needs a referee.  This
-module preserves the replaced implementation verbatim — the scalar
-per-candidate split scorer, the per-tree Python prediction loop, and the
-list-based search drivers — so the parity suite
-(``tests/test_search_parity.py``) and the throughput benchmark
-(``benchmarks/bench_search_throughput.py``) can pin the new code against
-the genuine seed behavior instead of a re-derivation of it.
+The array-native random and exhaustive drivers
+(:mod:`repro.surf.random_search`, :mod:`repro.surf.exhaustive`) claim
+*bitwise* parity with the list-based implementations they replaced: same
+rng draws, same champion, same history, same checkpoint state.  This
+module preserves those implementations verbatim so the parity suite
+(``tests/test_search_parity.py::TestBaselineParity``) pins the new code
+against the genuine seed behavior instead of a re-derivation of it.
 
-Nothing in the production pipeline imports this module; it is test/bench
+Nothing in the production pipeline imports this module; it is test
 equipment.  Do not "improve" it — its only value is being exactly what
 the seed did.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.errors import CheckpointError, SearchError
-from repro.obs.tracer import get_tracer
-from repro.surf.binarize import FeatureBinarizer, OrdinalEncoder
 from repro.surf.checkpoint import SearchCheckpointer, rng_state, set_rng_state
-from repro.surf.forest import ExtraTreesRegressor
-from repro.surf.search import SearchResult, clamp_targets
+from repro.surf.search import SearchResult
 from repro.surf.telemetry import SearchTelemetry
-from repro.surf.tree import ExtraTreeRegressor
 from repro.tcr.space import ProgramConfig
 from repro.util.rng import spawn_rng
 
-__all__ = [
-    "LegacyExtraTreeRegressor",
-    "LegacyExtraTreesRegressor",
-    "LegacySURFSearch",
-    "LegacyRandomSearch",
-    "LegacyExhaustiveSearch",
-]
-
-
-class LegacyExtraTreeRegressor(ExtraTreeRegressor):
-    """Seed tree: one scalar rng draw and one Python pass per candidate."""
-
-    def _draw_split(
-        self, X_node: np.ndarray, y_node: np.ndarray
-    ) -> tuple[int, float] | None:
-        n, d = X_node.shape
-        lo = X_node.min(axis=0)
-        hi = X_node.max(axis=0)
-        usable = np.flatnonzero(hi > lo)  # constant features cannot split
-        if usable.size == 0:
-            return None
-        k = usable.size if self.max_features is None else min(self.max_features, usable.size)
-        candidates = self.rng.choice(usable, size=k, replace=False)
-        total_var = y_node.var() * n
-        best: tuple[int, float] | None = None
-        best_score = -np.inf
-        for f in candidates:
-            t = float(self.rng.uniform(lo[f], hi[f]))
-            mask = X_node[:, f] <= t
-            nl = int(mask.sum())
-            if nl == 0 or nl == n:
-                continue
-            yl = y_node[mask]
-            yr = y_node[~mask]
-            score = total_var - (yl.var() * nl + yr.var() * (n - nl))
-            if score > best_score:
-                best_score = score
-                best = (int(f), t)
-        return best
-
-
-class LegacyExtraTreesRegressor(ExtraTreesRegressor):
-    """Seed forest: a Python loop over trees for fit and predict."""
-
-    tree_class = LegacyExtraTreeRegressor
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LegacyExtraTreesRegressor":
-        self._trees = []
-        for i in range(self.n_estimators):
-            tree = self.tree_class(
-                max_features=self.max_features,
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-                rng=spawn_rng(self.seed, "tree", i, "refit", self._fit_count),
-            )
-            tree.fit(X, y)
-            self._trees.append(tree)
-        self._fit_count += 1
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise SearchError("forest has not been fit")
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros(X.shape[0])
-        for tree in self._trees:
-            acc += tree.predict(X)
-        return acc / len(self._trees)
-
-    def predict_std(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise SearchError("forest has not been fit")
-        X = np.asarray(X, dtype=np.float64)
-        preds = np.stack([t.predict(X) for t in self._trees])
-        return preds.std(axis=0)
-
-
-class LegacySURFSearch:
-    """Seed Algorithm 2 driver: Python-object pools and list bookkeeping."""
-
-    name = "surf"
-
-    def __init__(
-        self,
-        batch_size: int = 10,
-        max_evaluations: int = 100,
-        n_estimators: int = 30,
-        max_depth: int | None = None,
-        seed: int = 0,
-        explore_fraction: float = 0.2,
-        log_objective: bool = True,
-        binarize: bool = True,
-    ) -> None:
-        if batch_size < 1 or max_evaluations < 1:
-            raise SearchError("batch size and evaluation budget must be >= 1")
-        if not 0.0 <= explore_fraction < 1.0:
-            raise SearchError("explore_fraction must be in [0, 1)")
-        self.batch_size = batch_size
-        self.max_evaluations = max_evaluations
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.seed = seed
-        self.explore_fraction = explore_fraction
-        self.log_objective = log_objective
-        self.binarize = binarize
-
-    def search(
-        self,
-        pool: Sequence[ProgramConfig],
-        evaluate_batch: Callable[[Sequence[ProgramConfig]], list[float]],
-        wall_seconds: Callable[[], float] | None = None,
-        telemetry: SearchTelemetry | None = None,
-        checkpointer: SearchCheckpointer | None = None,
-    ) -> SearchResult:
-        if not pool:
-            raise SearchError("configuration pool is empty")
-        if telemetry is None:
-            telemetry = SearchTelemetry()
-        rng = spawn_rng(self.seed, "surf-driver")
-        encoder = FeatureBinarizer() if self.binarize else OrdinalEncoder()
-        X_all = encoder.fit_transform([c.features() for c in pool])
-
-        remaining = list(range(len(pool)))
-        nmax = min(self.max_evaluations, len(pool))
-
-        history: list[tuple[ProgramConfig, float]] = []
-        hist_ids: list[int] = []
-        X_out: list[np.ndarray] = []
-        y_out: list[float] = []
-        useful = 0  # finite observations — what the nmax budget buys
-        model = LegacyExtraTreesRegressor(
-            n_estimators=self.n_estimators,
-            max_depth=self.max_depth,
-            seed=self.seed,
-        )
-
-        def run_batch(ids: list[int]) -> None:
-            nonlocal useful
-            configs = [pool[i] for i in ids]
-            ys = evaluate_batch(configs)
-            if len(ys) != len(configs):
-                raise SearchError("evaluator returned a mismatched batch")
-            for i, y in zip(ids, ys):
-                y = float(y)
-                history.append((pool[i], y))
-                hist_ids.append(i)
-                X_out.append(X_all[i])
-                y_out.append(y)
-                if np.isfinite(y):
-                    useful += 1
-
-        def targets() -> np.ndarray:
-            y = clamp_targets(np.array(y_out))
-            return np.log(np.maximum(y, 1e-12)) if self.log_objective else y
-
-        def refit(model) -> float:
-            with get_tracer().span(
-                "search.fit", category="search", observations=len(y_out)
-            ):
-                start = time.perf_counter()
-                model.fit(np.stack(X_out), targets())
-                return time.perf_counter() - start
-
-        def save_checkpoint() -> None:
-            if checkpointer is None:
-                return
-            checkpointer.save(
-                {
-                    "searcher": self.name,
-                    "history": [[i, y] for i, y in zip(hist_ids, y_out)],
-                    "remaining": list(remaining),
-                    "useful": useful,
-                    "rng_state": rng_state(rng),
-                    "fits": model._fit_count,
-                    "telemetry": telemetry.snapshot_state(),
-                }
-            )
-
-        state = checkpointer.resume_state if checkpointer is not None else None
-        if state is not None:
-            if state.get("searcher") != self.name:
-                raise CheckpointError(
-                    f"checkpoint belongs to searcher {state.get('searcher')!r}, "
-                    f"cannot resume with {self.name!r}"
-                )
-            for i, y in state["history"]:
-                i, y = int(i), float(y)
-                history.append((pool[i], y))
-                hist_ids.append(i)
-                X_out.append(X_all[i])
-                y_out.append(y)
-                if np.isfinite(y):
-                    useful += 1
-            remaining = [int(i) for i in state["remaining"]]
-            set_rng_state(rng, state["rng_state"])
-            telemetry.restore_state(state["telemetry"])
-            model._fit_count = max(0, int(state["fits"]) - 1)
-            if X_out:
-                refit(model)
-        else:
-            first = min(self.batch_size, nmax)
-            pick = rng.choice(len(remaining), size=first, replace=False)
-            batch_ids = [remaining[i] for i in sorted(pick.tolist())]
-            remaining = [i for i in remaining if i not in set(batch_ids)]
-            run_batch(batch_ids)
-            fit_s = refit(model)
-            telemetry.record_batch(
-                batch_size=len(batch_ids),
-                best_so_far=min(y_out),
-                fit_seconds=fit_s,
-            )
-            save_checkpoint()
-
-        while useful < nmax and remaining:
-            bs = min(self.batch_size, nmax - useful, len(remaining))
-            n_explore = min(int(round(bs * self.explore_fraction)), bs - 1)
-            preds = model.predict(X_all[remaining])
-            jitter = rng.uniform(0, 1e-12, size=len(remaining))
-            order = np.argsort(preds + jitter, kind="stable")
-            batch_ids = [remaining[i] for i in order[: bs - n_explore].tolist()]
-            if n_explore:
-                leftovers = [i for i in remaining if i not in set(batch_ids)]
-                pick = rng.choice(len(leftovers), size=min(n_explore, len(leftovers)), replace=False)
-                batch_ids.extend(leftovers[i] for i in sorted(pick.tolist()))
-            remaining = [i for i in remaining if i not in set(batch_ids)]
-            run_batch(batch_ids)
-            fit_s = refit(model)
-            telemetry.record_batch(
-                batch_size=len(batch_ids), best_so_far=min(y_out), fit_seconds=fit_s
-            )
-            save_checkpoint()
-
-        best_i = int(np.argmin(y_out))
-        return SearchResult(
-            searcher=self.name,
-            best_config=history[best_i][0],
-            best_objective=history[best_i][1],
-            history=history,
-            evaluations=len(history),
-            simulated_wall_seconds=wall_seconds() if wall_seconds else 0.0,
-            telemetry=telemetry,
-        )
+__all__ = ["LegacyRandomSearch", "LegacyExhaustiveSearch"]
 
 
 class LegacyRandomSearch:

@@ -5,17 +5,19 @@ models.  In particular, we choose randomized trees, … due to their ability
 to handle the binarized parameters using recursive partitioning and to
 model nonlinear interactions among the parameters."  (Section V)
 
-The ensemble averages :class:`~repro.surf.tree.ExtraTreeRegressor`
-predictions; each tree gets an independent substream of the forest's
-generator, so fits are reproducible for a given seed.
+The fit follows Geurts, Ernst & Wehenkel (2006) with every feature a
+candidate: at each node, each feature that is not constant there draws
+one threshold uniformly between its node min and max, and the candidate
+with the largest variance reduction wins.  All trees grow together, one
+depth level per step, in batched numpy (:meth:`ExtraTreesRegressor.fit`);
+exact ties break uniformly at random, and each refit draws from its own
+substream, so fits are reproducible for a given seed.
 
-After fitting, the trees are packed into one set of parallel node arrays
-(feature / threshold / left / right / value, with per-tree node offsets
-folded into the child pointers).  ``predict`` then descends the whole
-ensemble in a single depth-bounded vectorized loop over (tree, sample)
-pairs instead of a Python loop over 30 trees.  The descent only *compares*
-values (no accumulated float ops), and per-tree sums are accumulated in
-the same order as the old loop, so predictions are bitwise-identical.
+The fitted ensemble is one set of parallel node arrays (feature /
+threshold / left / right / value, node ids running level by level across
+all trees).  ``predict`` descends the whole ensemble in a single
+depth-bounded vectorized loop over (tree, sample) pairs, and averages
+the trees in tree order.
 
 For repeated prediction over one fixed pool (the SURF driver's inner
 loop), :func:`pool_codes` + :meth:`ExtraTreesRegressor.make_router` go
@@ -36,7 +38,6 @@ import numpy as np
 
 from repro.errors import SearchError
 from repro.surf.shared import attach_shared, chunk_ranges
-from repro.surf.tree import ExtraTreeRegressor, from_tree_state, tree_state
 from repro.util.rng import spawn_rng
 
 __all__ = [
@@ -51,6 +52,10 @@ __all__ = [
 
 #: Columns with more distinct values than this fall back to float descent.
 MAX_ROUTER_CARD = 64
+
+#: (sample, feature) cells scored per fit block: bounds every temporary
+#: of a level to this (or one node's cells), however many nodes are open.
+FIT_BLOCK_CELLS = 1 << 14
 
 #: (tree, sample) states processed per descent block — sized to keep the
 #: working set L2-resident instead of streaming pool-sized temporaries.
@@ -371,27 +376,41 @@ class PoolRouter:
         return self.tables.predict_mean_std(self.pool.flat, ids)
 
 
-def _fit_task(params, X, y, seed, fit_count, lo, hi):
-    """Worker: fit trees ``lo..hi-1`` of one refit.
+def _split_block(X, y, rows, counts, sums, rng):
+    """Best (feature, threshold) of each node in one block of open nodes.
 
-    Each tree derives its rng substream from (seed, index, refit count)
-    alone, so a tree fits bitwise the same on any process; the history
-    matrix is small (≤ nmax rows) and travels by pickle.
+    ``rows`` lists the block's samples node after node (``counts`` per
+    node, ``sums`` their target sums).  Every feature that is not
+    constant in a node draws one threshold uniformly in [node min, node
+    max), and the candidate with the largest variance reduction wins;
+    exact ties go to a uniform draw.  Returns ``(feature, threshold)``
+    per node, feature ``-1`` where no feature splits the node.
     """
-    import os
-    import time
-
-    start = time.perf_counter()
-    states = []
-    for i in range(lo, hi):
-        tree = ExtraTreeRegressor(
-            rng=spawn_rng(seed, "tree", i, "refit", fit_count), **params
-        )
-        tree.fit(X, y)
-        states.append(tree_state(tree))
-    meta = {"seconds": time.perf_counter() - start,
-            "worker_pid": os.getpid(), "trees": hi - lo}
-    return states, meta
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    Xb = X[rows]
+    lo = np.minimum.reduceat(Xb, starts, axis=0)
+    hi = np.maximum.reduceat(Xb, starts, axis=0)
+    usable = hi > lo
+    thr = lo + rng.random(lo.shape) * (hi - lo)
+    thr = np.where(thr < hi, thr, lo)  # rounding may land on max
+    # Sum the side that holds the node's first sample: complementary
+    # one-hot columns then add the same terms in the same order, so they
+    # score bitwise equal and the tie draw (not float noise) picks one.
+    side = (Xb <= thr[owner]) == (Xb[starts] <= thr)[owner]
+    n_a = np.add.reduceat(side, starts, axis=0, dtype=np.int64)
+    s_a = np.add.reduceat(side * y[rows][:, None], starts, axis=0)
+    n_b = counts[:, None] - n_a
+    s_b = sums[:, None] - s_a
+    # Variance reduction up to terms constant per node: sum of (side
+    # sum)^2 / (side count).  Unusable features have an empty side.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.where(usable, s_a * s_a / n_a + s_b * s_b / n_b, -np.inf)
+    tie = score == score.max(axis=1)[:, None]
+    pick = np.argmax(np.where(tie, rng.random(score.shape), -1.0), axis=1)
+    node = np.arange(counts.size)
+    feature = np.where(usable.any(axis=1), pick, -1)
+    return feature, thr[node, pick]
 
 
 class ExtraTreesRegressor:
@@ -401,34 +420,19 @@ class ExtraTreesRegressor:
     ----------
     n_estimators:
         Ensemble size.
-    max_features:
-        Features examined per split in each tree (``None`` = all).
-    min_samples_split, max_depth:
-        Passed to every tree.
     seed:
-        Base seed; tree ``i`` uses an independent derived stream.
+        Base seed; refit ``k`` draws from ``spawn_rng(seed, "forest", k)``.
     """
 
-    def __init__(
-        self,
-        n_estimators: int = 30,
-        max_features: int | None = None,
-        min_samples_split: int = 2,
-        max_depth: int | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, n_estimators: int = 30, seed: int = 0) -> None:
         if n_estimators < 1:
             raise SearchError("need at least one tree")
         self.n_estimators = n_estimators
-        self.max_features = max_features
-        self.min_samples_split = min_samples_split
-        self.max_depth = max_depth
         self.seed = seed
-        self._trees: list[ExtraTreeRegressor] = []
         self._fit_count = 0
-        # Packed ensemble arrays (built by _pack after every fit):
+        # Node arrays of the whole ensemble, level by level (set by fit):
         self._roots: np.ndarray | None = None
-        self._feature: np.ndarray | None = None
+        self._feature: np.ndarray | None = None  # split feature, -1 for leaf
         self._threshold: np.ndarray | None = None
         self._left: np.ndarray | None = None
         self._right: np.ndarray | None = None
@@ -436,106 +440,110 @@ class ExtraTreesRegressor:
         self._max_depth = 0
         self._tree_depths: np.ndarray | None = None
 
-    def fit(
-        self, X: np.ndarray, y: np.ndarray, worker_ctx=None, parent_span=None
-    ) -> "ExtraTreesRegressor":
-        """(Re)fit the whole ensemble; refits advance the random streams.
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "ExtraTreesRegressor":
+        """(Re)fit every tree; each refit draws from a fresh substream.
 
-        With a :class:`~repro.surf.shared.SearchWorkerContext`, tree
-        ranges fit on worker processes concurrently.  Tree ``i`` draws
-        every split from its own ``spawn_rng(seed, "tree", i, "refit",
-        fit_count)`` substream wherever it runs, and the fitted trees are
-        merged back in tree order, so the packed ensemble — and every
-        stream the next refit derives — is bitwise independent of the
-        worker count."""
-        if worker_ctx is not None and self.n_estimators > 1:
-            return self._fit_shared(X, y, worker_ctx, parent_span)
-        self._trees = []
-        for i in range(self.n_estimators):
-            tree = ExtraTreeRegressor(
-                max_features=self.max_features,
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-                rng=spawn_rng(self.seed, "tree", i, "refit", self._fit_count),
-            )
-            tree.fit(X, y)
-            self._trees.append(tree)
-        self._fit_count += 1
-        self._pack()
-        return self
-
-    def _fit_shared(
-        self, X: np.ndarray, y: np.ndarray, ctx, parent_span=None
-    ) -> "ExtraTreesRegressor":
+        All trees grow together, one depth level per step: every open
+        node of every tree is split at once, in blocks of at most
+        ``FIT_BLOCK_CELLS`` (sample x feature) cells.  Trees grow fully: a
+        node is a leaf when its targets are all equal or no feature
+        splits it.  Node ids run level by level across the ensemble
+        (roots ``0 .. n_estimators - 1``)."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        params = {
-            "max_features": self.max_features,
-            "min_samples_split": self.min_samples_split,
-            "max_depth": self.max_depth,
-        }
-        ranges = chunk_ranges(self.n_estimators, ctx.workers)
-        payloads = [
-            (params, X, y, self.seed, self._fit_count, lo, hi)
-            for lo, hi in ranges
-        ]
-        parts = ctx.run_chunks(
-            _fit_task, payloads, span_name="search.fit.chunk",
-            parent=parent_span,
-        )
-        self._trees = [
-            from_tree_state(state, **params)
-            for part in parts
-            for state in part
-        ]
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+            raise SearchError(f"bad training shapes X{X.shape} y{y.shape}")
+        n = X.shape[0]
+        if n == 0:
+            raise SearchError("cannot fit a forest on zero samples")
+        rng = spawn_rng(self.seed, "forest", self._fit_count)
         self._fit_count += 1
-        self._pack()
-        return self
-
-    def _pack(self) -> None:
-        """Concatenate per-tree node arrays, rebasing child pointers."""
-        counts = np.array([t.node_count for t in self._trees], dtype=np.int64)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        self._roots = offsets[:-1]
-        self._feature = np.concatenate([t._feature for t in self._trees])
-        self._threshold = np.concatenate([t._threshold for t in self._trees])
-        self._value = np.concatenate([t._value for t in self._trees])
-        left = np.concatenate(
-            [np.where(t._left >= 0, t._left + off, -1)
-             for t, off in zip(self._trees, offsets)]
-        )
-        right = np.concatenate(
-            [np.where(t._right >= 0, t._right + off, -1)
-             for t, off in zip(self._trees, offsets)]
-        )
-        self._left = left
-        self._right = right
-        # Per-tree and ensemble max depth (one level-order frontier walk
-        # over all trees, each node tagged with its tree) — the router
-        # descends each tree exactly its own depth, so the per-tree values
-        # bound the useful work.
-        depths = np.zeros(len(self._trees), dtype=np.int64)
-        cur = self._roots
-        tid = np.arange(len(self._trees), dtype=np.int64)
+        # Columns constant over the training set can never split.
+        cols = np.flatnonzero(X.max(axis=0) > X.min(axis=0))
+        Xs = np.ascontiguousarray(X[:, cols])
+        nt = self.n_estimators
+        rows = np.tile(np.arange(n), nt)  # open nodes' samples, node by node
+        counts = np.full(nt, n)
+        tree = np.arange(nt)
+        depths = np.zeros(nt, dtype=np.int64)
+        levels = []
+        next_id = nt
         level = 0
-        while cur.size:
-            keep = self._feature[cur] >= 0
-            cur = cur[keep]
-            tid = tid[keep]
-            if cur.size == 0:
+        while True:
+            starts = np.cumsum(counts) - counts
+            yr = y[rows]
+            sums = np.add.reduceat(yr, starts)
+            k = counts.size
+            feature = np.full(k, -1)
+            threshold = np.zeros(k)
+            varies = (np.minimum.reduceat(yr, starts)
+                      < np.maximum.reduceat(yr, starts)) & (cols.size > 0)
+            split = np.flatnonzero(varies)
+            if split.size:
+                sub_rows = rows[np.repeat(varies, counts)]
+                sub_counts = counts[split]
+                row_at = np.concatenate(([0], np.cumsum(sub_counts)))
+                # Blocks of consecutive nodes, each starting within the
+                # next FIT_BLOCK_CELLS cells.
+                block = row_at[:-1] * cols.size // FIT_BLOCK_CELLS
+                bounds = (np.flatnonzero(np.diff(block)) + 1).tolist()
+                for a, b in zip([0, *bounds], [*bounds, split.size]):
+                    f, t = _split_block(
+                        Xs, y, sub_rows[row_at[a]:row_at[b]],
+                        sub_counts[a:b], sums[split[a:b]], rng,
+                    )
+                    feature[split[a:b]] = f
+                    threshold[split[a:b]] = t
+            inner = np.flatnonzero(feature >= 0)
+            left = np.full(k, -1)
+            right = np.full(k, -1)
+            left[inner] = next_id + 2 * np.arange(inner.size)
+            right[inner] = left[inner] + 1
+            next_id += 2 * inner.size
+            column = np.full(k, -1)
+            column[inner] = cols[feature[inner]]
+            levels.append((column, threshold, left, right, sums / counts))
+            if inner.size == 0:
                 break
             level += 1
-            depths[tid] = level
-            cur = np.concatenate((left[cur], right[cur]))
-            tid = np.concatenate((tid, tid))
-        self._max_depth = level
+            depths[tree[inner]] = level
+            # Children: each split node's samples, left side then right.
+            owner = np.repeat(np.arange(k), counts)
+            keep = feature[owner] >= 0
+            rows, owner = rows[keep], owner[keep]
+            go_right = Xs[rows, feature[owner]] > threshold[owner]
+            rows = rows[np.argsort(2 * owner + go_right, kind="stable")]
+            n_right = np.bincount(owner[go_right], minlength=k)[inner]
+            counts = np.stack((counts[inner] - n_right, n_right), axis=1).ravel()
+            tree = np.repeat(tree[inner], 2)
+        self._feature, self._threshold, self._left, self._right, self._value = (
+            np.concatenate(parts) for parts in zip(*levels)
+        )
+        self._roots = np.arange(nt)
         self._tree_depths = depths
+        self._max_depth = level
+        return self
+
+    @property
+    def node_count(self) -> int:
+        """Nodes of the fitted ensemble, leaves included."""
+        self._require_fit()
+        return int(self._feature.size)
+
+    @property
+    def depth(self) -> int:
+        """Depth of the deepest fitted tree (0 = every tree a single leaf)."""
+        self._require_fit()
+        return self._max_depth
+
+    def _require_fit(self) -> None:
+        if self._feature is None:
+            raise SearchError("forest has not been fit")
 
     def make_router(self, pool: PoolCodes | None) -> "PoolRouter | None":
         """Compile this fit's trees into a :class:`PoolRouter` over ``pool``
         (None in, None out — callers thread the fallback through)."""
-        if not self._trees:
-            raise SearchError("forest has not been fit")
+        self._require_fit()
         if pool is None:
             return None
         return PoolRouter(self, pool)
@@ -547,8 +555,10 @@ class ExtraTreesRegressor:
         pair starts at its tree's root and the loop runs until every pair
         sits on a leaf (bounded by the deepest tree).
         """
+        self._require_fit()
+        X = np.asarray(X, dtype=np.float64)
         n = X.shape[0]
-        nt = len(self._trees)
+        nt = self._roots.size
         cur = np.repeat(self._roots, n)  # row-major (tree, sample) order
         sample = np.tile(np.arange(n, dtype=np.int64), nt)
         active = np.flatnonzero(self._feature[cur] >= 0)
@@ -560,34 +570,26 @@ class ExtraTreesRegressor:
             active = active[self._feature[nxt] >= 0]
         return self._value[cur].reshape(nt, n)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise SearchError("forest has not been fit")
-        X = np.asarray(X, dtype=np.float64)
-        leaves = self._leaf_values(X)
-        acc = np.zeros(X.shape[0])
-        for row in leaves:  # seed accumulation order: tree 0, 1, ...
+    @staticmethod
+    def _mean(leaves: np.ndarray) -> np.ndarray:
+        """Tree-order ensemble mean — the router accumulates identically."""
+        acc = np.zeros(leaves.shape[1])
+        for row in leaves:
             acc += row
-        return acc / len(self._trees)
+        return acc / leaves.shape[0]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self._mean(self._leaf_values(X))
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
         """Cross-tree standard deviation (a cheap uncertainty proxy)."""
-        if not self._trees:
-            raise SearchError("forest has not been fit")
-        X = np.asarray(X, dtype=np.float64)
         return self._leaf_values(X).std(axis=0)
 
     def predict_mean_std(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both ensemble moments from one leaf descent — bitwise equal to
         ``(predict(X), predict_std(X))`` at half the tree walks."""
-        if not self._trees:
-            raise SearchError("forest has not been fit")
-        X = np.asarray(X, dtype=np.float64)
         leaves = self._leaf_values(X)
-        acc = np.zeros(X.shape[0])
-        for row in leaves:  # seed accumulation order: tree 0, 1, ...
-            acc += row
-        return acc / len(self._trees), leaves.std(axis=0)
+        return self._mean(leaves), leaves.std(axis=0)
 
     def score(self, X: np.ndarray, y: np.ndarray) -> float:
         """Coefficient of determination R^2 on (X, y)."""

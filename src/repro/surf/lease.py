@@ -298,9 +298,15 @@ class LeaseSpool:
 
     # -- leases (worker) -----------------------------------------------
     def list_claimable(self) -> list[str]:
-        """Lease ids with no result and no claim, in (batch, ordinal) order."""
+        """Lease ids with no result and no claim, in (batch, ordinal) order.
+
+        Only finished ``.json`` files count: the temporary file of a lease
+        still being published is not a lease, and claiming it would let a
+        worker hold a claim the coordinator never sees."""
         try:
-            published = sorted(p.stem for p in self.leases_dir.iterdir())
+            published = sorted(
+                p.stem for p in self.leases_dir.iterdir() if p.suffix == ".json"
+            )
         except OSError:
             return []
         out = []

@@ -75,20 +75,6 @@ __all__ = ["SearchResult", "SURFSearch", "clamp_targets"]
 LCB_KAPPA = 1.0
 
 
-def _bottom_k_stable(keys: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest keys, ranked — exactly
-    ``np.argsort(keys, kind="stable")[:k]`` without the full sort."""
-    n = keys.size
-    if k >= n:
-        return np.argsort(keys, kind="stable")
-    part = np.argpartition(keys, k - 1)[:k]
-    pivot = keys[part].max()
-    strict = np.flatnonzero(keys < pivot)
-    ranked = strict[np.argsort(keys[strict], kind="stable")]
-    ties = np.flatnonzero(keys == pivot)[: k - strict.size]
-    return np.concatenate((ranked, ties))
-
-
 def _bottom_k_lex(preds: np.ndarray, perm: np.ndarray, k: int) -> np.ndarray:
     """Bottom-``k`` of the (preds, perm) lexicographic order — exactly
     ``np.lexsort((perm, preds))[:k]``, sorting only the candidate slice."""
@@ -142,8 +128,8 @@ class SURFSearch:
         ``bs`` — concurrent evaluations per iteration.
     max_evaluations:
         ``nmax`` — total evaluation budget.
-    n_estimators, max_depth:
-        Surrogate forest shape.
+    n_estimators:
+        Surrogate forest size.
     seed:
         Drives pool sampling, surrogate randomness and tie-breaking.
     """
@@ -155,12 +141,10 @@ class SURFSearch:
         batch_size: int = 10,
         max_evaluations: int = 100,
         n_estimators: int = 30,
-        max_depth: int | None = None,
         seed: int = 0,
         explore_fraction: float = 0.2,
         log_objective: bool = True,
         binarize: bool = True,
-        tie_break: str = "lexsort",
         search_workers: int | None = None,
         acquisition: str = "mean",
     ) -> None:
@@ -173,19 +157,14 @@ class SURFSearch:
         only the penalties.  ``binarize=False`` swaps the paper's feature
         binarization for a naive ordinal encoding (ablation).
 
-        ``tie_break`` picks how equal predictions are ordered within a
-        batch.  ``"lexsort"`` (default) ranks by ``(prediction, seeded
-        permutation)`` — scale-independent, ties always randomized.
-        ``"jitter"`` is the historical scheme (add ``uniform(0, 1e-12)``
-        and stable-sort): at prediction magnitudes ≳1 the jitter is
-        absorbed into the float and ties break by pool order instead; it
-        is kept because existing checkpoints/baselines pin its exact rng
-        stream.
+        Equal predictions are ordered within a batch by a seeded
+        permutation (``(prediction, permutation)`` lexsort), so ties are
+        randomized at any prediction magnitude.
 
-        ``search_workers`` fans the search core's own hot loops — the
-        per-refit forest fit, the full-pool predict pass, and the odometer
-        encode — out over that many worker processes (shared-memory pool,
-        see :mod:`repro.surf.shared`).  Results are bitwise-identical for
+        ``search_workers`` fans the search core's pool-sized loops — the
+        full-pool predict pass, the rank coding and the odometer encode —
+        out over that many worker processes (shared-memory pool, see
+        :mod:`repro.surf.shared`).  Results are bitwise-identical for
         every worker count; ``None`` or 1 is the serial path.
 
         ``acquisition`` ranks the not-yet-evaluated pool each iteration:
@@ -197,19 +176,15 @@ class SURFSearch:
             raise SearchError("batch size and evaluation budget must be >= 1")
         if not 0.0 <= explore_fraction < 1.0:
             raise SearchError("explore_fraction must be in [0, 1)")
-        if tie_break not in ("lexsort", "jitter"):
-            raise SearchError("tie_break must be 'lexsort' or 'jitter'")
         if acquisition not in ("mean", "lcb"):
             raise SearchError("acquisition must be 'mean' or 'lcb'")
         self.batch_size = batch_size
         self.max_evaluations = max_evaluations
         self.n_estimators = n_estimators
-        self.max_depth = max_depth
         self.seed = seed
         self.explore_fraction = explore_fraction
         self.log_objective = log_objective
         self.binarize = binarize
-        self.tie_break = tie_break
         self.search_workers = resolve_search_workers(search_workers)
         self.acquisition = acquisition
 
@@ -289,11 +264,7 @@ class SURFSearch:
         y_hist = GrowableArray(np.float64)
         useful = 0  # finite observations — what the nmax budget buys
         best_y = float("inf")
-        model = ExtraTreesRegressor(
-            n_estimators=self.n_estimators,
-            max_depth=self.max_depth,
-            seed=self.seed,
-        )
+        model = ExtraTreesRegressor(n_estimators=self.n_estimators, seed=self.seed)
         router = None
 
         def run_batch(ids: list[int]) -> None:
@@ -325,15 +296,11 @@ class SURFSearch:
         def refit(model) -> float:
             nonlocal router
             with get_tracer().span(
-                "search.fit", category="search",
-                observations=len(y_hist), workers=workers,
-                chunks=(min(workers, model.n_estimators) if ctx else 1),
+                "search.fit", category="search", observations=len(y_hist),
             ) as sp:
                 start = time.perf_counter()
-                model.fit(
-                    X_all[hist_ids.view], targets(),
-                    worker_ctx=ctx, parent_span=sp,
-                )
+                model.fit(X_all[hist_ids.view], targets())
+                sp.set(nodes=model.node_count, depth=model.depth)
                 router = model.make_router(codes)
                 return time.perf_counter() - start
 
@@ -348,8 +315,8 @@ class SURFSearch:
                 ],
             }
             if n <= SMALL_POOL_LIMIT:
-                # Seed-compatible layout; huge pools derive the remaining
-                # set from the history on load instead of storing it.
+                # Small pools store the remaining set; huge pools derive
+                # it from the history on load instead.
                 state["remaining"] = np.flatnonzero(alive).tolist()
             state.update(
                 {
@@ -385,8 +352,8 @@ class SURFSearch:
             set_rng_state(rng, state["rng_state"])
             telemetry.restore_state(state["telemetry"])
             # Rebuild the surrogate the interrupted run was holding: rewind
-            # the refit counter and refit on the restored (X, y) — each tree
-            # re-derives the same substreams, so the forest (and every
+            # the refit counter and refit on the restored (X, y) — the refit
+            # re-derives the same substream, so the forest (and every
             # prediction the continuation makes) is bitwise identical.
             model._fit_count = max(0, int(state["fits"]) - 1)
             if len(hist_ids):
@@ -442,12 +409,8 @@ class SURFSearch:
             with get_tracer().span(
                 "search.select", category="search", rows=m, take=take
             ):
-                if self.tie_break == "jitter":
-                    jitter = rng.uniform(0, 1e-12, size=m)
-                    sel = _bottom_k_stable(preds + jitter, take)
-                else:
-                    perm = rng.permutation(m)
-                    sel = _bottom_k_lex(preds, perm, take)
+                perm = rng.permutation(m)
+                sel = _bottom_k_lex(preds, perm, take)
                 batch_ids = alive_ids[sel].tolist()
                 if n_explore:
                     keep = np.ones(m, dtype=bool)

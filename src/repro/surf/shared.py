@@ -1,10 +1,10 @@
 """Multi-core plumbing for the array-native search core.
 
 The SURF inner loop is embarrassingly parallel in three places — the
-per-refit forest fit (independent rng substream per tree), the full-pool
-router descent (independent per row), and the odometer encode (independent
-per row) — but numpy's gather/fancy-indexing kernels hold the GIL, so
-threads cannot scale them.  This module provides the process-worker
+full-pool router descent (independent per row), the rank coding
+(independent per column), and the odometer encode (independent per row) —
+but numpy's gather/fancy-indexing kernels hold the GIL, so threads cannot
+scale them.  This module provides the process-worker
 infrastructure instead:
 
 ``SharedArray`` / ``attach_shared``
@@ -30,9 +30,9 @@ infrastructure instead:
     the caller's phase span.
 
 Bitwise contract: every parallel stage in this repo partitions rows (or
-trees, or columns) into contiguous chunks, computes each chunk exactly as
-the serial code would, and reassembles in chunk order.  Because the serial
-kernels are themselves per-row (per-tree, per-column) independent, the
+columns) into contiguous chunks, computes each chunk exactly as the
+serial code would, and reassembles in chunk order.  Because the serial
+kernels are themselves per-row (per-column) independent, the
 result is bitwise-identical for *any* worker count — ``search_workers`` is
 a throughput knob, never a semantics knob.
 """
@@ -177,10 +177,10 @@ def _preferred_context():
 class SearchWorkerPool:
     """A persistent process pool for the search core's parallel stages.
 
-    One pool serves a whole search run: fits, predict passes, and encodes
-    all reuse the same worker processes, so per-stage overhead is one
-    pickle round-trip of the small task payload (routers, encoders, tree
-    parameters — the pool-sized operands travel via shared memory).
+    One pool serves a whole search run: predict passes, rank coding and
+    encodes all reuse the same worker processes, so per-stage overhead is
+    one pickle round-trip of the small task payload (router tables,
+    encoders — the pool-sized operands travel via shared memory).
     """
 
     def __init__(self, workers: int) -> None:

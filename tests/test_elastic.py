@@ -129,6 +129,16 @@ class TestLeaseSpool:
         assert spool.read_result(lease) is None
         assert spool.list_claimable() == []
 
+    def test_lease_being_published_is_not_claimable(
+        self, two_op_program, pool, tmp_path
+    ):
+        spool = LeaseSpool(tmp_path / "spool")
+        digest = spool.init_coordinator(self._evaluator(two_op_program))
+        lease = spool.publish(0, 0, 0, pool[:1], digest)
+        # The temporary file of a second publish still in flight.
+        (spool.leases_dir / ".tmp-b000000-o0001.json.4242").write_text("{}")
+        assert spool.list_claimable() == [lease.lease_id]
+
     def test_reclaim_makes_lease_claimable_again(self, two_op_program, pool, tmp_path):
         spool = LeaseSpool(tmp_path / "spool")
         digest = spool.init_coordinator(self._evaluator(two_op_program))

@@ -96,6 +96,19 @@ class TestPhaseCoverage:
         assert "evaluations" in batch["args"]
         assert "cache_hits" in batch["args"]
 
+    def test_fit_spans_record_the_forest_shape(self, mttkrp):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            _tuner().tune_contraction(mttkrp)
+        fits = [s for s in tracer.finished() if s.name == "search.fit"]
+        assert len(fits) == 4  # 20 evaluations in batches of 5
+        for span in fits:
+            attrs = span.attributes
+            assert "chunks" not in attrs  # the fit runs in-process
+            assert attrs["nodes"] >= 30  # at least one node per tree
+            assert attrs["depth"] >= 1
+        assert [s.attributes["observations"] for s in fits] == [5, 10, 15, 20]
+
     def test_direct_run_emits_quarantine_events(self, two_op_program):
         tracer = Tracer()
         with use_tracer(tracer):

@@ -1,18 +1,16 @@
-"""Bitwise parity of the array-native search core against the seed code.
+"""Bitwise pins of the search drivers: golden SURF runs and seed parity.
 
-The array-native rebuild (id pools, coded router, mask bookkeeping) claims
-*bitwise* parity with the object-at-a-time implementation it replaced when
-run in ``tie_break="jitter"`` mode: the same rng draws in the same order,
-the same fits, the same champion, the same history, the same checkpoint
-bytes.  :mod:`repro.surf._legacy` preserves the replaced implementation
-verbatim; this suite pins the new drivers against it across SURF/random/
-exhaustive, binarize on and off, fault injection on, and resume-mid-run.
+SURF runs are pinned to golden digests (champion plus full history) of
+the level-wise forest, with binarize on and off, fault injection on, and
+the ``lcb`` acquisition; a killed-and-resumed run must equal the
+uninterrupted one bitwise, checkpoint state included.  The random and
+exhaustive drivers claim *bitwise* parity with the object-at-a-time seed
+implementations, which :mod:`repro.surf._legacy` preserves verbatim.
 
 It also pins the pieces the drivers are built from — the space-fed design
 matrix against the per-config ``features()`` dict path, and the coded
-router against float tree descent — and covers the ``tie_break="lexsort"``
-regression (jitter is absorbed at large prediction magnitudes; lexsort is
-scale-independent).
+router against float tree descent — and the lexsort tie rule (randomized
+ties at any prediction magnitude).
 """
 
 from __future__ import annotations
@@ -34,17 +32,13 @@ from repro.surf import (
     SURFSearch,
     SpacePool,
 )
-from repro.surf._legacy import (
-    LegacyExhaustiveSearch,
-    LegacyRandomSearch,
-    LegacySURFSearch,
-)
+from repro.surf._legacy import LegacyExhaustiveSearch, LegacyRandomSearch
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
 from repro.surf.forest import ExtraTreesRegressor, pool_codes
-from repro.surf.search import _bottom_k_lex, _bottom_k_stable
+from repro.surf.search import _bottom_k_lex
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
-from repro.util.rng import spawn_rng
+from repro.util.rng import spawn_rng, stable_hash
 
 
 @pytest.fixture(scope="module")
@@ -78,73 +72,107 @@ def _faulty_evaluator(program, model):
     )
 
 
-def _run_pair(new_searcher, legacy_searcher, pool, program, model, tmp_path,
-              make_evaluator=_plain_evaluator):
+def _checkpointed_run(searcher, pool, program, model, directory,
+                      make_evaluator=_plain_evaluator):
+    """Run one driver with checkpointing; return its result and last state."""
+    manager = CheckpointManager(directory)
+    result = searcher.search(
+        pool, make_evaluator(program, model).evaluate_batch,
+        checkpointer=SearchCheckpointer(manager),
+    )
+    return result, manager.load()["searcher"]
+
+
+def _run_pair(new_searcher, reference_searcher, pool, program, model,
+              tmp_path, make_evaluator=_plain_evaluator):
     """Run both drivers with checkpointing; return both results + states."""
-    outs = []
-    for tag, searcher in (("new", new_searcher), ("legacy", legacy_searcher)):
-        manager = CheckpointManager(tmp_path / tag)
-        ev = make_evaluator(program, model)
-        result = searcher.search(
-            pool, ev.evaluate_batch,
-            checkpointer=SearchCheckpointer(manager),
+    return [
+        _checkpointed_run(
+            searcher, pool, program, model, tmp_path / tag, make_evaluator
         )
-        outs.append((result, manager.load()["searcher"]))
-    return outs
+        for tag, searcher in (
+            ("new", new_searcher), ("reference", reference_searcher)
+        )
+    ]
 
 
-def _assert_same_run(new, legacy, *, state_keys):
+def _assert_same_run(new, reference, *, state_keys):
     """Champion, full history, and checkpoint state must match bitwise."""
     new_result, new_state = new
-    legacy_result, legacy_state = legacy
-    assert new_result.best_objective == legacy_result.best_objective
-    assert new_result.best_config.describe() == legacy_result.best_config.describe()
+    ref_result, ref_state = reference
+    assert new_result.best_objective == ref_result.best_objective
+    assert new_result.best_config.describe() == ref_result.best_config.describe()
     assert [y for _c, y in new_result.history] == [
-        y for _c, y in legacy_result.history
+        y for _c, y in ref_result.history
     ]
     assert [c.describe() for c, _y in new_result.history] == [
-        c.describe() for c, _y in legacy_result.history
+        c.describe() for c, _y in ref_result.history
     ]
     for key in state_keys:
-        assert new_state[key] == legacy_state[key], f"state[{key!r}] diverged"
+        assert new_state[key] == ref_state[key], f"state[{key!r}] diverged"
 
 
 SURF_STATE_KEYS = ("history", "remaining", "useful", "rng_state", "fits")
 
 
-class TestSURFParity:
-    @pytest.mark.parametrize("binarize", [True, False])
-    def test_bitwise_parity(self, setup, tmp_path, binarize):
-        program, _space, _ids, pool, model = setup
-        kwargs = dict(
-            batch_size=7, max_evaluations=40, seed=11, binarize=binarize
-        )
-        new, legacy = _run_pair(
-            SURFSearch(tie_break="jitter", **kwargs),
-            LegacySURFSearch(**kwargs),
-            pool, program, model, tmp_path,
-        )
-        _assert_same_run(new, legacy, state_keys=SURF_STATE_KEYS)
+def _run_digest(result) -> str:
+    """Champion plus full history of one run, as 16 hex digits."""
+    return format(
+        stable_hash(
+            "surf-golden",
+            result.best_config.describe(),
+            result.best_objective,
+            [(c.describe(), y) for c, y in result.history],
+        ),
+        "016x",
+    )
 
-    def test_bitwise_parity_with_faults(self, setup, tmp_path):
+
+#: Champion-plus-history digests of the level-wise forest's SURF runs in
+#: TestSURFParity.  A change that moves one must say why in CHANGES.md.
+GOLDEN_RUNS = {
+    "binarize": "cc4d94587cecd88f",
+    "ordinal": "68902910392cb04c",
+    "faults": "965279628a322ced",
+    "lcb": "21238959b03f06be",
+}
+
+
+class TestSURFParity:
+    """SURF runs pinned to golden digests of the level-wise forest."""
+
+    @pytest.mark.parametrize("binarize", [True, False])
+    def test_bitwise_parity(self, setup, binarize):
         program, _space, _ids, pool, model = setup
-        kwargs = dict(batch_size=10, max_evaluations=50, seed=5)
-        new, legacy = _run_pair(
-            SURFSearch(tie_break="jitter", **kwargs),
-            LegacySURFSearch(**kwargs),
-            pool, program, model, tmp_path,
-            make_evaluator=_faulty_evaluator,
+        result = SURFSearch(
+            batch_size=7, max_evaluations=40, seed=11, binarize=binarize
+        ).search(pool, _plain_evaluator(program, model).evaluate_batch)
+        key = "binarize" if binarize else "ordinal"
+        assert _run_digest(result) == GOLDEN_RUNS[key]
+
+    def test_bitwise_parity_with_faults(self, setup):
+        program, _space, _ids, pool, model = setup
+        result = SURFSearch(batch_size=10, max_evaluations=50, seed=5).search(
+            pool, _faulty_evaluator(program, model).evaluate_batch
         )
-        new_ys = [y for _c, y in new[0].history]
-        assert any(not np.isfinite(y) for y in new_ys)  # faults actually fire
-        _assert_same_run(new, legacy, state_keys=SURF_STATE_KEYS)
+        ys = [y for _c, y in result.history]
+        assert any(not np.isfinite(y) for y in ys)  # faults actually fire
+        assert _run_digest(result) == GOLDEN_RUNS["faults"]
+
+    def test_bitwise_parity_lcb(self, setup):
+        program, _space, _ids, pool, model = setup
+        result = SURFSearch(
+            batch_size=7, max_evaluations=35, seed=9, acquisition="lcb"
+        ).search(pool, _plain_evaluator(program, model).evaluate_batch)
+        assert _run_digest(result) == GOLDEN_RUNS["lcb"]
 
     def test_resume_mid_run_matches_uninterrupted_legacy(self, setup, tmp_path):
+        # Once pinned against the seed driver; now the uninterrupted run of
+        # the same code is the reference, checkpoint state included.
         program, _space, _ids, pool, model = setup
         kwargs = dict(batch_size=8, max_evaluations=48, seed=7)
-
-        legacy = LegacySURFSearch(**kwargs).search(
-            pool, _plain_evaluator(program, model).evaluate_batch
+        reference = _checkpointed_run(
+            SURFSearch(**kwargs), pool, program, model, tmp_path / "reference"
         )
 
         class Interrupt(Exception):
@@ -161,21 +189,20 @@ class TestSURFParity:
             return _plain_evaluator(program, model).evaluate_batch(batch)
 
         with pytest.raises(Interrupt):
-            SURFSearch(tie_break="jitter", **kwargs).search(
+            SURFSearch(**kwargs).search(
                 pool, dying_evaluate, checkpointer=SearchCheckpointer(manager)
             )
 
         ck = SearchCheckpointer(manager)
         ck.resume_state = manager.load()["searcher"]
-        resumed = SURFSearch(tie_break="jitter", **kwargs).search(
+        resumed = SURFSearch(**kwargs).search(
             pool, _plain_evaluator(program, model).evaluate_batch,
             checkpointer=ck,
         )
-        assert resumed.best_objective == legacy.best_objective
-        assert [y for _c, y in resumed.history] == [y for _c, y in legacy.history]
-        assert [c.describe() for c, _y in resumed.history] == [
-            c.describe() for c, _y in legacy.history
-        ]
+        _assert_same_run(
+            (resumed, manager.load()["searcher"]), reference,
+            state_keys=SURF_STATE_KEYS,
+        )
 
 
 class TestBaselineParity:
@@ -403,17 +430,7 @@ class TestParallelParity:
 
 
 class TestTieBreak:
-    """Satellite: equal predictions must not collapse to pool order."""
-
-    def test_jitter_absorbed_at_large_magnitude(self):
-        # eps(16384) ≈ 3.6e-12 > 2 * 1e-12: adding uniform(0, 1e-12) rounds
-        # away, so the historical scheme degenerates to pool order.
-        rng = spawn_rng(0, "tie")
-        preds = np.full(100, 16384.0)
-        jitter = rng.uniform(0, 1e-12, size=preds.size)
-        assert np.array_equal(preds + jitter, preds)  # the defect, pinned
-        sel = _bottom_k_stable(preds + jitter, 10)
-        assert sel.tolist() == list(range(10))  # deterministic bias
+    """Equal predictions must not collapse to pool order."""
 
     def test_lexsort_randomizes_ties_at_any_magnitude(self):
         preds = np.full(100, 16384.0)
@@ -432,10 +449,6 @@ class TestTieBreak:
             n = int(rng.integers(3, 200))
             k = int(rng.integers(1, n + 1))
             keys = rng.choice([0.0, 1.0, 2.0, np.inf], size=n)  # heavy ties
-            assert np.array_equal(
-                _bottom_k_stable(keys, k),
-                np.argsort(keys, kind="stable")[:k],
-            )
             perm = rng.permutation(n)
             assert np.array_equal(
                 _bottom_k_lex(keys, perm, k),
@@ -443,7 +456,9 @@ class TestTieBreak:
             )
 
     def test_surf_default_is_lexsort(self):
-        assert SURFSearch().tie_break == "lexsort"
+        # Lexsort is the only rule: the retired jitter knob is refused.
+        with pytest.raises(TypeError):
+            SURFSearch(tie_break="jitter")
 
     def test_best_so_far_is_running_minimum(self, setup):
         program, _space, _ids, pool, model = setup

@@ -605,11 +605,13 @@ class TestCLI:
         from repro.cli import main
 
         # One worker, two distinct requests: the second waits in the queue
-        # far longer than its 50ms deadline allows and is cancelled.
+        # far longer than its 50ms deadline allows and is cancelled.  The
+        # first must keep the worker busy well past the deadline (this
+        # budget takes about 0.2 s on a 2-vCPU host).
         rc = main([
             "serve", "lg3@k20", "lg3@gtx980", "--store", str(tmp_path / "rs"),
             "--workers", "1", "--deadline", "0.05",
-            "--evals", "10", "--batch", "5", "--pool", "100", "--seed", "3",
+            "--evals", "60", "--batch", "5", "--pool", "300", "--seed", "3",
         ])
         out = capsys.readouterr().out
         assert rc == 0

@@ -61,32 +61,40 @@ KEYED_VALUES = {
     "faults": "0.1",
     "max_retries": 3,
     "resilient": True,
-    "tie_break": "jitter",
     "acquisition": "lcb",
     "backend": "ttgt",
 }
 
-#: StoreKey digests computed before the settings were declared in one
-#: place (GTX 980, seed 0): deriving the key from the roles must keep
-#: every stored result reachable.
+#: StoreKey digests of the level-wise forest (GTX 980, seed 0): a change
+#: to how settings enter the key must keep every stored result reachable.
 GOLDEN_DIGESTS = {
-    "chain/default": "b893a2f2cd29839e",
-    "chain/sweep_auto": "c802548013b36573",
-    "chain/lcb": "ae0f5bd3469f4a90",
-    "chain/ttgt": "2b7570d4e49fc7be",
-    "chain/faults": "edb9011c3de50d31",
-    "chain/per_variant": "5395600d2fba9bf9",
-    "chain/batch_parallelism": "0d29f10fab015d86",
-    "chain/jitter": "2c83d61c1a4531d0",
-    "eqn1/default": "1e260f77f71697c2",
-    "eqn1/sweep_auto": "947d73b048691f30",
-    "eqn1/lcb": "c499e429fd8e924d",
-    "eqn1/ttgt": "627a2e48d03b8984",
-    "eqn1/faults": "0805c266ecdbb1ee",
-    "eqn1/per_variant": "609d19e6f2c2606d",
-    "eqn1/batch_parallelism": "88607b5c13e5f0c4",
-    "eqn1/jitter": "cdeb32e6aa603214",
+    "chain/default": "ce4448772839dc05",
+    "chain/sweep_auto": "1afa3eed78fafbf9",
+    "chain/lcb": "6d0203a689e3e7c1",
+    "chain/ttgt": "139595288fe9c457",
+    "chain/faults": "4fe134122fa3c34c",
+    "chain/per_variant": "c71273a966e9c0c3",
+    "chain/batch_parallelism": "8c616dd76edca617",
+    "eqn1/default": "bddaeb9ceb40eebe",
+    "eqn1/sweep_auto": "700db396330131a2",
+    "eqn1/lcb": "aad4de010139898c",
+    "eqn1/ttgt": "99264f4ec42e4fa5",
+    "eqn1/faults": "184ad596f59ad8b9",
+    "eqn1/per_variant": "e87d0ab929c6ea8f",
+    "eqn1/batch_parallelism": "84c3d7c4af5918b9",
 }
+
+#: The same cases' digests under the seed-pinned forest, whose manifests
+#: carried ``tie_break``.  Its stored champions must never be served to a
+#: request the level-wise forest would answer differently.
+RETIRED_DIGESTS = frozenset({
+    "b893a2f2cd29839e", "c802548013b36573", "ae0f5bd3469f4a90",
+    "2b7570d4e49fc7be", "edb9011c3de50d31", "5395600d2fba9bf9",
+    "0d29f10fab015d86", "2c83d61c1a4531d0", "1e260f77f71697c2",
+    "947d73b048691f30", "c499e429fd8e924d", "627a2e48d03b8984",
+    "0805c266ecdbb1ee", "609d19e6f2c2606d", "88607b5c13e5f0c4",
+    "cdeb32e6aa603214",
+})
 
 GOLDEN_CASES = {
     "default": {},
@@ -96,7 +104,6 @@ GOLDEN_CASES = {
     "faults": {"faults": "0.1"},
     "per_variant": {"per_variant": True},
     "batch_parallelism": {"batch_parallelism": 4},
-    "jitter": {"tie_break": "jitter"},
 }
 
 
@@ -169,7 +176,7 @@ class TestDeclaration:
 
     def test_explicit_defaults_keep_the_digest(self, two_op_program):
         defaults = {f.name: f.default for f in dataclasses.fields(TuneSettings)}
-        explicit = {k: defaults[k] for k in ("acquisition", "backend", "tie_break")}
+        explicit = {k: defaults[k] for k in ("acquisition", "backend")}
         assert _digest(
             Autotuner(GTX980, **BASE, **explicit), "chain", [two_op_program]
         ) == _digest(Autotuner(GTX980, **BASE), "chain", [two_op_program])
@@ -181,12 +188,10 @@ class TestGoldenDigests:
         eqn1 = parse_contraction(EQN1_TEXT, name="eqn1")
         eqn1_programs = [v.program for v in compile_contraction(eqn1).variants]
         tuner = Autotuner(GTX980, seed=0, **GOLDEN_CASES[case])
-        assert _digest(tuner, "chain", [two_op_program]) == GOLDEN_DIGESTS[
-            f"chain/{case}"
-        ]
-        assert _digest(tuner, "eqn1", eqn1_programs) == GOLDEN_DIGESTS[
-            f"eqn1/{case}"
-        ]
+        for name, programs in (("chain", [two_op_program]), ("eqn1", eqn1_programs)):
+            digest = _digest(tuner, name, programs)
+            assert digest not in RETIRED_DIGESTS
+            assert digest == GOLDEN_DIGESTS[f"{name}/{case}"]
 
 
 class TestKeywordsAndEnvironment:
@@ -244,8 +249,25 @@ class TestCheckpointFingerprint:
         with pytest.raises(CheckpointError) as info:
             tuner.tune_program(two_op_program)
         # The keyed settings the old fingerprint lacked (max_variants
-        # compares equal: absent reads as None, its default).
+        # compares equal: absent reads as None, its default), and the
+        # retired tie_break it carried.
         assert (
-            "differing: batch_parallelism, per_variant, pool_size, resilient)"
-            in str(info.value)
+            "differing: batch_parallelism, per_variant, pool_size, resilient, "
+            "tie_break)" in str(info.value)
         )
+
+    def test_checkpoint_of_the_seed_pinned_forest_is_refused(
+        self, two_op_program, tmp_path
+    ):
+        # A SURF state.json written by the seed-pinned forest: resuming it
+        # under the level-wise forest would continue a different search.
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        shutil.copy(GOLDEN / "checkpoint_before_forest.json", ck / "state.json")
+        tuner = Autotuner(
+            GTX980, seed=0, max_evaluations=10, batch_size=5, pool_size=40,
+            checkpoint_dir=ck, resume=True,
+        )
+        with pytest.raises(CheckpointError) as info:
+            tuner.tune_program(two_op_program)
+        assert "(differing: tie_break)" in str(info.value)

@@ -3,8 +3,8 @@
 The parity suite (``test_search_parity.py::TestParallelParity``) pins the
 end-to-end drivers; this file pins the pieces they are built from — the
 shared-memory arrays, the chunking arithmetic, and each parallel stage
-(encode, rank-coding, forest fit, router predict) bitwise against its
-serial counterpart.
+(encode, rank-coding, router predict) bitwise against its serial
+counterpart.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.surf.shared import (
     chunk_ranges,
     resolve_search_workers,
 )
-from repro.surf.tree import from_tree_state, tree_state
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
 from repro.util.rng import spawn_rng
@@ -226,29 +225,6 @@ class TestParallelStages:
             assert np.array_equal(a, b)
         assert parallel.spec is not None
 
-    def test_parallel_fit_matches_serial(self, space_and_ids, ctx):
-        space, ids = space_and_ids
-        X = SpacePool(space, ids).design_matrix(FeatureBinarizer())
-        rng = spawn_rng(0, "fit-parity")
-        train = rng.choice(X.shape[0], size=80, replace=False)
-        y = rng.normal(size=train.size)
-
-        serial = ExtraTreesRegressor(n_estimators=10, seed=5)
-        serial.fit(X[train], y)
-        parallel = ExtraTreesRegressor(n_estimators=10, seed=5)
-        parallel.fit(X[train], y, worker_ctx=ctx)
-
-        for ts, tp in zip(serial._trees, parallel._trees):
-            for a, b in zip(tree_state(ts), tree_state(tp)):
-                assert np.array_equal(a, b)
-        assert np.array_equal(serial.predict(X), parallel.predict(X))
-
-        # Refit counters advanced identically: the *second* fit must agree
-        # too (tree rng substreams key on fit_count).
-        serial.fit(X[train], y)
-        parallel.fit(X[train], y, worker_ctx=ctx)
-        assert np.array_equal(serial.predict(X), parallel.predict(X))
-
     def test_shared_predict_matches_serial(self, space_and_ids, ctx):
         space, ids = space_and_ids
         shared_pool = SharedPool(space, ids, ctx)
@@ -297,22 +273,3 @@ class TestPredictMeanStd:
         mean, std = router.predict_mean_std(sub)
         assert np.array_equal(mean, router.predict(sub))
         assert np.array_equal(std, router.predict_std(sub))
-
-
-class TestTreeState:
-    def test_roundtrip_predicts_bitwise(self):
-        rng = spawn_rng(4, "tree-state")
-        X = rng.normal(size=(80, 6))
-        y = rng.normal(size=80)
-        from repro.surf.tree import ExtraTreeRegressor
-
-        tree = ExtraTreeRegressor(rng=spawn_rng(5, "t")).fit(X, y)
-        clone = from_tree_state(tree_state(tree))
-        assert np.array_equal(tree.predict(X), clone.predict(X))
-
-    def test_unfit_tree_refuses(self):
-        from repro.errors import SearchError
-        from repro.surf.tree import ExtraTreeRegressor
-
-        with pytest.raises(SearchError):
-            tree_state(ExtraTreeRegressor())

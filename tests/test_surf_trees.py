@@ -1,12 +1,13 @@
-"""Tests for the from-scratch extremely randomized trees."""
+"""Tests for the from-scratch extremely randomized trees.
+
+A one-tree forest stands for a single tree wherever a test is about one.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import SearchError
 from repro.surf.forest import ExtraTreesRegressor
-from repro.surf.tree import ExtraTreeRegressor
-from repro.util.rng import spawn_rng
 
 
 def toy_data(n=200, seed=0):
@@ -16,10 +17,43 @@ def toy_data(n=200, seed=0):
     return X, y
 
 
+def one_tree(seed=0):
+    return ExtraTreesRegressor(n_estimators=1, seed=seed)
+
+
+def node_samples(forest, X):
+    """For every internal node: the values of its split feature over the
+    training rows that reach it, and its threshold."""
+    out = []
+    frontier = [(int(r), np.arange(X.shape[0])) for r in forest._roots]
+    while frontier:
+        node, rows = frontier.pop()
+        f = int(forest._feature[node])
+        if f < 0:
+            continue
+        t = forest._threshold[node]
+        out.append((X[rows, f], t))
+        go_left = X[rows, f] <= t
+        frontier.append((int(forest._left[node]), rows[go_left]))
+        frontier.append((int(forest._right[node]), rows[~go_left]))
+    return out
+
+
+def complementary_pair(n=60, seed=0):
+    """Binary data whose columns 0 and 1 are one-hot twins (x1 = 1 - x0)
+    and carry the signal; the other columns are noise."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, size=n).astype(float)
+    noise = rng.integers(0, 2, size=(n, 3)).astype(float)
+    X = np.column_stack((a, 1.0 - a, noise))
+    y = 5.0 * a + 0.1 * noise @ np.array([1.0, 2.0, 4.0])
+    return X, y
+
+
 class TestExtraTree:
     def test_fits_and_predicts(self):
         X, y = toy_data()
-        tree = ExtraTreeRegressor(rng=spawn_rng(0, "t")).fit(X, y)
+        tree = one_tree().fit(X, y)
         pred = tree.predict(X)
         assert pred.shape == y.shape
         # Training error far below variance (trees interpolate).
@@ -28,43 +62,33 @@ class TestExtraTree:
     def test_constant_target_single_leaf(self):
         X = np.zeros((10, 2))
         y = np.full(10, 3.5)
-        tree = ExtraTreeRegressor(rng=spawn_rng(0, "c")).fit(X, y)
+        tree = one_tree().fit(X, y)
         assert tree.node_count == 1
+        assert tree.depth == 0
         np.testing.assert_allclose(tree.predict(np.ones((3, 2))), 3.5)
 
     def test_predictions_within_target_range(self):
         X, y = toy_data()
-        tree = ExtraTreeRegressor(rng=spawn_rng(1, "r")).fit(X, y)
+        tree = one_tree(1).fit(X, y)
         grid = np.random.default_rng(1).uniform(-2, 2, size=(100, 3))
         pred = tree.predict(grid)
         assert pred.min() >= y.min() - 1e-12
         assert pred.max() <= y.max() + 1e-12
 
-    def test_max_depth_respected(self):
-        X, y = toy_data()
-        tree = ExtraTreeRegressor(max_depth=3, rng=spawn_rng(0, "d")).fit(X, y)
-        assert tree.depth <= 3
-
-    def test_min_samples_split(self):
-        X, y = toy_data(50)
-        big = ExtraTreeRegressor(min_samples_split=25, rng=spawn_rng(0, "m")).fit(X, y)
-        small = ExtraTreeRegressor(min_samples_split=2, rng=spawn_rng(0, "m")).fit(X, y)
-        assert big.node_count < small.node_count
-
     def test_bad_shapes(self):
         with pytest.raises(SearchError, match="shapes"):
-            ExtraTreeRegressor().fit(np.zeros((3, 2)), np.zeros(4))
+            one_tree().fit(np.zeros((3, 2)), np.zeros(4))
         with pytest.raises(SearchError, match="zero samples"):
-            ExtraTreeRegressor().fit(np.zeros((0, 2)), np.zeros(0))
+            one_tree().fit(np.zeros((0, 2)), np.zeros(0))
 
     def test_unfit_predict(self):
         with pytest.raises(SearchError, match="not been fit"):
-            ExtraTreeRegressor().predict(np.zeros((1, 2)))
+            one_tree().predict(np.zeros((1, 2)))
+        with pytest.raises(SearchError, match="not been fit"):
+            one_tree().node_count
 
     def test_single_sample(self):
-        tree = ExtraTreeRegressor(rng=spawn_rng(0, "s")).fit(
-            np.array([[1.0, 2.0]]), np.array([7.0])
-        )
+        tree = one_tree().fit(np.array([[1.0, 2.0]]), np.array([7.0]))
         np.testing.assert_allclose(tree.predict(np.zeros((2, 2))), 7.0)
 
     def test_one_hot_features_supported(self):
@@ -72,15 +96,61 @@ class TestExtraTree:
         rng = np.random.default_rng(0)
         X = rng.integers(0, 2, size=(150, 4)).astype(float)
         y = 3 * X[:, 0] - 2 * X[:, 2] + 0.01 * rng.standard_normal(150)
-        tree = ExtraTreeRegressor(rng=spawn_rng(2, "b")).fit(X, y)
+        tree = one_tree(2).fit(X, y)
         assert np.mean((tree.predict(X) - y) ** 2) < 0.1
+
+
+class TestFitProperties:
+    def test_fully_grown_tree_reproduces_distinct_rows(self):
+        # Distinct feature rows always separate, so every training row
+        # ends in its own leaf (or one whose targets are all equal).
+        X, y = toy_data(150, seed=3)
+        X = np.vstack((X, X[:10] + 5.0))
+        y = np.concatenate((y, np.full(10, 0.25)))  # an all-equal group
+        for seed in range(5):
+            assert np.array_equal(one_tree(seed).fit(X, y).predict(X), y)
+        forest = ExtraTreesRegressor(n_estimators=7, seed=0).fit(X, y)
+        np.testing.assert_allclose(forest.predict(X), y, rtol=1e-13, atol=0)
+
+    def test_thresholds_lie_in_node_range(self):
+        rng = np.random.default_rng(4)
+        X = np.column_stack((
+            rng.uniform(-3, 3, size=120),
+            rng.integers(0, 4, size=120).astype(float),
+            rng.integers(0, 2, size=120).astype(float),
+        ))
+        y = X[:, 0] ** 2 + X[:, 1] - 3 * X[:, 2]
+        forest = ExtraTreesRegressor(n_estimators=10, seed=1).fit(X, y)
+        nodes = node_samples(forest, X)
+        assert len(nodes) > 100
+        for values, t in nodes:
+            assert values.min() <= t < values.max()
+
+    def test_complementary_columns_do_not_make_identical_trees(self):
+        # On binary data the threshold draw cannot change a partition, so
+        # only the tie draw between the twins tells the trees apart.
+        X, y = complementary_pair()
+        forest = ExtraTreesRegressor(n_estimators=30, seed=0).fit(X, y)
+        assert set(forest._feature[forest._roots].tolist()) == {0, 1}
+
+    def test_complementary_columns_share_the_root_fairly(self):
+        # The twins partition every node identically, so they tie exactly;
+        # a first-wins rule or float noise would favor one of them.
+        X, y = complementary_pair()
+        wins = np.zeros(2)
+        for seed in range(200):
+            root = one_tree(seed).fit(X, y)._feature[0]
+            assert root in (0, 1)
+            wins[root] += 1
+        share = wins / wins.sum()
+        assert 0.35 <= share[0] <= 0.65, share
 
 
 class TestForest:
     def test_better_than_single_tree_on_test_set(self):
         X, y = toy_data(300, seed=1)
         Xt, yt = toy_data(100, seed=2)
-        tree = ExtraTreeRegressor(rng=spawn_rng(0, "f")).fit(X, y)
+        tree = one_tree().fit(X, y)
         forest = ExtraTreesRegressor(n_estimators=30, seed=0).fit(X, y)
         mse_tree = np.mean((tree.predict(Xt) - yt) ** 2)
         mse_forest = np.mean((forest.predict(Xt) - yt) ** 2)
@@ -121,6 +191,13 @@ class TestForest:
         X, y = toy_data()
         forest = ExtraTreesRegressor(n_estimators=20, seed=0).fit(X, y)
         assert forest.score(X, y) > 0.8
+
+    def test_shape_of_the_fit(self):
+        X, y = toy_data(50)
+        forest = ExtraTreesRegressor(n_estimators=4, seed=0).fit(X, y)
+        assert forest._roots.tolist() == [0, 1, 2, 3]
+        assert forest.node_count == 4 * (2 * 50 - 1)  # 50 leaves per tree
+        assert forest.depth == int(forest._tree_depths.max()) >= 6
 
     def test_zero_estimators_rejected(self):
         with pytest.raises(SearchError, match="at least one"):
