@@ -1,7 +1,7 @@
 """Every :class:`~repro.autotune.tuner.Autotuner` setting, declared once.
 
 Each field of :class:`TuneSettings` carries its default, its environment
-variable (only the three path settings keep one), and exactly one
+variable (only the cache and result-store paths keep one), and exactly one
 **role** — the single place that decides what a setting changes:
 
 ``keyed``
@@ -14,12 +14,12 @@ variable (only the three path settings keep one), and exactly one
     ``omit_default`` enters only when it differs from its default, so
     keys written before the setting existed stay valid.
 ``recorded``
-    Bitwise-invisible in every result (the parallel search core and the
-    elastic pool replay the serial bits; timing tables reproduce the
-    scalar model exactly).  Written to the manifest as provenance only.
+    Bitwise-invisible in every result (the parallel search core replays
+    the serial bits; timing tables reproduce the scalar model exactly).
+    Written to the manifest as provenance only.
 ``runtime``
-    Where state lives and how the run is observed: caches, spools, lease
-    lifetime, checkpoints, trace and result store.  Enters neither.
+    Where state lives and how the run is observed: cache, checkpoints,
+    trace and result store.  Enters neither.
 """
 
 from __future__ import annotations
@@ -104,25 +104,12 @@ class TuneSettings:
     fast_model:
         Score configurations by precomputed timing-table lookup instead of
         the scalar model per point.
-    elastic:
-        Evaluate batches on the elastic coordinator/worker pool
-        (:mod:`repro.surf.elastic`) with this many local worker processes;
-        external ``repro elastic-workers --spool DIR`` may join or leave
-        at any time.  ``0`` with a ``spool`` still runs elastic (external
-        workers only; the coordinator evaluates inline as a last resort).
 
     Runtime
     -------
     cache:
         Evaluation memoization: ``True`` in memory, a path for the
         persistent JSONL store; ``None`` reads ``REPRO_EVAL_CACHE``.
-    spool:
-        The elastic lease-spool directory; ``None`` reads ``REPRO_SPOOL``.
-        Elastic runs without one use ``checkpoint_dir/spool`` or a fresh
-        temporary directory.
-    lease_ttl:
-        Elastic claim lifetime in seconds: a worker holding a lease past
-        it is presumed dead and the lease is reclaimed.
     checkpoint_dir / resume:
         Run directory for the atomic per-batch search state plus the
         persistent evaluation cache and quarantine set
@@ -155,10 +142,7 @@ class TuneSettings:
     backend: str = _setting("loopnest", KEYED, omit_default=True)
     search_workers: int = _setting(1, RECORDED)
     fast_model: bool = _setting(False, RECORDED)
-    elastic: int = _setting(0, RECORDED)
     cache: bool | str | Path | None = _setting(None, RUNTIME, env="REPRO_EVAL_CACHE")
-    spool: str | Path | None = _setting(None, RUNTIME, env="REPRO_SPOOL")
-    lease_ttl: float = _setting(30.0, RUNTIME)
     checkpoint_dir: str | Path | None = _setting(None, RUNTIME)
     resume: bool = _setting(False, RUNTIME)
     trace: str | Path | None = _setting(None, RUNTIME)
@@ -177,12 +161,10 @@ class TuneSettings:
             faults=faults,
             batch_parallelism=max(1, int(self.batch_parallelism)),
             search_workers=max(1, int(self.search_workers)),
-            elastic=max(0, int(self.elastic)),
             fast_model=bool(self.fast_model),
-            lease_ttl=float(self.lease_ttl),
         )
-        for name in ("spool", "checkpoint_dir", "trace"):
-            value = normal.get(name, getattr(self, name))
+        for name in ("checkpoint_dir", "trace"):
+            value = getattr(self, name)
             normal[name] = Path(value) if value else None
         resilient = self.resilient
         if resilient is None:
@@ -210,11 +192,6 @@ class TuneSettings:
     def manifest_settings(self) -> dict:
         """The manifest's ``settings``: keyed (bar its own fields) and recorded."""
         return self._values(_MANIFEST)
-
-    @property
-    def elastic_enabled(self) -> bool:
-        """True when evaluation runs on the coordinator/worker pool."""
-        return self.elastic > 0 or self.spool is not None
 
 
 def _entries(role: str) -> tuple:

@@ -33,7 +33,6 @@ from repro.obs.manifest import MANIFEST_FILENAME, RunManifest, fingerprint_of
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.surf.cache import CachedEvaluator, EvaluationCache, QuarantineStore
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
-from repro.surf.elastic import ElasticBatchEvaluator
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
 from repro.surf.faults import FaultInjectingEvaluator
@@ -161,7 +160,6 @@ class Autotuner:
         self.cache_spec = self.settings.cache
         if checkpoint_dir is not None and not self.cache_spec:
             self.cache_spec = str(CheckpointManager(checkpoint_dir).eval_cache_path)
-        self.spool = self.settings.spool
         self._cache_store: EvaluationCache | None = None
         self._quarantine_store: QuarantineStore | None = None
         self._result_store_obj = None
@@ -212,7 +210,7 @@ class Autotuner:
         tables: list[ProgramTimingTable] | None = None,
     ) -> BatchEvaluator:
         """Stack the evaluation engine, innermost first:
-        model -> fault injection -> cache -> retry/quarantine -> fan-out."""
+        model -> fault injection -> cache -> retry/quarantine."""
         settings = self.settings
         evaluator: BatchEvaluator = ConfigurationEvaluator(
             programs,
@@ -236,26 +234,7 @@ class Autotuner:
                 max_retries=settings.max_retries,
                 quarantine=self._quarantine(),
             )
-        if settings.elastic_enabled:
-            evaluator = ElasticBatchEvaluator(
-                evaluator,
-                spool=self._spool_dir(),
-                workers=settings.elastic,
-                lease_ttl=settings.lease_ttl,
-            )
         return evaluator
-
-    def _spool_dir(self) -> Path:
-        """The run's lease-spool directory (created by the coordinator)."""
-        if self.spool is not None:
-            return self.spool
-        if self.settings.checkpoint_dir is not None:
-            self.spool = self.settings.checkpoint_dir / "spool"
-        else:
-            import tempfile
-
-            self.spool = Path(tempfile.mkdtemp(prefix="repro-spool-"))
-        return self.spool
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -511,24 +490,17 @@ class Autotuner:
             checkpointer = self._checkpointer(
                 checkpoint_dir, name, pool, tuning_space.size(), evaluator
             )
-            try:
-                with tracer.span(
-                    "search.run", category="search",
-                    searcher=settings.searcher, workload=name,
-                ):
-                    result = searcher.search(
-                        pool,
-                        evaluator.evaluate_batch,
-                        wall_seconds=lambda: evaluator.simulated_wall_seconds,
-                        telemetry=SearchTelemetry(counters=evaluator.counters),
-                        checkpointer=checkpointer,
-                    )
-            finally:
-                # The elastic evaluator owns worker processes and a spool
-                # shutdown marker; release them even when the search dies.
-                close = getattr(evaluator, "close", None)
-                if close is not None:
-                    close()
+            with tracer.span(
+                "search.run", category="search",
+                searcher=settings.searcher, workload=name,
+            ):
+                result = searcher.search(
+                    pool,
+                    evaluator.evaluate_batch,
+                    wall_seconds=lambda: evaluator.simulated_wall_seconds,
+                    telemetry=SearchTelemetry(counters=evaluator.counters),
+                    checkpointer=checkpointer,
+                )
         best = result.best_config
         best_program = programs[best.variant_index]
         timing = self.model.program_timing(best_program, best)

@@ -5,7 +5,6 @@ Subcommands
 ``tune``      autotune a named workload or a DSL file for a GPU
 ``submit``    one-call store-backed tuning (hit = instant champion)
 ``serve``     run a batch of requests through the multi-worker service
-``elastic-workers``  attach evaluation workers to an elastic lease spool
 ``variants``  show OCTOPI's strength-reduction variants for a DSL input
 ``codegen``   emit the Orio annotation / CUDA source for a tuned workload
 ``report``    regenerate the paper's tables and figures
@@ -68,23 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--per-variant", action="store_true",
         help="autotune each OCTOPI variant separately (the paper's flow)",
-    )
-    tune.add_argument(
-        "--elastic", type=int, default=0, metavar="N",
-        help="evaluate batches on an elastic coordinator/worker pool: "
-        "spawn N local worker processes on a lease spool that external "
-        "workers (`elastic-workers`) may join or leave mid-run; "
-        "champion/history/checkpoints are bitwise-identical to serial",
-    )
-    tune.add_argument(
-        "--spool", default=None, metavar="DIR",
-        help="elastic lease-spool directory (default: $REPRO_SPOOL, or a "
-        "temporary directory); point external `elastic-workers` here",
-    )
-    tune.add_argument(
-        "--lease-ttl", type=float, default=30.0, metavar="S",
-        help="elastic claim lifetime in seconds: a worker holding a lease "
-        "past this deadline is presumed dead and the lease is reclaimed",
     )
     tune.add_argument(
         "--search-workers", type=int, default=1, metavar="N",
@@ -174,11 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool", type=int, default=2500)
     serve.add_argument("--seed", type=int, default=1)
     serve.add_argument(
-        "--elastic", type=int, default=0, metavar="N",
-        help="run each job's evaluation on an elastic pool of N worker "
-        "processes (results identical to serial)",
-    )
-    serve.add_argument(
         "--deadline", type=float, default=None, metavar="S",
         help="per-job queue deadline in seconds: jobs still queued when "
         "it expires are cancelled instead of run",
@@ -187,39 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", default=None, metavar="FILE",
         help="write a Chrome trace of the whole service run (serve.job "
         "spans, store.hit/miss events) to FILE",
-    )
-
-    workers = sub.add_parser(
-        "elastic-workers",
-        help="run elastic evaluation workers against a lease spool",
-    )
-    workers.add_argument(
-        "--spool", required=True, metavar="DIR",
-        help="the lease-spool directory a coordinator publishes to "
-        "(`tune --elastic/--spool`); may not exist yet — workers wait",
-    )
-    workers.add_argument("--workers", type=int, default=1, help="worker processes")
-    workers.add_argument(
-        "--ttl", type=float, default=30.0, metavar="S",
-        help="claim lifetime to request on each lease",
-    )
-    workers.add_argument(
-        "--max-leases", type=int, default=None, metavar="N",
-        help="exit after completing N leases (per worker)",
-    )
-    workers.add_argument(
-        "--idle-exit", type=float, default=None, metavar="S",
-        help="exit after S seconds with no spool or no claimable lease",
-    )
-    workers.add_argument(
-        "--die-after-claims", type=int, default=None, metavar="N",
-        help="chaos hook: hard-exit while holding the Nth claim, leaving "
-        "it for deadline reclaim (exercises coordinator recovery)",
-    )
-    workers.add_argument(
-        "--safe", action="store_true",
-        help="downgrade injected worker-death faults to retryable errors "
-        "in these workers (a reliable node)",
     )
 
     variants = sub.add_parser("variants", help="show OCTOPI variants for a DSL input")
@@ -296,9 +240,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         seed=args.seed,
         per_variant=args.per_variant,
         cache=cache,
-        elastic=args.elastic,
-        spool=args.spool,
-        lease_ttl=args.lease_ttl,
         search_workers=args.search_workers,
         fast_model=args.fast_model,
         faults=args.faults,
@@ -391,9 +332,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     tracer = Tracer() if args.trace else get_tracer()
     with use_tracer(tracer) if args.trace else _null_context():
-        with TuningService(
-            args.store, workers=args.workers, elastic=args.elastic
-        ) as service:
+        with TuningService(args.store, workers=args.workers) as service:
             ids = [
                 service.submit(request, deadline=args.deadline)
                 for request in requests
@@ -423,32 +362,6 @@ def _null_context():
     from contextlib import nullcontext
 
     return nullcontext()
-
-
-def _cmd_elastic_workers(args: argparse.Namespace) -> int:
-    from repro.surf.elastic import spawn_workers, worker_main
-
-    options = dict(
-        lease_ttl=args.ttl,
-        max_leases=args.max_leases,
-        idle_exit=args.idle_exit,
-        die_after_claims=args.die_after_claims,
-        safe=args.safe,
-    )
-    if args.workers <= 1:
-        done = worker_main(args.spool, **options)
-        print(f"worker finished {done} lease(s)")
-        return 0
-    procs = spawn_workers(
-        args.spool, args.workers, name_prefix=f"cli-{os.getpid()}",
-        **options,
-    )
-    failed = 0
-    for proc in procs:
-        proc.join()
-        failed += (proc.exitcode or 0) != 0
-    print(f"{len(procs)} worker(s) exited, {failed} abnormally")
-    return 1 if failed else 0
 
 
 def _cmd_variants(args: argparse.Namespace) -> int:
@@ -582,8 +495,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_submit(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "elastic-workers":
-            return _cmd_elastic_workers(args)
         if args.command == "variants":
             return _cmd_variants(args)
         if args.command == "codegen":

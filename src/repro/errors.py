@@ -96,8 +96,7 @@ class TransientEvaluationError(EvaluationFailure):
 class WorkerDiedError(TransientEvaluationError):
     """The worker evaluating a configuration died mid-flight.
 
-    In a process pool the pool itself breaks and must be rebuilt; raised
-    directly (serial/thread execution) it is handled as a transient fault.
+    The resilience layer handles it as a transient fault.
     """
 
 
@@ -117,17 +116,6 @@ class StoreError(ReproError):
     warned about: a shard whose *header* names a different format version
     (or no header at all on a nonempty file) cannot be merged safely, so
     the load refuses instead of guessing.
-    """
-
-
-class SpoolError(ReproError):
-    """An elastic lease spool is missing, alien, or reported a failure.
-
-    Raised when a directory handed to the coordinator/worker protocol is
-    not a spool (wrong kind/format), has no evaluator snapshot, or when a
-    worker reported that evaluating a lease raised — the serial run would
-    have crashed on the same exception, so the coordinator re-raises
-    instead of silently dropping the batch.
     """
 
 

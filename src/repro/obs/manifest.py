@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.util.jsonl import replace_atomically
 from repro.util.rng import stable_hash
 
 __all__ = ["RunManifest", "MANIFEST_FORMAT", "MANIFEST_FILENAME", "fingerprint_of"]
@@ -64,8 +65,7 @@ class RunManifest:
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
+        replace_atomically(path, self.to_json())
         return path
 
     @classmethod

@@ -138,12 +138,6 @@ class TuningService:
         custom calibrations).  The default builds
         ``Autotuner(gpu_by_name(request.arch), result_store=store,
         **request.settings)``.
-    elastic:
-        Run every job's evaluation on an elastic worker pool of this many
-        processes (see :mod:`repro.surf.elastic`): the default tuner
-        factory passes ``elastic=N`` through, and each job gets its own
-        spool.  Elastic evaluation is bitwise-identical to serial, so
-        this is purely an operational knob (store keys are unaffected).
     """
 
     def __init__(
@@ -151,10 +145,8 @@ class TuningService:
         store: ResultStore | str,
         workers: int = 2,
         tuner_factory=None,
-        elastic: int = 0,
     ) -> None:
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
-        self._elastic = max(0, int(elastic))
         self._tuner_factory = tuner_factory or self._default_tuner
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="tune-worker"
@@ -183,12 +175,8 @@ class TuningService:
     def _default_tuner(self, request: TuneRequest):
         from repro.autotune.tuner import Autotuner
 
-        extra = {"elastic": self._elastic} if self._elastic else {}
         return Autotuner(
-            gpu_by_name(request.arch),
-            result_store=self.store,
-            **extra,
-            **request.settings,
+            gpu_by_name(request.arch), result_store=self.store, **request.settings
         )
 
     def submit(self, request: TuneRequest, deadline: float | None = None) -> str:

@@ -52,7 +52,12 @@ from repro.obs.manifest import RunManifest
 from repro.obs.tracer import get_tracer
 from repro.surf.search import SearchResult
 from repro.tcr.space import KernelConfig, ProgramConfig, TTGTConfig
-from repro.util.jsonl import atomic_append_jsonl, load_jsonl, report_corrupt_lines
+from repro.util.jsonl import (
+    atomic_append_jsonl,
+    load_jsonl,
+    replace_atomically,
+    report_corrupt_lines,
+)
 from repro.util.rng import stable_hash
 
 __all__ = [
@@ -435,7 +440,7 @@ class ResultStore:
 
         Keeps, per shard, the **newest** ``max_entries_per_shard`` unique
         keys by append order (``None`` = no cap, duplicates only).  Each
-        shard is rewritten atomically (tmp + ``os.replace``), but
+        shard is rewritten atomically (:func:`replace_atomically`), but
         compaction as a whole requires writer quiescence: a concurrent
         ``put`` between read and replace would be lost.  Run it from
         maintenance tooling, not the serving path.
@@ -463,14 +468,9 @@ class ResultStore:
                 evicted += len(keep) - max_entries_per_shard
                 keep = keep[len(keep) - max_entries_per_shard:]
             kept += len(keep)
-            tmp = path.parent / f".{path.name}.compact.{os.getpid()}"
-            with tmp.open("w", encoding="utf-8") as handle:
-                handle.write(json.dumps(self._header()) + "\n")
-                for entry in keep:
-                    handle.write(json.dumps(entry) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            replace_atomically(
+                path, "".join(json.dumps(e) + "\n" for e in [self._header(), *keep])
+            )
         # Rebuild memory to match the compacted disk state.
         with self._lock:
             self._memory.clear()

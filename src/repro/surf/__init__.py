@@ -23,8 +23,6 @@ from repro.surf.telemetry import BatchRecord, SearchTelemetry
 from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
 from repro.surf.resilience import ResilientEvaluator
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
-from repro.surf.lease import Lease, LeaseSpool
-from repro.surf.elastic import ElasticBatchEvaluator, spawn_workers, worker_main
 
 __all__ = [
     "FeatureBinarizer",
@@ -54,9 +52,4 @@ __all__ = [
     "ResilientEvaluator",
     "CheckpointManager",
     "SearchCheckpointer",
-    "Lease",
-    "LeaseSpool",
-    "ElasticBatchEvaluator",
-    "spawn_workers",
-    "worker_main",
 ]

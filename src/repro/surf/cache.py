@@ -252,9 +252,9 @@ class CachedEvaluator(BatchEvaluator):
         return self.inner.evaluate_attempt(config, attempt)
 
     def record_outcome(self, outcome: EvalOutcome) -> None:
-        # Insertion happens here, on the driver thread, rather than inside
-        # evaluate_one: that keeps evaluate_one pure (parallel- and
-        # process-safe) and serializes JSONL appends without a lock.
+        # Insertion happens here, once per batch, rather than inside
+        # evaluate_one: that keeps evaluate_one pure and serializes JSONL
+        # appends without a lock.
         # Only deterministic outcomes are cacheable: ``ok`` measurements and
         # ``invalid`` (unbuildable) points.  Rig failures are not properties
         # of the configuration — permanent ones go to the quarantine store,

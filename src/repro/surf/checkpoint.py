@@ -27,16 +27,15 @@ space, searcher, budget, …) resume is *not* bitwise-safe and
 diverging.
 
 The fingerprint's settings are the ``keyed`` ones of
-:class:`~repro.autotune.settings.TuneSettings`.  ``search_workers`` and
-``elastic`` are ``recorded``, so **outside** it: both are bitwise-identical
-to serial, and a run checkpointed under one worker count may be resumed
-under any other (including serial) and still finishes bitwise-identical.
+:class:`~repro.autotune.settings.TuneSettings`.  ``search_workers`` is
+``recorded``, so **outside** it: it is bitwise-identical to serial, and a
+run checkpointed under one worker count may be resumed under any other
+(including serial) and still finishes bitwise-identical.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Callable
 
@@ -44,6 +43,7 @@ import numpy as np
 
 from repro.errors import CheckpointError
 from repro.obs.tracer import get_tracer
+from repro.util.jsonl import replace_atomically
 
 __all__ = ["CheckpointManager", "SearchCheckpointer", "rng_state", "set_rng_state"]
 
@@ -51,7 +51,9 @@ __all__ = ["CheckpointManager", "SearchCheckpointer", "rng_state", "set_rng_stat
 CHECKPOINT_FORMAT = 1
 
 STATE_FILENAME = "state.json"
-TMP_PREFIX = ".state.json.tmp"
+#: Prefix of the tmp files :func:`replace_atomically` writes ``state.json``
+#: through; a killed writer leaves one behind for :meth:`prune_tmp`.
+TMP_PREFIX = f".{STATE_FILENAME}.tmp"
 EVAL_CACHE_FILENAME = "eval_cache.jsonl"
 QUARANTINE_FILENAME = "quarantine.jsonl"
 
@@ -120,10 +122,9 @@ class CheckpointManager:
         """Atomically persist the state after a completed batch.
 
         The payload is fully serialized before anything touches disk, then
-        written to a tmp file in the same directory and ``os.replace``\\ d
-        over ``state.json`` — readers (and a resume after a kill at any
-        instant) see either the previous state or the new one, never a
-        torn write.
+        written with :func:`~repro.util.jsonl.replace_atomically` — readers
+        (and a resume after a kill at any instant) see either the previous
+        state or the new one, never a torn write.
         """
         tracer = get_tracer()
         with tracer.span("checkpoint.save", category="checkpoint") as sp:
@@ -134,13 +135,7 @@ class CheckpointManager:
                 "extra": extra or {},
             }
             text = json.dumps(payload, default=_json_default)
-            self.directory.mkdir(parents=True, exist_ok=True)
-            tmp = self.directory / f"{TMP_PREFIX}.{os.getpid()}"
-            with tmp.open("w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.state_path)
+            replace_atomically(self.state_path, text)
             if tracer.enabled:
                 sp.set(path=str(self.state_path), bytes=len(text))
 

@@ -10,7 +10,7 @@ the books the paper reports: how many evaluations were spent and how much
 
 The evaluation engine is a small stack of composable layers, all sharing
 the :class:`BatchEvaluator` protocol (``evaluate_one`` is pure; batch
-bookkeeping happens once per batch on the driver thread):
+bookkeeping happens once per batch on the driver), innermost first:
 
 ``ConfigurationEvaluator``
     The base layer: scores one point on the performance model — or, when
@@ -18,10 +18,17 @@ bookkeeping happens once per batch on the driver thread):
     are supplied, by table lookup (bitwise identical to the model; the
     scalar path remains the fallback for configurations outside the
     tables).
+``FaultInjectingEvaluator`` (:mod:`repro.surf.faults`)
+    Deterministic hazards, when faults are injected.
 ``CachedEvaluator`` (:mod:`repro.surf.cache`)
     Memoizes scores across runs, optionally persisted to a JSONL store.
-``ElasticBatchEvaluator`` (:mod:`repro.surf.elastic`)
-    Fans ``evaluate_batch`` out over worker processes on a lease spool.
+``ResilientEvaluator`` (:mod:`repro.surf.resilience`)
+    Retries transient failures and quarantines permanent ones.
+
+Every batch runs in the search driver's process.  The paper's rig
+evaluates a batch "in parallel"; here that concurrency is simulated by the
+``batch_parallelism`` lanes of the wall-clock accounting, and the model
+itself is too cheap (milliseconds per batch) for a process fan-out to pay.
 """
 
 from __future__ import annotations
@@ -95,11 +102,10 @@ class BatchEvaluator:
     """Shared bookkeeping for the evaluator stack.
 
     Subclasses implement :meth:`evaluate_one` (a *pure* scoring function —
-    no counter mutation, so it is safe to call from worker threads or
-    processes) and may override :meth:`_run_batch` to change how a batch is
-    executed and :meth:`record_outcome` to absorb results (e.g. into a
-    cache).  ``evaluate_batch`` then does all bookkeeping on the driver
-    thread: counters, cache insertion, and batch-aware wall accounting.
+    no counter mutation) and may override :meth:`record_outcome` to absorb
+    results (e.g. into a cache).  ``evaluate_batch`` then does all
+    bookkeeping once per batch: counters, cache insertion, and batch-aware
+    wall accounting.
 
     Wall accounting models the paper's rig evaluating each SURF batch "in
     parallel" over ``batch_lanes`` concurrent lanes: outcomes are
@@ -137,17 +143,14 @@ class BatchEvaluator:
         del attempt
         return self.evaluate_one(config)
 
-    def _run_batch(self, configs: Sequence[ProgramConfig]) -> list[EvalOutcome]:
-        return [self.evaluate_one(c) for c in configs]
-
     def record_outcome(self, outcome: EvalOutcome) -> None:
-        """Post-batch hook, called in batch order on the driver thread."""
+        """Post-batch hook, called in batch order."""
 
     def evaluate_batch(self, configs: Sequence[ProgramConfig]) -> list[float]:
         """Algorithm 2's ``Evaluate_Parallel``: score a batch of points."""
         tracer = get_tracer()
         with tracer.span("eval.batch", category="eval") as sp:
-            outcomes = self._run_batch(configs)
+            outcomes = [self.evaluate_one(c) for c in configs]
             for outcome in outcomes:
                 self.record_outcome(outcome)
             self._tally(outcomes)

@@ -19,20 +19,14 @@ quarantining sound.  Transient hazards (timeout, slowdown spike, worker
 death) are additionally keyed on the retry ``attempt``, so a retry can
 deterministically succeed where the first dispatch failed.
 
-Worker death is special: when the evaluation is actually running inside a
-worker *process* (and real death is enabled), the worker exits hard via
-``os._exit`` while holding its lease — exercising the lease reclaim in
-:class:`~repro.surf.elastic.ElasticBatchEvaluator`.  Everywhere else
-(the coordinator, or a ``--safe`` elastic worker) the same draw raises
-:class:`~repro.errors.WorkerDiedError`, which the resilience layer
-handles as a transient fault — so the *outcome* (value, wall, attempts) of
-a configuration is identical whichever process evaluated it.
+An injected hazard only ever *raises*: worker death is a
+:class:`~repro.errors.WorkerDiedError`, which the resilience layer handles
+as a transient fault.  It never ends the real process, so a faulted run
+behaves the same whichever process it runs in.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass, fields
 
 from repro.errors import (
@@ -45,26 +39,7 @@ from repro.surf.evaluator import BatchEvaluator, EvalOutcome
 from repro.tcr.space import ProgramConfig
 from repro.util.rng import stable_uniform
 
-__all__ = [
-    "FaultSpec",
-    "FaultInjectingEvaluator",
-    "disable_real_death",
-]
-
-#: Exit status used when an injected fault kills a worker process (chosen
-#: to be recognizable in CI logs).
-WORKER_DEATH_EXIT_CODE = 86
-
-#: Module-level switch for *actual* process death.  ``--safe`` elastic
-#: workers call :func:`disable_real_death`, downgrading the hazard to a
-#: raised :class:`WorkerDiedError` (a reliable node).
-_REAL_DEATH_ENABLED = True
-
-
-def disable_real_death() -> None:
-    """Downgrade injected worker death to a raised (retryable) error."""
-    global _REAL_DEATH_ENABLED
-    _REAL_DEATH_ENABLED = False
+__all__ = ["FaultSpec", "FaultInjectingEvaluator"]
 
 
 @dataclass(frozen=True)
@@ -83,8 +58,7 @@ class FaultSpec:
         (``timeout_fraction`` splits the two).  Keyed on (config, attempt).
     worker_death_rate:
         The worker evaluating the point dies mid-flight.  Keyed on
-        (config, attempt); handled as a transient fault, but in an elastic
-        worker process the first occurrence really kills the worker.
+        (config, attempt); handled as a transient fault.
     seed:
         Fault substream seed — independent of the measurement-noise seed,
         so enabling faults never perturbs the values of surviving points.
@@ -241,8 +215,6 @@ class FaultInjectingEvaluator(BatchEvaluator):
             )
         # Transient hazards: a function of (configuration, attempt).
         if self._hazard("worker_death", fp, attempt):
-            if _REAL_DEATH_ENABLED and multiprocessing.parent_process() is not None:
-                os._exit(WORKER_DEATH_EXIT_CODE)
             raise WorkerDiedError(
                 f"injected worker death (attempt {attempt}) [{fp}]",
                 stage="dispatch", wall=self._compile_wall + 0.5 * self._cap_wall,

@@ -23,8 +23,7 @@ a merely-penalized *invalid* configuration; the searchers clamp non-finite
 targets before surrogate training so the forest is not poisoned.
 
 ``evaluate_one`` stays pure (quarantine reads only); quarantine insertion
-happens in ``record_outcome`` on the driver thread, like cache insertion —
-so the layer is safe under thread- and process-pool fan-out.
+happens in ``record_outcome``, once per batch, like cache insertion.
 """
 
 from __future__ import annotations

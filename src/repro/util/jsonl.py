@@ -1,4 +1,4 @@
-"""Append-only JSON-lines stores: one shared atomic-append primitive.
+"""Crash-safe file writes: one atomic-append and one atomic-replace primitive.
 
 Every persistent store in this package — the evaluation cache, the
 quarantine set, and the content-addressed result store — is an
@@ -17,22 +17,28 @@ counted, never fatal, and :func:`report_corrupt_lines` makes a nonzero
 count *visible* — a ``CorruptLinesWarning`` plus, when a tracer is
 active, a ``store.corrupt_lines`` event — instead of silently shrinking
 the store.
+
+Files that are rewritten whole — the checkpoint ``state.json``, a
+compacted result-store shard, a run's ``manifest.json`` — go through
+:func:`replace_atomically` instead: a reader (or a resume after a kill at
+any instant) sees the previous contents or the new ones, never a torn
+file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import warnings
 from pathlib import Path
 from typing import Any
-
-from repro.obs.tracer import get_tracer
 
 __all__ = [
     "CorruptLinesWarning",
     "atomic_append_jsonl",
     "load_jsonl",
+    "replace_atomically",
     "report_corrupt_lines",
 ]
 
@@ -74,6 +80,29 @@ def atomic_append_jsonl(path: str | Path, obj: Any) -> int:
     return written
 
 
+def replace_atomically(path: str | Path, text: str) -> None:
+    """Replace ``path``'s contents with ``text`` in one atomic step.
+
+    ``text`` goes to ``.<name>.tmp.<pid>.<thread>`` in the same directory
+    (created if needed), is fsynced, and is ``os.replace``\\ d over
+    ``path``.  A write that fails removes its tmp file; a writer killed
+    outright leaves it behind (``CheckpointManager.prune_tmp`` removes
+    the checkpoint's by that pattern).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def load_jsonl(path: str | Path) -> tuple[list[Any], int]:
     """Parse a JSONL file into ``(entries, corrupt_line_count)``.
 
@@ -104,6 +133,9 @@ def report_corrupt_lines(path: str | Path, count: int, kind: str) -> None:
     """
     if count <= 0:
         return
+    # Imported here: repro.obs writes its manifests through this module.
+    from repro.obs.tracer import get_tracer
+
     warnings.warn(
         f"{kind} store {path}: skipped {count} corrupt line(s) on load "
         "(torn/truncated appends or on-disk damage); entries on those "

@@ -8,7 +8,10 @@ untraced run with the same seed (tracing is determinism-neutral).
 
 import importlib.util
 import json
+import os
 import pathlib
+
+import pytest
 
 from repro.autotune import Autotuner
 from repro.cli import main
@@ -133,6 +136,23 @@ class TestManifests:
         bytes_a = (trace_a.parent / MANIFEST_FILENAME).read_bytes()
         bytes_b = (trace_b.parent / MANIFEST_FILENAME).read_bytes()
         assert bytes_a == bytes_b
+
+    def test_failed_rewrite_keeps_the_previous_manifest(
+        self, tmp_path, monkeypatch, two_op_program
+    ):
+        path = tmp_path / "run" / MANIFEST_FILENAME
+        first = _tuner().run_manifest("chain", [two_op_program])
+        first.write(path)
+
+        def crashing_replace(src, dst):
+            raise OSError("crashed before the rename")
+
+        monkeypatch.setattr(os, "replace", crashing_replace)
+        with pytest.raises(OSError, match="before the rename"):
+            _tuner(seed=5).run_manifest("chain", [two_op_program]).write(path)
+        monkeypatch.undo()
+        assert RunManifest.load(path) == first
+        assert [p.name for p in path.parent.iterdir()] == [MANIFEST_FILENAME]
 
 
 class TestTraceInspect:

@@ -1,5 +1,7 @@
 """Tests for fault injection and the retry/quarantine resilience layer."""
 
+import multiprocessing
+
 import pytest
 
 from repro.autotune import Autotuner
@@ -9,15 +11,33 @@ from repro.errors import (
     TransientEvaluationError,
     WorkerDiedError,
 )
-from repro.gpusim.arch import GTX980
+from repro.gpusim.arch import GTX980, K20
 from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.surf.cache import CachedEvaluator, QuarantineStore
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator, EvalOutcome
-from repro.surf.elastic import ElasticBatchEvaluator
 from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
 from repro.surf.resilience import FAILURE_VALUE, ResilientEvaluator
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
+from repro.workloads import get_workload
+
+
+def _worker_death_run(conn=None):
+    """lg3 on the K20 under injected worker deaths: champion and history."""
+    tuner = Autotuner(
+        K20, max_evaluations=20, batch_size=5, pool_size=200, seed=3,
+        faults="worker=0.3",
+    )
+    search = get_workload("lg3").tune(tuner).search
+    outcome = (
+        search.best_objective,
+        [(c.global_id, y) for c, y in search.history],
+        search.telemetry.totals()["retries"],
+    )
+    if conn is not None:
+        conn.send(outcome)
+        conn.close()
+    return outcome
 
 
 @pytest.fixture
@@ -125,10 +145,24 @@ class TestFaultInjector:
             ConfigurationEvaluator([program], model, seed=0),
             FaultSpec(worker_death_rate=1.0, seed=1),
         )
-        # In the driver process (no multiprocessing parent) the draw must
-        # raise, never exit.
+        # The draw must raise, never exit.
         with pytest.raises(WorkerDiedError):
             inj.evaluate_attempt(pool[0], 0)
+
+    def test_worker_death_in_a_child_process_raises_too(self):
+        # An injected worker death is a simulated hazard: a faulted run
+        # inside a multiprocessing child must finish exactly as in-process.
+        reference = _worker_death_run()
+        assert reference[2] > 0, "no injected worker death was retried"
+        ctx = multiprocessing.get_context("spawn")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_worker_death_run, args=(send,), daemon=True)
+        child.start()
+        send.close()
+        assert receive.poll(300)  # the outcome, or end-of-file if it died
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert receive.recv() == reference
 
 
 class _Flaky(BatchEvaluator):
@@ -237,17 +271,6 @@ class TestZeroFaultComposition:
         stack = self._stack(program, model)
         assert stack.evaluate_batch(pool[:16]) == plain.evaluate_batch(pool[:16])
         assert stack.simulated_wall_seconds == plain.simulated_wall_seconds
-
-    def test_parallel_stack_bitwise_identical(self, setup, tmp_path):
-        program, model, pool = setup
-        plain = ConfigurationEvaluator([program], model, seed=0)
-        stack = ElasticBatchEvaluator(
-            self._stack(program, model), spool=tmp_path / "spool", workers=2
-        )
-        try:
-            assert stack.evaluate_batch(pool[:16]) == plain.evaluate_batch(pool[:16])
-        finally:
-            stack.close()
 
     def test_tuner_results_unchanged_by_resilience_layer(self, two_op_program):
         base = Autotuner(

@@ -53,8 +53,8 @@ class TestStoreKey:
 
     def test_from_manifest_ignores_result_neutral_settings(self, two_op_program):
         # Only keyed settings enter the key: recorded ones, and names the
-        # declaration no longer has (a manifest written before "workers"
-        # and "sweep_full" were deleted), leave the address alone.
+        # declaration no longer has (a manifest written before "workers",
+        # "sweep_full" and "elastic" were deleted), leave the address alone.
         manifest = Autotuner(GTX980, seed=0).run_manifest("m", [two_op_program])
         base = StoreKey.from_manifest(manifest)
         for extra in (

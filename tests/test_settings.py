@@ -19,8 +19,11 @@ from repro.autotune.settings import KEYED, KEYED_SETTINGS, TuneSettings
 from repro.core.pipeline import compile_contraction
 from repro.dsl.parser import parse_contraction
 from repro.errors import CheckpointError
-from repro.gpusim.arch import GTX980
+from repro.gpusim.arch import GTX980, K20
+from repro.serve.service import TuningService
 from repro.serve.store import StoreKey
+from repro.surf.evaluator import ConfigurationEvaluator
+from repro.workloads import get_workload
 
 from tests.conftest import EQN1_TEXT
 
@@ -34,10 +37,7 @@ BASE = dict(max_evaluations=12, batch_size=4, pool_size=60, seed=3)
 NOT_KEYED = {
     "search_workers": lambda tmp: {"search_workers": 2},
     "fast_model": lambda tmp: {"fast_model": True},
-    "elastic": lambda tmp: {"elastic": 1, "spool": tmp / "spool"},
     "cache": lambda tmp: {"cache": True},
-    "spool": lambda tmp: {"spool": tmp / "spool"},
-    "lease_ttl": lambda tmp: {"lease_ttl": 5.0},
     "checkpoint_dir": lambda tmp: {"checkpoint_dir": tmp / "ck", "resilient": False},
     "resume": lambda tmp: {
         "checkpoint_dir": tmp / "ck", "resume": True, "resilient": False,
@@ -201,11 +201,18 @@ class TestKeywordsAndEnvironment:
             {"workers": 2},
             {"parallel_executor": "process"},
             {"sweep_full": True},
+            {"elastic": 1},
+            {"spool": "spool"},
+            {"lease_ttl": 5.0},
         ],
     )
     def test_deleted_keywords_rejected(self, knob):
         with pytest.raises(TypeError):
             Autotuner(GTX980, **knob)
+
+    def test_service_rejects_the_deleted_elastic_keyword(self, tmp_path):
+        with pytest.raises(TypeError):
+            TuningService(tmp_path / "rs", workers=1, elastic=2)
 
     def test_only_path_settings_read_the_environment(self, monkeypatch):
         envs = {
@@ -213,16 +220,17 @@ class TestKeywordsAndEnvironment:
             for f in dataclasses.fields(TuneSettings)
             if f.metadata["env"]
         }
-        assert envs == {"REPRO_EVAL_CACHE", "REPRO_SPOOL", "REPRO_RESULT_STORE"}
+        assert envs == {"REPRO_EVAL_CACHE", "REPRO_RESULT_STORE"}
         for retired in ("REPRO_EVAL_WORKERS", "REPRO_SEARCH_WORKERS",
                         "REPRO_ELASTIC", "REPRO_FAST_MODEL"):
             monkeypatch.setenv(retired, "3")
         monkeypatch.setenv("REPRO_FAULTS", "0.5")
+        monkeypatch.setenv("REPRO_SPOOL", "spool")
         settings = TuneSettings()
         assert settings.search_workers == 1
-        assert settings.elastic == 0
         assert settings.fast_model is False
         assert not settings.faults.any()
+        assert not hasattr(settings, "spool")
 
 
 class TestCheckpointFingerprint:
@@ -271,3 +279,31 @@ class TestCheckpointFingerprint:
         with pytest.raises(CheckpointError) as info:
             tuner.tune_program(two_op_program)
         assert "(differing: tie_break)" in str(info.value)
+
+    def test_mid_run_checkpoint_of_the_fan_out_era_resumes_bitwise(
+        self, tmp_path, monkeypatch
+    ):
+        # A SURF state.json written mid-run before evaluation lost its
+        # process fan-out: resuming it must finish with the uninterrupted
+        # run's champion, history and simulated search seconds.
+        settings = dict(seed=3, max_evaluations=20, batch_size=5, pool_size=200)
+        lg3 = get_workload("lg3")
+        reference = lg3.tune(Autotuner(K20, **settings, resilient=True))
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        shutil.copy(GOLDEN / "checkpoint_surf_mid_run.json", ck / "state.json")
+        scored = []
+        evaluate_one = ConfigurationEvaluator.evaluate_one
+
+        def counting(self, config):
+            scored.append(config.global_id)
+            return evaluate_one(self, config)
+
+        monkeypatch.setattr(ConfigurationEvaluator, "evaluate_one", counting)
+        resumed = lg3.tune(
+            Autotuner(K20, **settings, checkpoint_dir=ck, resume=True)
+        )
+        # Only the ten points the checkpoint had not reached are scored.
+        assert len(scored) == 10
+        assert len(resumed.search.history) == 20
+        assert _outcome(resumed) == _outcome(reference)
