@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Bench regression gate: fail CI when a guarded fast path regresses.
 
-Three suites, selected with ``--suite``:
+Two suites, selected with ``--suite``:
 
-``timing_table`` (default)
-    Reruns the :mod:`benchmarks.bench_timing_table` measurement and
-    compares the scalar/table *speedup ratio* against the committed
-    ``BENCH_pr5.json`` baseline at the repo root.
+``tables`` (default)
+    Times scalar vs timing-table scoring
+    (:func:`benchmarks.bench_timing_table.run_bench`) for each entry of
+    the committed ``BENCH_tables.json`` at the repo root — ``loopnest``,
+    the lg3t loop-nest space at 1000 configs, and ``ttgt``, the d16 TTGT
+    space of :mod:`benchmarks.bench_ttgt_crossover` at 2000 — and gates
+    each entry's scalar/table *speedup ratio* against its own committed
+    baseline.
 ``search_parallel``
     Runs the full SURF end-to-end twice — serial and with
     ``--search-workers`` worker processes — on the same pool.  The runs
@@ -20,10 +24,10 @@ machines of different speeds: both paths run on the same box, so a
 genuine fast-path regression shows up as a lower ratio regardless of
 absolute clock speed.
 
-CI usage (fails with exit 1 on a >20% speedup drop)::
+CI usage (fails with exit 1 on a >20% speedup drop of any entry)::
 
     PYTHONPATH=src python benchmarks/bench_regression_gate.py \
-        --configs 1000 --json benchmarks/output/BENCH_pr5.json
+        --json benchmarks/output/BENCH_tables.json
 
 Refresh a committed baseline after an intentional perf change::
 
@@ -43,12 +47,14 @@ import sys
 
 try:
     from benchmarks.bench_search_throughput import run_bench as run_search_bench
+    from benchmarks.bench_timing_table import lg3t_case
     from benchmarks.bench_timing_table import run_bench as run_table_bench
-    from benchmarks.bench_ttgt_crossover import run_bench as run_ttgt_bench
+    from benchmarks.bench_ttgt_crossover import ttgt_case
 except ImportError:  # run as a script from benchmarks/
     from bench_search_throughput import run_bench as run_search_bench
+    from bench_timing_table import lg3t_case
     from bench_timing_table import run_bench as run_table_bench
-    from bench_ttgt_crossover import run_bench as run_ttgt_bench
+    from bench_ttgt_crossover import ttgt_case
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -57,10 +63,9 @@ OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 TOLERANCE = 0.20
 
 SUITES = {
-    "timing_table": {
-        "baseline": REPO_ROOT / "BENCH_pr5.json",
-        "output": OUTPUT_DIR / "BENCH_pr5.json",
-        "default_configs": 1000,
+    "tables": {
+        "baseline": REPO_ROOT / "BENCH_tables.json",
+        "output": OUTPUT_DIR / "BENCH_tables.json",
         "label": "timing-table fast path",
     },
     "search_parallel": {
@@ -69,13 +74,10 @@ SUITES = {
         "default_configs": 100000,
         "label": "search core (multi-core end-to-end)",
     },
-    "ttgt": {
-        "baseline": REPO_ROOT / "BENCH_pr10.json",
-        "output": OUTPUT_DIR / "BENCH_pr10.json",
-        "default_configs": 2000,
-        "label": "TTGT table fast path",
-    },
 }
+
+#: The (program, space) each ``tables`` entry times, by entry name.
+TABLE_CASES = {"loopnest": lg3t_case, "ttgt": ttgt_case}
 
 
 def _best_of(measure, repeats: int) -> dict:
@@ -115,12 +117,91 @@ def _parallel_baseline_record(baseline: dict, configs: int) -> dict:
     )
 
 
+def _check(result: dict, baseline_speedup: float, label: str, args) -> bool:
+    """Gate one fresh measurement against its baseline ratio; annotate
+    ``result`` with the floor and the verdict and print both."""
+    floor = (1.0 - args.tolerance) * baseline_speedup
+    result["baseline_speedup"] = baseline_speedup
+    result["required_speedup"] = floor
+    result["passed"] = result["speedup"] >= floor
+    print(
+        f"{label}: {result['speedup']:.1f}x "
+        f"(baseline {baseline_speedup:.1f}x, floor {floor:.1f}x after "
+        f"{args.tolerance:.0%} tolerance, best of {args.repeats})"
+    )
+    if not result["passed"]:
+        print(
+            f"FAIL: speedup {result['speedup']:.2f}x fell more than "
+            f"{args.tolerance:.0%} below the {baseline_speedup:.2f}x "
+            f"baseline — {label} regressed",
+            file=sys.stderr,
+        )
+    return result["passed"]
+
+
+def _write(path: pathlib.Path, record: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+
+
+def _gate_tables(args, suite: dict, baseline_path, json_path) -> int:
+    """The ``tables`` suite: one best-of-N measurement per committed entry,
+    each at the entry's own pool size and against its own ratio."""
+    baseline_all = _load_baseline(baseline_path)
+    entries = baseline_all["entries"]
+    results = []
+    for entry in entries:
+        case = TABLE_CASES[entry["name"]]
+        result = _best_of(
+            lambda: run_table_bench(*case(), entry["configs"], seed=args.seed),
+            args.repeats,
+        )
+        if not result["exact_match"]:
+            print(
+                f"FAIL: {entry['name']} table values diverge from the scalar "
+                f"model ({result['mismatches']} mismatches)",
+                file=sys.stderr,
+            )
+            return 1
+        results.append(
+            {"name": entry["name"], **result, "tolerance": args.tolerance}
+        )
+
+    if args.update:
+        baseline_all["entries"] = results
+        _write(baseline_path, baseline_all)
+        for result in results:
+            print(
+                f"baseline updated: {baseline_path} [{result['name']}] "
+                f"(speedup {result['speedup']:.1f}x on "
+                f"{result['configs']} configs)"
+            )
+        return 0
+
+    passed = [
+        _check(
+            result, float(entry["speedup"]),
+            f"{suite['label']} [{entry['name']}, {result['workload']}]", args,
+        )
+        for entry, result in zip(entries, results)
+    ]
+    _write(json_path, {
+        "suite": "tables",
+        "tolerance": args.tolerance,
+        "repeats": args.repeats,
+        "passed": all(passed),
+        "entries": results,
+    })
+    return 0 if all(passed) else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", choices=sorted(SUITES), default="timing_table",
+    parser.add_argument("--suite", choices=sorted(SUITES), default="tables",
                         help="which guarded fast path to measure")
     parser.add_argument("--configs", type=int, default=None,
-                        help="pool size measured (default: the suite's)")
+                        help="pool size measured by the search_parallel "
+                        "suite (default: the suite's)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--search-workers", type=int, default=None,
                         help="worker count for the search_parallel suite "
@@ -139,118 +220,66 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     suite = SUITES[args.suite]
-    configs = args.configs if args.configs is not None else suite["default_configs"]
     baseline_path = pathlib.Path(args.baseline or suite["baseline"])
     json_path = pathlib.Path(args.json or suite["output"])
+    if args.suite == "tables":
+        if args.configs is not None:
+            parser.error("each tables entry is measured at its committed "
+                         "pool size; --configs is for search_parallel")
+        return _gate_tables(args, suite, baseline_path, json_path)
 
-    if args.suite == "search_parallel":
-        baseline_all = _load_baseline(baseline_path)
-        baseline_rec = _parallel_baseline_record(baseline_all, configs)
-        nmax = int(baseline_rec.get("nmax", 200))
-        batch_size = int(baseline_rec.get("batch_size", 10))
-        workers = args.search_workers or int(
-            baseline_rec.get("search_workers", 2)
+    configs = args.configs if args.configs is not None else suite["default_configs"]
+    baseline_all = _load_baseline(baseline_path)
+    baseline_rec = _parallel_baseline_record(baseline_all, configs)
+    nmax = int(baseline_rec.get("nmax", 200))
+    batch_size = int(baseline_rec.get("batch_size", 10))
+    workers = args.search_workers or int(baseline_rec.get("search_workers", 2))
+
+    def measure() -> dict:
+        serial = run_search_bench(
+            configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
+            search_workers=1, stages=False,
         )
-
-        def measure() -> dict:
-            serial = run_search_bench(
-                configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
-                search_workers=1, stages=False,
-            )
-            parallel = run_search_bench(
-                configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
-                search_workers=workers, stages=False,
-            )
-            if (
-                parallel["history_digest"] != serial["history_digest"]
-                or parallel["end_best_objective"]
-                != serial["end_best_objective"]
-            ):
-                # Parity is non-negotiable: a bitwise divergence fails the
-                # gate immediately, whatever the speed looks like.
-                raise SystemExit(
-                    f"FAIL: search_workers={workers} run diverged bitwise "
-                    f"from serial at pool {configs}"
-                )
-            parallel["exact_match"] = True
-            parallel["serial_end_to_end_seconds"] = serial[
-                "end_to_end_seconds"
-            ]
-            parallel["parallel_speedup"] = (
-                serial["end_to_end_seconds"] / parallel["end_to_end_seconds"]
-            )
-            parallel["speedup"] = parallel["parallel_speedup"]
-            return parallel
-
-        result = _best_of(measure, args.repeats)
-        baseline_speedup = float(baseline_rec["parallel_speedup"])
-    elif args.suite == "ttgt":
-        # Same flat-record shape as timing_table; run_bench asserts the
-        # bitwise table/scalar agreement in the exact_match field.
-        result = _best_of(
-            lambda: run_ttgt_bench(configs, seed=args.seed), args.repeats
+        parallel = run_search_bench(
+            configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
+            search_workers=workers, stages=False,
         )
-        baseline_speedup = None  # read below unless --update
-    else:
-        result = _best_of(
-            lambda: run_table_bench(configs, seed=args.seed), args.repeats
+        if (
+            parallel["history_digest"] != serial["history_digest"]
+            or parallel["end_best_objective"] != serial["end_best_objective"]
+        ):
+            # Parity is non-negotiable: a bitwise divergence fails the
+            # gate immediately, whatever the speed looks like.
+            raise SystemExit(
+                f"FAIL: search_workers={workers} run diverged bitwise "
+                f"from serial at pool {configs}"
+            )
+        parallel["exact_match"] = True
+        parallel["serial_end_to_end_seconds"] = serial["end_to_end_seconds"]
+        parallel["parallel_speedup"] = (
+            serial["end_to_end_seconds"] / parallel["end_to_end_seconds"]
         )
-        baseline_speedup = None  # read below unless --update
+        parallel["speedup"] = parallel["parallel_speedup"]
+        return parallel
 
+    result = _best_of(measure, args.repeats)
     result["suite"] = args.suite
     result["tolerance"] = args.tolerance
 
-    if not result["exact_match"]:
-        print(
-            f"FAIL: table values diverge from the scalar model "
-            f"({result['mismatches']} mismatches)",
-            file=sys.stderr,
-        )
-        return 1
-
     if args.update:
-        if args.suite == "search_parallel":
-            baseline_rec.update(
-                {k: v for k, v in result.items() if k != "suite"}
-            )
-            baseline_path.write_text(
-                json.dumps(baseline_all, indent=2) + "\n", encoding="utf-8"
-            )
-        else:
-            baseline_path.write_text(
-                json.dumps(result, indent=2) + "\n", encoding="utf-8"
-            )
+        baseline_rec.update({k: v for k, v in result.items() if k != "suite"})
+        _write(baseline_path, baseline_all)
         print(
             f"baseline updated: {baseline_path} "
             f"(speedup {result['speedup']:.1f}x on {result['configs']} configs)"
         )
         return 0
 
-    if baseline_speedup is None:
-        baseline_speedup = float(_load_baseline(baseline_path)["speedup"])
-
-    floor = (1.0 - args.tolerance) * baseline_speedup
-    result["baseline_speedup"] = baseline_speedup
-    result["required_speedup"] = floor
-    result["passed"] = result["speedup"] >= floor
-
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-
-    print(
-        f"{suite['label']}: {result['speedup']:.1f}x "
-        f"(baseline {baseline_speedup:.1f}x, floor {floor:.1f}x after "
-        f"{args.tolerance:.0%} tolerance, best of {args.repeats})"
+    passed = _check(
+        result, float(baseline_rec["parallel_speedup"]), suite["label"], args
     )
-    if not result["passed"]:
-        print(
-            f"FAIL: speedup {result['speedup']:.2f}x fell more than "
-            f"{args.tolerance:.0%} below the {baseline_speedup:.2f}x "
-            f"baseline — {suite['label']} regressed",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    _write(json_path, result)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 Not a paper table — this guards the vectorized
 :mod:`repro.gpusim.timing_table` fast path: it must (a) reproduce the
 scalar evaluator's values *exactly* and (b) beat it on throughput, table
-construction included.  Run as a script for the CI perf smoke step::
+construction included.  :func:`run_bench` measures any (program, space);
+the script measures the lg3t loop-nest space, and
+:func:`benchmarks.bench_ttgt_crossover.ttgt_case` supplies a TTGT space.
+Run as a script for the CI perf smoke step::
 
     PYTHONPATH=src python benchmarks/bench_timing_table.py \
         --configs 256 --min-speedup 1.0 --json output.json
@@ -26,27 +29,40 @@ from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.gpusim.timing_table import ProgramTimingTable
 from repro.surf.evaluator import ConfigurationEvaluator
 from repro.tcr.decision import decide_search_space
-from repro.tcr.space import TuningSpace
+from repro.tcr.program import TCRProgram
+from repro.tcr.space import ProgramSpace, TuningSpace
 from repro.util.rng import spawn_rng
 from repro.workloads import lg3t
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
-def run_bench(n_configs: int, seed: int = 1) -> dict:
+def lg3t_case() -> tuple[TCRProgram, ProgramSpace]:
+    """The lg3t program and its loop-nest space."""
+    program = lg3t().program
+    return program, decide_search_space(program)
+
+
+def run_bench(
+    program: TCRProgram, space: ProgramSpace, n_configs: int, seed: int = 1
+) -> dict:
     """Time scalar vs table-backed batch evaluation on the same pool.
 
     The table path is charged its full cost: building every per-kernel
     table (one vectorized pass over sum-of-kernel-space-sizes entries)
     *plus* scoring the pool by lookup.  Values must match bitwise.
     """
-    program = lg3t().program
     model = GPUPerformanceModel(GTX980)
-    space = decide_search_space(program)
     tuning_space = TuningSpace([space])
     pool = tuning_space.sample_pool(
         min(n_configs, tuning_space.size()), spawn_rng(seed, "bench-pool")
     )
+    # A space smaller than n_configs is tiled up to it so both paths score
+    # enough work for the wall-clock ratio to be stable — repeated configs
+    # time identically either way.
+    if 0 < len(pool) < n_configs:
+        reps = -(-n_configs // len(pool))
+        pool = (pool * reps)[:n_configs]
 
     scalar = ConfigurationEvaluator([program], model, noisy=False)
     t0 = time.perf_counter()
@@ -81,7 +97,7 @@ def run_bench(n_configs: int, seed: int = 1) -> dict:
 
 def test_timing_table_faster_than_scalar():
     """Suite-run guard: exact values, and lookup beats the scalar model."""
-    result = run_bench(300)
+    result = run_bench(*lg3t_case(), 300)
     assert result["exact_match"], f"{result['mismatches']} value mismatches"
     assert result["speedup"] > 1.0, (
         f"table path slower than scalar: {result['speedup']:.2f}x"
@@ -100,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the result record as JSON to PATH")
     args = parser.parse_args(argv)
 
-    result = run_bench(args.configs, seed=args.seed)
+    result = run_bench(*lg3t_case(), args.configs, seed=args.seed)
     result["min_speedup"] = args.min_speedup
     result["passed"] = bool(result["exact_match"]) and (
         result["speedup"] >= args.min_speedup

@@ -11,10 +11,11 @@ transpose-aware decision layer (:mod:`repro.tcr.ttgt`,
   ``min(loopnest, ttgt)`` bitwise at *every* point — the per-operation
   choice compares full-space table minima, so it can never lose to a
   fixed backend under the sweep searcher.
-* **Table parity/throughput** (the regression-gate record): scoring a
-  pool through :meth:`KernelTimingTable.build_ttgt` must reproduce the
-  scalar :meth:`GPUPerformanceModel.ttgt_kernel_timing` values exactly
-  and beat the scalar loop on throughput, table construction included.
+* **Table parity/throughput** (the ``ttgt`` entry of the regression
+  gate's ``tables`` suite): scoring a pool through
+  :meth:`KernelTimingTable.build_ttgt` must reproduce the scalar
+  :meth:`GPUPerformanceModel.ttgt_kernel_timing` values exactly and beat
+  the scalar loop on throughput, table construction included.
 
 The swept operation is a batched contraction whose ``A`` operand carries
 the batch index in the middle (``A[i,b,k]`` with batch ``b``): no legal
@@ -33,17 +34,19 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
 from repro.core.tensor import TensorRef
 from repro.gpusim.arch import C2050, GTX980, K20
 from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.gpusim.timing_table import ProgramTimingTable
-from repro.surf.evaluator import ConfigurationEvaluator
 from repro.tcr.decision import decide_search_space
 from repro.tcr.program import TCROperation, TCRProgram
-from repro.tcr.space import TuningSpace
-from repro.util.rng import spawn_rng
+from repro.tcr.space import ProgramSpace
+
+try:
+    from benchmarks.bench_timing_table import run_bench
+except ImportError:  # run as a script from benchmarks/
+    from bench_timing_table import run_bench
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -171,60 +174,16 @@ def check_crossover(records: list[dict]) -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# Regression-gate record: scalar TTGT model vs vectorized table
+# Regression-gate entry: scalar TTGT model vs vectorized table
 
 
-def run_bench(n_configs: int, seed: int = 1) -> dict:
-    """Time scalar vs table-backed batch evaluation on a TTGT pool.
-
-    Mirrors :func:`benchmarks.bench_timing_table.run_bench` — same
-    record schema, same full-cost charging of the table path (build +
-    lookup) — but the space under test is a pure-TTGT program space, so
-    every scored value flows through the GEMM/transpose cost model.
-    """
+def ttgt_case() -> tuple[TCRProgram, ProgramSpace]:
+    """:func:`bench_program` and its pure-TTGT space on the GTX 980, for
+    :func:`benchmarks.bench_timing_table.run_bench`: every scored value
+    flows through the GEMM/transpose cost model."""
     program = bench_program()
     model = GPUPerformanceModel(GTX980)
-    space = decide_search_space(program, backend="ttgt", model=model)
-    tuning_space = TuningSpace([space])
-    pool = tuning_space.sample_pool(
-        min(n_configs, tuning_space.size()), spawn_rng(seed, "bench-pool")
-    )
-    # The d=16 TTGT space is small (~10^2 points).  Tile the sampled pool
-    # up to n_configs so both paths score enough work for the wall-clock
-    # ratio to be stable — repeated configs time identically either way.
-    if 0 < len(pool) < n_configs:
-        reps = -(-n_configs // len(pool))
-        pool = (pool * reps)[:n_configs]
-
-    scalar = ConfigurationEvaluator([program], model, noisy=False)
-    t0 = time.perf_counter()
-    scalar_values = scalar.evaluate_batch(pool)
-    scalar_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    table = ProgramTimingTable.build(model, program, space)
-    build_seconds = time.perf_counter() - t0
-
-    fast = ConfigurationEvaluator([program], model, noisy=False, tables=[table])
-    t0 = time.perf_counter()
-    fast_values = fast.evaluate_batch(pool)
-    lookup_seconds = time.perf_counter() - t0
-
-    mismatches = sum(1 for a, b in zip(scalar_values, fast_values) if a != b)
-    table_seconds = build_seconds + lookup_seconds
-    return {
-        "workload": program.name,
-        "arch": GTX980.name,
-        "configs": len(pool),
-        "kernel_table_entries": table.kernel_evaluations,
-        "scalar_seconds": scalar_seconds,
-        "table_build_seconds": build_seconds,
-        "table_lookup_seconds": lookup_seconds,
-        "table_seconds": table_seconds,
-        "speedup": scalar_seconds / table_seconds if table_seconds > 0 else float("inf"),
-        "exact_match": mismatches == 0,
-        "mismatches": mismatches,
-    }
+    return program, decide_search_space(program, backend="ttgt", model=model)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +198,7 @@ def test_crossover_and_auto_exactness():
 
 def test_ttgt_table_matches_scalar():
     """Table-backed TTGT scoring is bitwise-exact vs the scalar model."""
-    result = run_bench(300)
+    result = run_bench(*ttgt_case(), 300)
     assert result["exact_match"], f"{result['mismatches']} value mismatches"
 
 
@@ -267,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     failures = check_crossover(records)
 
-    bench = run_bench(args.configs, seed=args.seed)
+    bench = run_bench(*ttgt_case(), args.configs, seed=args.seed)
     print(
         f"{bench['configs']} TTGT configs on {bench['workload']}/{bench['arch']}: "
         f"scalar {bench['scalar_seconds'] * 1e3:.1f} ms, "

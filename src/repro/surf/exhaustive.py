@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-import numpy as np
-
-from repro.errors import CheckpointError, SearchError
+from repro.errors import SearchError
 from repro.surf.checkpoint import SearchCheckpointer
-from repro.surf.pool import GrowableArray, as_pool
-from repro.surf.search import SearchResult
+from repro.surf.search import SearchHistory, SearchResult
 from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.space import ProgramConfig
 
@@ -37,6 +34,8 @@ class ExhaustiveSearch:
     def __init__(self, batch_size: int = 10, limit: int | None = None) -> None:
         if batch_size < 1:
             raise SearchError("batch size must be >= 1")
+        if limit is not None and limit < 1:
+            raise SearchError("limit must be >= 1")
         self.batch_size = batch_size
         self.limit = limit
 
@@ -48,63 +47,20 @@ class ExhaustiveSearch:
         telemetry: SearchTelemetry | None = None,
         checkpointer: SearchCheckpointer | None = None,
     ) -> SearchResult:
-        pool = as_pool(pool)
-        n = len(pool)
-        if n == 0:
-            raise SearchError("configuration pool is empty")
-        if telemetry is None:
-            telemetry = SearchTelemetry()
-        stop = n if self.limit is None else min(self.limit, n)
-        history: list[tuple[ProgramConfig, float]] = []
-        y_hist = GrowableArray(np.float64)
-        best_i = 0
-        best_y = float("inf")
-        first = 0
-        state = checkpointer.resume_state if checkpointer is not None else None
-        if state is not None:
-            if state.get("searcher") != self.name:
-                raise CheckpointError(
-                    f"checkpoint belongs to searcher {state.get('searcher')!r}, "
-                    f"cannot resume with {self.name!r}"
-                )
-            ids = [int(i) for i, _y in state["history"]]
-            ys = [float(y) for _i, y in state["history"]]
-            for cfg, y in zip(pool.configs(ids), ys):
-                history.append((cfg, y))
-            y_hist.extend(ys)
-            best_i = int(state["best_i"])
-            best_y = float(state["best_y"])
-            first = len(history)
-            telemetry.restore_state(state["telemetry"])
-        for start in range(first, stop, self.batch_size):
-            end = min(start + self.batch_size, stop)
-            configs = pool.configs(range(start, end))
-            ys = [float(y) for y in evaluate_batch(configs)]
-            for cfg, y in zip(configs, ys):
-                if y < best_y:  # strict: first occurrence wins, like argmin
-                    best_y = y
-                    best_i = len(history)
-                history.append((cfg, y))
-            y_hist.extend(ys[: len(configs)])
-            telemetry.record_batch(batch_size=len(configs), best_so_far=best_y)
-            if checkpointer is not None:
-                checkpointer.save(
-                    {
-                        "searcher": self.name,
-                        "history": [
-                            [i, y] for i, y in enumerate(y_hist.view.tolist())
-                        ],
-                        "best_i": best_i,
-                        "best_y": best_y,
-                        "telemetry": telemetry.snapshot_state(),
-                    }
-                )
-        return SearchResult(
-            searcher=self.name,
-            best_config=history[best_i][0],
-            best_objective=history[best_i][1],
-            history=history,
-            evaluations=len(history),
-            simulated_wall_seconds=wall_seconds() if wall_seconds else 0.0,
-            telemetry=telemetry,
+        hist = SearchHistory(
+            self.name, pool, evaluate_batch, telemetry, checkpointer
         )
+        n = len(hist.pool)
+        stop = n if self.limit is None else min(self.limit, n)
+
+        def selection_state() -> dict:
+            # Resume recomputes the champion from the history; the keys
+            # stay so every exhaustive state.json keeps the same shape.
+            return {"best_i": hist.best_i, "best_y": hist.best_y}
+
+        hist.resume()
+        for start in range(len(hist), stop, self.batch_size):
+            ids = list(range(start, min(start + self.batch_size, stop)))
+            hist.run_batch(ids)
+            hist.end_batch(len(ids), selection_state)
+        return hist.result(wall_seconds)

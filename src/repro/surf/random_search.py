@@ -11,10 +11,9 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import CheckpointError, SearchError
+from repro.errors import SearchError
 from repro.surf.checkpoint import SearchCheckpointer, rng_state, set_rng_state
-from repro.surf.pool import GrowableArray, as_pool
-from repro.surf.search import SearchResult
+from repro.surf.search import SearchHistory, SearchResult
 from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.space import ProgramConfig
 from repro.util.rng import spawn_rng
@@ -51,95 +50,40 @@ class RandomSearch:
         telemetry: SearchTelemetry | None = None,
         checkpointer: SearchCheckpointer | None = None,
     ) -> SearchResult:
-        pool = as_pool(pool)
-        n = len(pool)
-        if n == 0:
-            raise SearchError("configuration pool is empty")
-        if telemetry is None:
-            telemetry = SearchTelemetry()
+        hist = SearchHistory(
+            self.name, pool, evaluate_batch, telemetry, checkpointer
+        )
+        n = len(hist.pool)
         rng = spawn_rng(self.seed, "random-driver")
         nmax = min(self.max_evaluations, n)
-        history: list[tuple[ProgramConfig, float]] = []
-        hist_ids = GrowableArray(np.int64)
-        y_hist = GrowableArray(np.float64)
-        useful = 0
-        best_y = float("inf")
-        state = checkpointer.resume_state if checkpointer is not None else None
+        state = hist.resume()
         if state is not None:
-            if state.get("searcher") != self.name:
-                raise CheckpointError(
-                    f"checkpoint belongs to searcher {state.get('searcher')!r}, "
-                    f"cannot resume with {self.name!r}"
-                )
-            ids = [int(i) for i, _y in state["history"]]
-            ys = [float(y) for _i, y in state["history"]]
-            for cfg, y in zip(pool.configs(ids), ys):
-                history.append((cfg, y))
-            hist_ids.extend(ids)
-            y_hist.extend(ys)
-            useful = int(np.isfinite(np.array(ys)).sum()) if ys else 0
-            if ys:
-                best_y = min(ys)
             queue = np.asarray(state["queue"], dtype=np.int64)
             set_rng_state(rng, state["rng_state"])
-            telemetry.restore_state(state["telemetry"])
         else:
             queue = rng.choice(n, size=nmax, replace=False)
-        while useful < nmax:
+
+        def selection_state() -> dict:
+            return {"queue": queue.tolist(), "rng_state": rng_state(rng)}
+
+        while hist.useful < nmax:
             if queue.size == 0:
                 # Replenish: failures burned part of the draw — top it up
                 # from the untouched remainder of the pool.
                 leftovers = np.setdiff1d(
-                    np.arange(n, dtype=np.int64), hist_ids.view
+                    np.arange(n, dtype=np.int64), hist.ids.view
                 )
                 if leftovers.size == 0:
                     break
                 pick = rng.choice(
                     leftovers.size,
-                    size=min(nmax - useful, leftovers.size),
+                    size=min(nmax - hist.useful, leftovers.size),
                     replace=False,
                 )
                 queue = leftovers[pick]
-            k = min(self.batch_size, nmax - useful)
+            k = min(self.batch_size, nmax - hist.useful)
             ids = queue[:k].tolist()
             queue = queue[len(ids):]
-            configs = pool.configs(ids)
-            raw = evaluate_batch(configs)
-            got = min(len(configs), len(raw))  # zip semantics, as before
-            ys = [float(y) for y in raw[:got]]
-            for cfg, y in zip(configs, ys):
-                history.append((cfg, y))
-            hist_ids.extend(ids[:got])
-            y_hist.extend(ys)
-            useful += int(np.isfinite(np.array(ys)).sum())
-            if ys:
-                best_y = min(best_y, min(ys))
-            telemetry.record_batch(
-                batch_size=len(configs),
-                best_so_far=best_y,
-            )
-            if checkpointer is not None:
-                checkpointer.save(
-                    {
-                        "searcher": self.name,
-                        "history": [
-                            [i, y]
-                            for i, y in zip(
-                                hist_ids.view.tolist(), y_hist.view.tolist()
-                            )
-                        ],
-                        "queue": queue.tolist(),
-                        "rng_state": rng_state(rng),
-                        "telemetry": telemetry.snapshot_state(),
-                    }
-                )
-        best_i = int(np.argmin(y_hist.view))
-        return SearchResult(
-            searcher=self.name,
-            best_config=history[best_i][0],
-            best_objective=history[best_i][1],
-            history=history,
-            evaluations=len(history),
-            simulated_wall_seconds=wall_seconds() if wall_seconds else 0.0,
-            telemetry=telemetry,
-        )
+            hist.run_batch(ids)
+            hist.end_batch(len(ids), selection_state)
+        return hist.result(wall_seconds)

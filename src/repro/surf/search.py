@@ -20,11 +20,16 @@ features.  Determinism: sampling, tree fitting and tie-breaking all run on
 seeded substreams.
 
 The driver is array-native: the pool is ids (see :mod:`repro.surf.pool`),
-the not-yet-dispatched set is a boolean mask, history accumulates in
-growable arrays, selection takes the bottom-k by argpartition, and
-prediction over the pool runs through the forest's coded router
-(:mod:`repro.surf.forest`).  Config objects are materialized only for
-evaluation batches, the champion, and checkpoints.
+the not-yet-dispatched set is a boolean mask, selection takes the bottom-k
+by argpartition, and prediction over the pool runs through the forest's
+coded router (:mod:`repro.surf.forest`).  Config objects are materialized
+only for evaluation batches, the champion, and checkpoints.
+
+:class:`SearchHistory` is what SURF and the random and exhaustive
+baselines share: it evaluates a batch, records it in growable arrays,
+tracks the useful count and the champion, and writes and restores the
+history half of a checkpoint.  Each driver keeps only its own selection
+state.
 
 Fault tolerance (see :mod:`repro.surf.resilience`): failed evaluations
 come back as ``+inf`` observations.  They enter the history (the search
@@ -68,7 +73,7 @@ from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.space import ProgramConfig
 from repro.util.rng import spawn_rng
 
-__all__ = ["SearchResult", "SURFSearch", "clamp_targets"]
+__all__ = ["SearchHistory", "SearchResult", "SURFSearch", "clamp_targets"]
 
 #: Exploration weight of the ``"lcb"`` acquisition rule: candidates rank
 #: by ``mean - LCB_KAPPA * std`` (lower confidence bound on log-time).
@@ -117,6 +122,119 @@ class SearchResult:
             return []
         ys = np.array([y for _cfg, y in self.history])
         return np.minimum.accumulate(ys).tolist()
+
+
+class SearchHistory:
+    """What every pool searcher records, and its half of a checkpoint.
+
+    SURF, random and exhaustive search differ only in how they pick the
+    next batch of pool ids.  This core evaluates each batch, refusing one
+    the evaluator answers with the wrong number of values, and holds the
+    evaluated pool ids, objectives and configs, the useful (finite) count
+    that the ``nmax`` budget buys, and the index of the first best value,
+    which is the champion (strict ``<``, like ``argmin``).  A checkpoint
+    state is ``searcher`` and ``history`` from here, then the driver's
+    selection state, then ``telemetry``.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        pool: Sequence[ProgramConfig],
+        evaluate_batch: Callable[[Sequence[ProgramConfig]], list[float]],
+        telemetry: SearchTelemetry | None = None,
+        checkpointer: SearchCheckpointer | None = None,
+    ) -> None:
+        self.name = name
+        self.pool = as_pool(pool)
+        if len(self.pool) == 0:
+            raise SearchError("configuration pool is empty")
+        self.evaluate_batch = evaluate_batch
+        self.telemetry = telemetry if telemetry is not None else SearchTelemetry()
+        self.checkpointer = checkpointer
+        self.history: list[tuple[ProgramConfig, float]] = []
+        self.ids = GrowableArray(np.int64)
+        self.ys = GrowableArray(np.float64)
+        self.useful = 0
+        self.best_i = 0
+        self.best_y = float("inf")
+
+    def __len__(self) -> int:
+        return len(self.history)
+
+    def resume(self) -> dict | None:
+        """Restore the checkpointed run's history and telemetry; return its
+        state (None on a fresh run) for the driver's selection state."""
+        state = None if self.checkpointer is None else self.checkpointer.resume_state
+        if state is None:
+            return None
+        if state.get("searcher") != self.name:
+            raise CheckpointError(
+                f"checkpoint belongs to searcher {state.get('searcher')!r}, "
+                f"cannot resume with {self.name!r}"
+            )
+        ids = [int(i) for i, _y in state["history"]]
+        ys = [float(y) for _i, y in state["history"]]
+        self._append(ids, self.pool.configs(ids), ys)
+        self.telemetry.restore_state(state["telemetry"])
+        return state
+
+    def run_batch(self, ids: list[int]) -> None:
+        """Evaluate the pool points ``ids`` and append them to the history."""
+        tracer = get_tracer()
+        with tracer.span("search.materialize", category="search", batch=len(ids)):
+            configs = self.pool.configs(ids)
+        with tracer.span("search.evaluate", category="search", batch=len(ids)):
+            ys = self.evaluate_batch(configs)
+        if len(ys) != len(configs):
+            raise SearchError("evaluator returned a mismatched batch")
+        with tracer.span("search.history", category="search", batch=len(ids)):
+            self._append(ids, configs, [float(y) for y in ys])
+
+    def _append(self, ids: list[int], configs, ys: list[float]) -> None:
+        for cfg, y in zip(configs, ys):
+            if y < self.best_y:
+                self.best_i, self.best_y = len(self.history), y
+            self.history.append((cfg, y))
+        self.ids.extend(ids)
+        self.ys.extend(ys)
+        self.useful += int(np.isfinite(np.array(ys)).sum())
+
+    def end_batch(
+        self,
+        batch_size: int,
+        selection_state: Callable[[], dict],
+        fit_seconds: float = 0.0,
+    ) -> None:
+        """Record the batch's telemetry, then checkpoint the run; the
+        driver's ``selection_state()`` is built only when checkpointing."""
+        self.telemetry.record_batch(
+            batch_size=batch_size, best_so_far=self.best_y, fit_seconds=fit_seconds
+        )
+        if self.checkpointer is None:
+            return
+        history = zip(self.ids.view.tolist(), self.ys.view.tolist())
+        self.checkpointer.save(
+            {
+                "searcher": self.name,
+                "history": [[i, y] for i, y in history],
+                **selection_state(),
+                "telemetry": self.telemetry.snapshot_state(),
+            }
+        )
+
+    def result(self, wall_seconds: Callable[[], float] | None) -> SearchResult:
+        """The run's outcome, with the first best value as the champion."""
+        best_config, best_objective = self.history[self.best_i]
+        return SearchResult(
+            searcher=self.name,
+            best_config=best_config,
+            best_objective=best_objective,
+            history=self.history,
+            evaluations=len(self.history),
+            simulated_wall_seconds=wall_seconds() if wall_seconds else 0.0,
+            telemetry=self.telemetry,
+        )
 
 
 class SURFSearch:
@@ -210,28 +328,22 @@ class SURFSearch:
         count is a ``recorded`` setting, absent from run fingerprints and
         checkpoint state (a run may resume under a different count).
         """
-        pool = as_pool(pool)
-        n = len(pool)
-        if n == 0:
-            raise SearchError("configuration pool is empty")
+        hist = SearchHistory(
+            self.name, pool, evaluate_batch, telemetry, checkpointer
+        )
         ctx = SearchWorkerContext.create(self.search_workers)
         try:
-            if ctx is not None and type(pool) is SpacePool:
-                pool = SharedPool.from_pool(pool, ctx)
-            return self._search(
-                pool, evaluate_batch, wall_seconds, telemetry, checkpointer, ctx
-            )
+            if ctx is not None and type(hist.pool) is SpacePool:
+                hist.pool = SharedPool.from_pool(hist.pool, ctx)
+            return self._search(hist, wall_seconds, ctx)
         finally:
             if ctx is not None:
                 ctx.close()
 
-    def _search(
-        self, pool, evaluate_batch, wall_seconds, telemetry, checkpointer, ctx
-    ) -> SearchResult:
+    def _search(self, hist: SearchHistory, wall_seconds, ctx) -> SearchResult:
+        pool = hist.pool
         n = len(pool)
         workers = ctx.workers if ctx is not None else 1
-        if telemetry is None:
-            telemetry = SearchTelemetry()
         rng = spawn_rng(self.seed, "surf-driver")
         encoder = FeatureBinarizer() if self.binarize else OrdinalEncoder()
         with get_tracer().span(
@@ -258,125 +370,66 @@ class SURFSearch:
 
         alive = np.ones(n, dtype=bool)  # not yet dispatched
         nmax = min(self.max_evaluations, n)
-
-        history: list[tuple[ProgramConfig, float]] = []
-        hist_ids = GrowableArray(np.int64)
-        y_hist = GrowableArray(np.float64)
-        useful = 0  # finite observations — what the nmax budget buys
-        best_y = float("inf")
         model = ExtraTreesRegressor(n_estimators=self.n_estimators, seed=self.seed)
         router = None
 
-        def run_batch(ids: list[int]) -> None:
-            nonlocal useful, best_y
-            tracer = get_tracer()
-            with tracer.span(
-                "search.materialize", category="search", batch=len(ids)
-            ):
-                configs = pool.configs(ids)
-            with tracer.span(
-                "search.evaluate", category="search", batch=len(ids)
-            ):
-                ys = evaluate_batch(configs)
-            if len(ys) != len(configs):
-                raise SearchError("evaluator returned a mismatched batch")
-            with tracer.span("search.history", category="search", batch=len(ids)):
-                ys = [float(y) for y in ys]
-                for cfg, y in zip(configs, ys):
-                    history.append((cfg, y))
-                hist_ids.extend(ids)
-                y_hist.extend(ys)
-                useful += int(np.isfinite(np.array(ys)).sum())
-                best_y = min(best_y, min(ys))
-
         def targets() -> np.ndarray:
-            y = clamp_targets(y_hist.view)
+            y = clamp_targets(hist.ys.view)
             return np.log(np.maximum(y, 1e-12)) if self.log_objective else y
 
         def refit(model) -> float:
             nonlocal router
             with get_tracer().span(
-                "search.fit", category="search", observations=len(y_hist),
+                "search.fit", category="search", observations=len(hist),
             ) as sp:
                 start = time.perf_counter()
-                model.fit(X_all[hist_ids.view], targets())
+                model.fit(X_all[hist.ids.view], targets())
                 sp.set(nodes=model.node_count, depth=model.depth)
                 router = model.make_router(codes)
                 return time.perf_counter() - start
 
-        def save_checkpoint() -> None:
-            if checkpointer is None:
-                return
-            state = {
-                "searcher": self.name,
-                "history": [
-                    [i, y]
-                    for i, y in zip(hist_ids.view.tolist(), y_hist.view.tolist())
-                ],
-            }
+        def selection_state() -> dict:
+            state = {}
             if n <= SMALL_POOL_LIMIT:
                 # Small pools store the remaining set; huge pools derive
                 # it from the history on load instead.
                 state["remaining"] = np.flatnonzero(alive).tolist()
-            state.update(
-                {
-                    "useful": useful,
-                    "rng_state": rng_state(rng),
-                    "fits": model._fit_count,
-                    "telemetry": telemetry.snapshot_state(),
-                }
-            )
-            checkpointer.save(state)
+            state["useful"] = hist.useful
+            state["rng_state"] = rng_state(rng)
+            state["fits"] = model._fit_count
+            return state
 
-        state = checkpointer.resume_state if checkpointer is not None else None
+        def step(batch_ids: list[int]) -> None:
+            alive[batch_ids] = False
+            hist.run_batch(batch_ids)
+            fit_s = refit(model)
+            hist.end_batch(len(batch_ids), selection_state, fit_seconds=fit_s)
+
+        state = hist.resume()
         if state is not None:
-            if state.get("searcher") != self.name:
-                raise CheckpointError(
-                    f"checkpoint belongs to searcher {state.get('searcher')!r}, "
-                    f"cannot resume with {self.name!r}"
-                )
-            ids = [int(i) for i, _y in state["history"]]
-            ys = [float(y) for _i, y in state["history"]]
-            for cfg, y in zip(pool.configs(ids), ys):
-                history.append((cfg, y))
-            hist_ids.extend(ids)
-            y_hist.extend(ys)
-            useful = int(np.isfinite(np.array(ys)).sum()) if ys else 0
-            if ys:
-                best_y = min(ys)
             if "remaining" in state:
                 alive[:] = False
                 alive[np.asarray(state["remaining"], dtype=np.int64)] = True
             else:
-                alive[hist_ids.view] = False
+                alive[hist.ids.view] = False
             set_rng_state(rng, state["rng_state"])
-            telemetry.restore_state(state["telemetry"])
             # Rebuild the surrogate the interrupted run was holding: rewind
             # the refit counter and refit on the restored (X, y) — the refit
             # re-derives the same substream, so the forest (and every
             # prediction the continuation makes) is bitwise identical.
             model._fit_count = max(0, int(state["fits"]) - 1)
-            if len(hist_ids):
+            if len(hist):
                 refit(model)
         else:
             # Initialization: random batch.
             first = min(self.batch_size, nmax)
             pick = rng.choice(n, size=first, replace=False)
-            batch_ids = sorted(int(i) for i in pick)
-            alive[batch_ids] = False
-            run_batch(batch_ids)
-            fit_s = refit(model)
-            telemetry.record_batch(
-                batch_size=len(batch_ids),
-                best_so_far=best_y,
-                fit_seconds=fit_s,
-            )
-            save_checkpoint()
+            step(sorted(int(i) for i in pick))
 
-        while useful < nmax and alive.any():
+        while hist.useful < nmax and alive.any():
             alive_ids = np.flatnonzero(alive)
             m = alive_ids.size
-            bs = min(self.batch_size, nmax - useful, m)
+            bs = min(self.batch_size, nmax - hist.useful, m)
             n_explore = min(int(round(bs * self.explore_fraction)), bs - 1)
             take = bs - n_explore
             shared = (
@@ -422,21 +475,5 @@ class SURFSearch:
                         replace=False,
                     )
                     batch_ids.extend(leftovers[np.sort(pick)].tolist())
-            alive[batch_ids] = False
-            run_batch(batch_ids)
-            fit_s = refit(model)
-            telemetry.record_batch(
-                batch_size=len(batch_ids), best_so_far=best_y, fit_seconds=fit_s
-            )
-            save_checkpoint()
-
-        best_i = int(np.argmin(y_hist.view))
-        return SearchResult(
-            searcher=self.name,
-            best_config=history[best_i][0],
-            best_objective=history[best_i][1],
-            history=history,
-            evaluations=len(history),
-            simulated_wall_seconds=wall_seconds() if wall_seconds else 0.0,
-            telemetry=telemetry,
-        )
+            step(batch_ids)
+        return hist.result(wall_seconds)

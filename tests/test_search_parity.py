@@ -1,11 +1,14 @@
-"""Bitwise pins of the search drivers: golden SURF runs and seed parity.
+"""Bitwise pins of the search drivers: golden SURF, random and exhaustive runs.
 
 SURF runs are pinned to golden digests (champion plus full history) of
 the level-wise forest, with binarize on and off, fault injection on, and
 the ``lcb`` acquisition; a killed-and-resumed run must equal the
-uninterrupted one bitwise, checkpoint state included.  The random and
-exhaustive drivers claim *bitwise* parity with the object-at-a-time seed
-implementations, which :mod:`repro.surf._legacy` preserves verbatim.
+uninterrupted one bitwise, checkpoint state included.  Random and
+exhaustive runs, with and without faults, are pinned to golden digests
+of their champion, history and final checkpoint state; a
+killed-and-resumed run must reach the same digests.  Those digests were
+captured from the drivers while they were still checked bitwise against
+copies of the seed implementations.
 
 It also pins the pieces the drivers are built from — the space-fed design
 matrix against the per-config ``features()`` dict path, and the coded
@@ -32,7 +35,6 @@ from repro.surf import (
     SURFSearch,
     SpacePool,
 )
-from repro.surf._legacy import LegacyExhaustiveSearch, LegacyRandomSearch
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
 from repro.surf.forest import ExtraTreesRegressor, pool_codes
 from repro.surf.search import _bottom_k_lex
@@ -79,6 +81,38 @@ def _checkpointed_run(searcher, pool, program, model, directory,
     result = searcher.search(
         pool, make_evaluator(program, model).evaluate_batch,
         checkpointer=SearchCheckpointer(manager),
+    )
+    return result, manager.load()["searcher"]
+
+
+class Interrupt(Exception):
+    """Stands in for a kill between two batches."""
+
+
+def _killed_and_resumed(killed, resumed, pool, program, model, directory,
+                        make_evaluator=_plain_evaluator, batches=3):
+    """Run ``killed`` until ``batches`` batches are checkpointed, then
+    finish with ``resumed`` from that checkpoint; return its result and
+    last state."""
+    manager = CheckpointManager(directory)
+    evaluator = make_evaluator(program, model)
+    calls = 0
+
+    def dying_evaluate(batch):
+        nonlocal calls
+        calls += 1
+        if calls > batches:
+            raise Interrupt
+        return evaluator.evaluate_batch(batch)
+
+    with pytest.raises(Interrupt):
+        killed.search(
+            pool, dying_evaluate, checkpointer=SearchCheckpointer(manager)
+        )
+    ck = SearchCheckpointer(manager)
+    ck.resume_state = manager.load()["searcher"]
+    result = resumed.search(
+        pool, make_evaluator(program, model).evaluate_batch, checkpointer=ck
     )
     return result, manager.load()["searcher"]
 
@@ -174,61 +208,92 @@ class TestSURFParity:
         reference = _checkpointed_run(
             SURFSearch(**kwargs), pool, program, model, tmp_path / "reference"
         )
-
-        class Interrupt(Exception):
-            pass
-
-        manager = CheckpointManager(tmp_path / "resume")
-        calls = 0
-
-        def dying_evaluate(batch):
-            nonlocal calls
-            calls += 1
-            if calls > 3:
-                raise Interrupt
-            return _plain_evaluator(program, model).evaluate_batch(batch)
-
-        with pytest.raises(Interrupt):
-            SURFSearch(**kwargs).search(
-                pool, dying_evaluate, checkpointer=SearchCheckpointer(manager)
-            )
-
-        ck = SearchCheckpointer(manager)
-        ck.resume_state = manager.load()["searcher"]
-        resumed = SURFSearch(**kwargs).search(
-            pool, _plain_evaluator(program, model).evaluate_batch,
-            checkpointer=ck,
+        resumed = _killed_and_resumed(
+            SURFSearch(**kwargs), SURFSearch(**kwargs), pool, program, model,
+            tmp_path / "resume",
         )
-        _assert_same_run(
-            (resumed, manager.load()["searcher"]), reference,
-            state_keys=SURF_STATE_KEYS,
-        )
+        _assert_same_run(resumed, reference, state_keys=SURF_STATE_KEYS)
+
+
+def _state_digest(state, keys) -> str:
+    """The named entries of a checkpoint state, as 16 hex digits."""
+    return format(
+        stable_hash("search-state", [[key, state[key]] for key in keys]), "016x"
+    )
+
+
+#: Each baseline's searcher, its arguments and its checkpoint keys.
+BASELINES = {
+    "random": (
+        RandomSearch, dict(batch_size=9, max_evaluations=60, seed=2),
+        ("history", "queue", "rng_state", "telemetry"),
+    ),
+    "exhaustive": (
+        ExhaustiveSearch, dict(batch_size=13, limit=90),
+        ("history", "best_i", "best_y", "telemetry"),
+    ),
+}
+
+EVALUATORS = {"plain": _plain_evaluator, "faults": _faulty_evaluator}
+
+#: (champion-plus-history, final checkpoint state) digests of the
+#: baseline runs, captured while the drivers were still checked bitwise
+#: against copies of the seed implementations.
+GOLDEN_BASELINES = {
+    "random/plain": ("ff70849288187e97", "a96e8023bfe5fead"),
+    "random/faults": ("159094b1b94c2cdd", "558c0d1a01367489"),
+    "exhaustive/plain": ("c34ede6e5681a291", "5a340bfcde9d9c95"),
+    "exhaustive/faults": ("11ca67b49465b095", "2e456c8fb93c2f98"),
+}
+
+
+def _assert_golden_baseline(run, searcher, evaluator):
+    result, state = run
+    if evaluator == "faults":
+        ys = [y for _c, y in result.history]
+        assert any(not np.isfinite(y) for y in ys)  # faults actually fire
+    keys = BASELINES[searcher][2]
+    assert (_run_digest(result), _state_digest(state, keys)) == (
+        GOLDEN_BASELINES[f"{searcher}/{evaluator}"]
+    )
 
 
 class TestBaselineParity:
-    def test_random_bitwise_parity_with_faults(self, setup, tmp_path):
+    """Random and exhaustive runs pinned to golden digests."""
+
+    def _run(self, setup, directory, searcher, evaluator):
         program, _space, _ids, pool, model = setup
-        kwargs = dict(batch_size=9, max_evaluations=60, seed=2)
-        new, legacy = _run_pair(
-            RandomSearch(**kwargs), LegacyRandomSearch(**kwargs),
-            pool, program, model, tmp_path,
-            make_evaluator=_faulty_evaluator,
-        )
-        _assert_same_run(
-            new, legacy, state_keys=("history", "queue", "rng_state")
+        cls, kwargs, _keys = BASELINES[searcher]
+        return _checkpointed_run(
+            cls(**kwargs), pool, program, model, directory,
+            EVALUATORS[evaluator],
         )
 
+    def test_random_bitwise_parity_with_faults(self, setup, tmp_path):
+        run = self._run(setup, tmp_path, "random", "faults")
+        _assert_golden_baseline(run, "random", "faults")
+
     def test_exhaustive_bitwise_parity(self, setup, tmp_path):
+        run = self._run(setup, tmp_path, "exhaustive", "faults")
+        _assert_golden_baseline(run, "exhaustive", "faults")
+
+    @pytest.mark.parametrize("searcher", sorted(BASELINES))
+    def test_golden_without_faults(self, setup, tmp_path, searcher):
+        run = self._run(setup, tmp_path, searcher, "plain")
+        _assert_golden_baseline(run, searcher, "plain")
+
+    @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
+    @pytest.mark.parametrize("searcher", sorted(BASELINES))
+    def test_killed_and_resumed_run_is_golden(
+        self, setup, tmp_path, searcher, evaluator
+    ):
         program, _space, _ids, pool, model = setup
-        kwargs = dict(batch_size=13, limit=90)
-        new, legacy = _run_pair(
-            ExhaustiveSearch(**kwargs), LegacyExhaustiveSearch(**kwargs),
-            pool, program, model, tmp_path,
-            make_evaluator=_faulty_evaluator,
+        cls, kwargs, _keys = BASELINES[searcher]
+        run = _killed_and_resumed(
+            cls(**kwargs), cls(**kwargs), pool, program, model, tmp_path,
+            EVALUATORS[evaluator],
         )
-        _assert_same_run(
-            new, legacy, state_keys=("history", "best_i", "best_y")
-        )
+        _assert_golden_baseline(run, searcher, evaluator)
 
 
 class TestPoolParity:
@@ -334,32 +399,10 @@ class TestParallelParity:
             SpacePool(space, ids),
             _plain_evaluator(program, model).evaluate_batch,
         )
-
-        class Interrupt(Exception):
-            pass
-
-        manager = CheckpointManager(tmp_path / "resume-parallel")
-        calls = 0
-
-        def dying_evaluate(batch):
-            nonlocal calls
-            calls += 1
-            if calls > 3:
-                raise Interrupt
-            return _plain_evaluator(program, model).evaluate_batch(batch)
-
-        with pytest.raises(Interrupt):
-            SURFSearch(search_workers=2, **kwargs).search(
-                SpacePool(space, ids), dying_evaluate,
-                checkpointer=SearchCheckpointer(manager),
-            )
-
-        ck = SearchCheckpointer(manager)
-        ck.resume_state = manager.load()["searcher"]
-        resumed = SURFSearch(search_workers=3, **kwargs).search(
-            SpacePool(space, ids),
-            _plain_evaluator(program, model).evaluate_batch,
-            checkpointer=ck,
+        resumed, _state = _killed_and_resumed(
+            SURFSearch(search_workers=2, **kwargs),
+            SURFSearch(search_workers=3, **kwargs),
+            SpacePool(space, ids), program, model, tmp_path / "resume-parallel",
         )
         assert resumed.best_objective == reference.best_objective
         assert [y for _c, y in resumed.history] == [

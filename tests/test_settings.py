@@ -307,3 +307,38 @@ class TestCheckpointFingerprint:
         assert len(scored) == 10
         assert len(resumed.search.history) == 20
         assert _outcome(resumed) == _outcome(reference)
+
+    @pytest.mark.parametrize("searcher,evaluations", [
+        ("random", 20), ("exhaustive", 200),
+    ])
+    def test_mid_run_checkpoint_of_a_baseline_resumes_bitwise(
+        self, tmp_path, monkeypatch, searcher, evaluations
+    ):
+        # Random and exhaustive state.json files written mid-run (10
+        # points scored) before the drivers shared one history core.
+        settings = dict(
+            seed=3, max_evaluations=20, batch_size=5, pool_size=200,
+            searcher=searcher,
+        )
+        lg3 = get_workload("lg3")
+        reference = lg3.tune(Autotuner(K20, **settings, resilient=True))
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        shutil.copy(
+            GOLDEN / f"checkpoint_{searcher}_mid_run.json", ck / "state.json"
+        )
+        scored = []
+        evaluate_one = ConfigurationEvaluator.evaluate_one
+
+        def counting(self, config):
+            scored.append(config.global_id)
+            return evaluate_one(self, config)
+
+        monkeypatch.setattr(ConfigurationEvaluator, "evaluate_one", counting)
+        resumed = lg3.tune(
+            Autotuner(K20, **settings, checkpoint_dir=ck, resume=True)
+        )
+        history = resumed.search.history
+        assert len(history) == evaluations
+        assert sorted(scored) == sorted(c.global_id for c, _y in history[10:])
+        assert _outcome(resumed) == _outcome(reference)

@@ -159,6 +159,36 @@ class TestBaselines:
         )
         assert result.evaluations == 50
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_exhaustive_limit_below_one_rejected(self, limit):
+        with pytest.raises(SearchError, match="limit"):
+            ExhaustiveSearch(limit=limit)
+
+    @pytest.mark.parametrize(
+        "searcher",
+        [
+            SURFSearch(batch_size=10, max_evaluations=20),
+            RandomSearch(batch_size=10, max_evaluations=20),
+            ExhaustiveSearch(batch_size=10, limit=20),
+        ],
+        ids=lambda searcher: searcher.name,
+    )
+    def test_short_batch_rejected(self, tuning_setup, searcher):
+        # One value short on the first batch only: every driver must
+        # refuse it rather than drop, misnumber or redraw the point.
+        program, pool, model = tuning_setup
+        ev = ConfigurationEvaluator([program], model, seed=0)
+        calls = 0
+
+        def short_once(batch):
+            nonlocal calls
+            calls += 1
+            ys = ev.evaluate_batch(batch)
+            return ys[:-1] if calls == 1 else ys
+
+        with pytest.raises(SearchError, match="mismatched batch"):
+            searcher.search(pool, short_once)
+
 
 class TestEvaluator:
     def test_wall_clock_accumulates(self, tuning_setup):
