@@ -73,13 +73,11 @@ def run_grid(
         programs = _programs(workload)
         for arch_name in arches:
             arch = gpu_by_name(arch_name)
-            optimum = workload.tune(
-                Autotuner(arch, searcher="sweep", cache=False)
-            ).seconds
+            optimum = workload.tune(Autotuner(arch, searcher="sweep")).seconds
             for seed in seeds:
                 tuner = Autotuner(
                     arch, searcher=searcher, seed=seed, pool_size=POOL,
-                    max_evaluations=NMAX, batch_size=BATCH, cache=False,
+                    max_evaluations=NMAX, batch_size=BATCH,
                 )
                 result = workload.tune(tuner)
                 reached = NMAX + 1

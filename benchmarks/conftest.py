@@ -11,12 +11,6 @@ REPRO_BENCH_POOL       1200      configuration pool size
 REPRO_BENCH_SEED       1         master seed
 REPRO_BENCH_FULL       unset     set to 1 for the paper's full budgets
                                  (evals=100, pool=2500)
-REPRO_EVAL_CACHE       (output)  JSON-lines evaluation cache shared by all
-                                 benches; defaults to
-                                 ``benchmarks/output/eval_cache.jsonl`` so
-                                 repeated suite runs skip duplicate model
-                                 evaluations.  Set to the empty string to
-                                 disable, or delete the file to re-measure.
 =====================  ========  ==========================================
 
 Rendered tables/figures are written to ``benchmarks/output/`` and echoed to
@@ -31,14 +25,6 @@ import pathlib
 import pytest
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-
-# Every Autotuner in the suite consults REPRO_EVAL_CACHE: point it at a
-# shared store up front (import time, before any bench builds a tuner) so
-# per-variant sweeps and repeated runs stop paying for duplicate model
-# evaluations.  An explicit REPRO_EVAL_CACHE — including "" for off — wins.
-if "REPRO_EVAL_CACHE" not in os.environ:
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    os.environ["REPRO_EVAL_CACHE"] = str(OUTPUT_DIR / "eval_cache.jsonl")
 
 
 def budgets() -> dict:

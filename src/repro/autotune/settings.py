@@ -1,7 +1,7 @@
 """Every :class:`~repro.autotune.tuner.Autotuner` setting, declared once.
 
 Each field of :class:`TuneSettings` carries its default, its environment
-variable (only the cache and result-store paths keep one), and exactly one
+variable (only the result-store path keeps one), and exactly one
 **role** — the single place that decides what a setting changes:
 
 ``keyed``
@@ -18,8 +18,8 @@ variable (only the cache and result-store paths keep one), and exactly one
     the serial bits; timing tables reproduce the scalar model exactly).
     Written to the manifest as provenance only.
 ``runtime``
-    Where state lives and how the run is observed: cache, checkpoints,
-    trace and result store.  Enters neither.
+    Where state lives and how the run is observed: checkpoints, trace and
+    result store.  Enters neither.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class TuneSettings:
     max_retries:
         Transient-failure retry budget of the resilience layer.
     resilient:
-        Force the retry/quarantine layer on or off; ``None`` enables it
+        Force the retry layer on or off; ``None`` enables it
         exactly when faults are injected or a checkpoint directory is set.
     acquisition:
         SURF's ranking rule: ``"mean"`` (default) or ``"lcb"``.
@@ -107,12 +107,8 @@ class TuneSettings:
 
     Runtime
     -------
-    cache:
-        Evaluation memoization: ``True`` in memory, a path for the
-        persistent JSONL store; ``None`` reads ``REPRO_EVAL_CACHE``.
     checkpoint_dir / resume:
-        Run directory for the atomic per-batch search state plus the
-        persistent evaluation cache and quarantine set
+        Run directory for the atomic per-batch search state
         (:mod:`repro.surf.checkpoint`); ``resume`` continues an
         interrupted run bitwise-identically, and refuses one whose
         fingerprint differs with a :class:`~repro.errors.CheckpointError`.
@@ -142,7 +138,6 @@ class TuneSettings:
     backend: str = _setting("loopnest", KEYED, omit_default=True)
     search_workers: int = _setting(1, RECORDED)
     fast_model: bool = _setting(False, RECORDED)
-    cache: bool | str | Path | None = _setting(None, RUNTIME, env="REPRO_EVAL_CACHE")
     checkpoint_dir: str | Path | None = _setting(None, RUNTIME)
     resume: bool = _setting(False, RUNTIME)
     trace: str | Path | None = _setting(None, RUNTIME)

@@ -31,7 +31,6 @@ from repro.gpusim.timing_table import ProgramTimingTable
 from repro.obs.exporters import write_chrome_trace
 from repro.obs.manifest import MANIFEST_FILENAME, RunManifest, fingerprint_of
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
-from repro.surf.cache import CachedEvaluator, EvaluationCache, QuarantineStore
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
@@ -153,15 +152,6 @@ class Autotuner:
         self.arch = arch
         self.settings = TuneSettings(**settings)
         self.model = GPUPerformanceModel(arch, calibration)
-        checkpoint_dir = self.settings.checkpoint_dir
-        # A checkpointed run persists its evaluation cache in the run
-        # directory (unless the caller pointed the cache elsewhere), so a
-        # resume can serve any work the killed batch already paid for.
-        self.cache_spec = self.settings.cache
-        if checkpoint_dir is not None and not self.cache_spec:
-            self.cache_spec = str(CheckpointManager(checkpoint_dir).eval_cache_path)
-        self._cache_store: EvaluationCache | None = None
-        self._quarantine_store: QuarantineStore | None = None
         self._result_store_obj = None
 
     # ------------------------------------------------------------------
@@ -183,34 +173,14 @@ class Autotuner:
         return self._result_store_obj
 
     # ------------------------------------------------------------------
-    def _evaluation_cache(self) -> EvaluationCache | None:
-        """The instance-wide cache store (shared across tune_* calls)."""
-        if not self.cache_spec:
-            return None
-        if self._cache_store is None:
-            path = None if self.cache_spec is True else self.cache_spec
-            self._cache_store = EvaluationCache(path)
-        return self._cache_store
-
-    def _quarantine(self) -> QuarantineStore:
-        """The instance-wide quarantine set (persistent with checkpoints)."""
-        if self._quarantine_store is None:
-            checkpoint_dir = self.settings.checkpoint_dir
-            path = (
-                CheckpointManager(checkpoint_dir).quarantine_path
-                if checkpoint_dir is not None
-                else None
-            )
-            self._quarantine_store = QuarantineStore(path)
-        return self._quarantine_store
-
     def _build_evaluator(
         self,
         programs: list[TCRProgram],
         tables: list[ProgramTimingTable] | None = None,
     ) -> BatchEvaluator:
         """Stack the evaluation engine, innermost first:
-        model -> fault injection -> cache -> retry/quarantine."""
+        model -> fault injection -> retry.  A fresh stack per search, so no
+        call's accounting depends on what an earlier call evaluated."""
         settings = self.settings
         evaluator: BatchEvaluator = ConfigurationEvaluator(
             programs,
@@ -222,17 +192,10 @@ class Autotuner:
             tables=tables,
         )
         if settings.faults.any():
-            # Below the cache: a cached result models a rig that is not
-            # re-run, so it cannot fault.
             evaluator = FaultInjectingEvaluator(evaluator, settings.faults)
-        store = self._evaluation_cache()
-        if store is not None:
-            evaluator = CachedEvaluator(evaluator, store)
         if settings.resilient:
             evaluator = ResilientEvaluator(
-                evaluator,
-                max_retries=settings.max_retries,
-                quarantine=self._quarantine(),
+                evaluator, max_retries=settings.max_retries
             )
         return evaluator
 
@@ -522,9 +485,7 @@ class Autotuner:
         tracer = get_tracer()
         checkpoint_dir = self.settings.checkpoint_dir
         for i, program in enumerate(programs):
-            # Each variant's search state lives in its own subdirectory;
-            # the quarantine set and eval cache stay at the run root
-            # (they are instance-wide and config-keyed, so sharing is safe).
+            # Each variant's search state lives in its own subdirectory.
             sub_dir = checkpoint_dir / f"v{i}" if checkpoint_dir is not None else None
             with tracer.span("tune.variant", category="tune", variant=i):
                 sub = self._tune(f"{name}_v{i}", [program], checkpoint_dir=sub_dir)

@@ -76,11 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to serial",
     )
     tune.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="JSON-lines evaluation cache ('mem' for in-memory only; "
-        "default: $REPRO_EVAL_CACHE or off)",
-    )
-    tune.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="dump per-batch search telemetry as JSON to PATH ('-' for stdout)",
     )
@@ -88,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default="", metavar="SPEC",
         help="inject deterministic evaluation faults: a bare probability "
         "('0.15') or 'compile=..,launch=..,transient=..,worker=..' "
-        "(default: none); enables the retry/quarantine resilience layer",
+        "(default: none); enables the retry resilience layer",
     )
     tune.add_argument(
         "--retries", type=int, default=2, metavar="N",
@@ -96,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="persist search state (atomic per-batch checkpoint + eval "
-        "cache + quarantine set) under DIR for kill-safe resumption",
+        help="persist search state (atomic per-batch checkpoint) under "
+        "DIR for kill-safe resumption",
     )
     tune.add_argument(
         "--resume", action="store_true",
@@ -230,7 +225,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _run_tune(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
-    cache = True if args.cache == "mem" else args.cache
     tuner = Autotuner(
         gpu_by_name(args.arch),
         searcher="sweep" if args.sweep else args.searcher,
@@ -239,7 +233,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         pool_size=args.pool,
         seed=args.seed,
         per_variant=args.per_variant,
-        cache=cache,
         search_workers=args.search_workers,
         fast_model=args.fast_model,
         faults=args.faults,
@@ -261,13 +254,11 @@ def _run_tune(args: argparse.Namespace) -> int:
         print(
             f"telemetry: {totals['batches']} batches, "
             f"{totals['evaluations']} model evals, "
-            f"{totals['cache_hits']} cache hits, "
             f"surrogate fit {totals['fit_seconds']:.2f}s"
         )
         failures = {
             key: int(totals.get(key, 0))
-            for key in ("invalid", "transient", "permanent", "retries",
-                        "quarantined")
+            for key in ("invalid", "transient", "permanent", "retries")
         }
         if any(failures.values()):
             print(
@@ -275,8 +266,7 @@ def _run_tune(args: argparse.Namespace) -> int:
                 f"{failures['invalid']} invalid, "
                 f"{failures['transient']} transient, "
                 f"{failures['permanent']} permanent, "
-                f"{failures['retries']} retries, "
-                f"{failures['quarantined']} quarantined"
+                f"{failures['retries']} retries"
             )
         if args.telemetry:
             payload = result.search.telemetry.to_json()

@@ -250,10 +250,10 @@ def build_launch_cached(
 ) -> KernelLaunch:
     """Memoized :func:`build_launch` for repeat visits to the same point.
 
-    Annealing neighborhoods, cache-miss re-scores, and per-variant sweeps
-    rebuild identical launches many times; the launch is immutable, so one
-    construction per ``(operation, config, dims)`` suffices.  Failed builds
-    are *not* cached (``lru_cache`` does not memoize exceptions) — penalty
+    Annealing neighborhoods and per-variant sweeps rebuild identical
+    launches many times; the launch is immutable, so one construction per
+    ``(operation, config, dims)`` suffices.  Failed builds are *not* cached
+    (``lru_cache`` does not memoize exceptions) — penalty
     configurations re-pay construction, which is fine because they are also
     re-charged compile time by the evaluator.
     """

@@ -1,10 +1,9 @@
 """Content-addressed result store: tuned champions and full histories.
 
-Generalizes the per-point evaluation cache (:mod:`repro.surf.cache`) one
-level up: instead of memoizing single configuration scores, the store
-memoizes **whole tuning runs** — the champion configuration, the full
-search history, and the run's accounting — keyed on everything that
-determines the outcome bitwise:
+The one memo a tune call keeps across runs: the store memoizes **whole
+tuning runs** — the champion configuration, the full search history, and
+the run's accounting — keyed on everything that determines the outcome
+bitwise:
 
 * the **DSL fingerprint** (hash over the tuned TCR program texts),
 * the **architecture fingerprint** (hash over the GPU's dataclass fields),
@@ -359,7 +358,7 @@ class ResultStore:
             except (ValueError, KeyError, TypeError):
                 corrupt += 1
                 continue
-            # First-wins, same rule as live ``put`` and the eval cache.
+            # First-wins, same rule as live ``put``.
             if digest in self._memory:
                 self.duplicate_keys += 1
             else:

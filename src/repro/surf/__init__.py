@@ -18,7 +18,6 @@ from repro.surf.random_search import RandomSearch
 from repro.surf.exhaustive import ExhaustiveSearch
 from repro.surf.separable import SeparableExhaustiveSearch
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator, EvalOutcome
-from repro.surf.cache import CachedEvaluator, EvaluationCache, QuarantineStore
 from repro.surf.telemetry import BatchRecord, SearchTelemetry
 from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
 from repro.surf.resilience import ResilientEvaluator
@@ -42,9 +41,6 @@ __all__ = [
     "BatchEvaluator",
     "ConfigurationEvaluator",
     "EvalOutcome",
-    "CachedEvaluator",
-    "EvaluationCache",
-    "QuarantineStore",
     "BatchRecord",
     "SearchTelemetry",
     "FaultSpec",

@@ -1,6 +1,8 @@
 """Checkpoint/resume for search runs: atomic state files in a run directory.
 
-A checkpoint directory owned by one autotuning run holds:
+A checkpoint directory owned by one autotuning run holds two files (a
+per-variant run keeps each variant's ``state.json`` in a ``v*/``
+subdirectory):
 
 ``state.json``
     The search state after the last completed batch, written atomically
@@ -9,9 +11,12 @@ A checkpoint directory owned by one autotuning run holds:
     stream position, the surrogate refit counter, telemetry records, and
     the evaluator-stack counters.  One JSON document; a kill can never
     leave a half-written state visible.
-``eval_cache.jsonl`` / ``quarantine.jsonl``
-    The evaluation cache and quarantine set (append-only JSONL, each
-    tolerant of a truncated final line) — see :mod:`repro.surf.cache`.
+``manifest.json``
+    The run's provenance (:mod:`repro.obs.manifest`), written by the tuner.
+
+A batch evaluated but not yet saved when the run dies is evaluated again
+on resume, so a resumed run's accounting (evaluations, retries,
+simulated search seconds) equals the uninterrupted run's.
 
 Resume contract: restoring the state and continuing with the *same* run
 fingerprint — seed, searcher and its parameters, pool content, fault
@@ -54,8 +59,6 @@ STATE_FILENAME = "state.json"
 #: Prefix of the tmp files :func:`replace_atomically` writes ``state.json``
 #: through; a killed writer leaves one behind for :meth:`prune_tmp`.
 TMP_PREFIX = f".{STATE_FILENAME}.tmp"
-EVAL_CACHE_FILENAME = "eval_cache.jsonl"
-QUARANTINE_FILENAME = "quarantine.jsonl"
 
 
 def _json_default(obj: Any) -> Any:
@@ -106,14 +109,6 @@ class CheckpointManager:
     @property
     def state_path(self) -> Path:
         return self.directory / STATE_FILENAME
-
-    @property
-    def eval_cache_path(self) -> Path:
-        return self.directory / EVAL_CACHE_FILENAME
-
-    @property
-    def quarantine_path(self) -> Path:
-        return self.directory / QUARANTINE_FILENAME
 
     def exists(self) -> bool:
         return self.state_path.exists()
@@ -175,7 +170,7 @@ class CheckpointManager:
         return payload
 
     def clear(self) -> None:
-        """Drop the state file (cache/quarantine survive deliberately)."""
+        """Drop the state file (the manifest survives)."""
         try:
             self.state_path.unlink()
         except FileNotFoundError:

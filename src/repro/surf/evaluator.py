@@ -20,10 +20,11 @@ bookkeeping happens once per batch on the driver), innermost first:
     tables).
 ``FaultInjectingEvaluator`` (:mod:`repro.surf.faults`)
     Deterministic hazards, when faults are injected.
-``CachedEvaluator`` (:mod:`repro.surf.cache`)
-    Memoizes scores across runs, optionally persisted to a JSONL store.
 ``ResilientEvaluator`` (:mod:`repro.surf.resilience`)
-    Retries transient failures and quarantines permanent ones.
+    Retries transient failures and scores permanent ones ``+inf``.
+
+Nothing is memoized: each call scores every point it is handed, so a
+run's accounting never depends on what an earlier run evaluated.
 
 Every batch runs in the search driver's process.  The paper's rig
 evaluates a batch "in parallel"; here that concurrency is simulated by the
@@ -77,17 +78,13 @@ class EvalOutcome:
     ``wall`` is the simulated wall-clock cost of *performing* the
     evaluation on the real rig (compile + repetitions — for failed
     attempts, everything the rig burned before giving up, retry backoff
-    included); ``cached`` marks outcomes served from a
-    :class:`~repro.surf.cache.CachedEvaluator` (or the quarantine set)
-    without touching the model.  ``status`` is one of
-    :data:`EVAL_STATUSES`; ``attempts`` counts dispatches consumed
-    (1 = no retries).
+    included).  ``status`` is one of :data:`EVAL_STATUSES`; ``attempts``
+    counts dispatches consumed (1 = no retries).
     """
 
     config: ProgramConfig
     value: float
     wall: float
-    cached: bool = False
     status: str = "ok"
     detail: str = ""
     attempts: int = 1
@@ -102,10 +99,8 @@ class BatchEvaluator:
     """Shared bookkeeping for the evaluator stack.
 
     Subclasses implement :meth:`evaluate_one` (a *pure* scoring function —
-    no counter mutation) and may override :meth:`record_outcome` to absorb
-    results (e.g. into a cache).  ``evaluate_batch`` then does all
-    bookkeeping once per batch: counters, cache insertion, and batch-aware
-    wall accounting.
+    no counter mutation).  ``evaluate_batch`` then does all bookkeeping
+    once per batch: counters and batch-aware wall accounting.
 
     Wall accounting models the paper's rig evaluating each SURF batch "in
     parallel" over ``batch_lanes`` concurrent lanes: outcomes are
@@ -115,7 +110,6 @@ class BatchEvaluator:
     """
 
     evaluation_count: int = 0
-    cache_hits: int = 0
     simulated_wall_seconds: float = 0.0
     invalid_count: int = 0
     transient_count: int = 0
@@ -143,22 +137,16 @@ class BatchEvaluator:
         del attempt
         return self.evaluate_one(config)
 
-    def record_outcome(self, outcome: EvalOutcome) -> None:
-        """Post-batch hook, called in batch order."""
-
     def evaluate_batch(self, configs: Sequence[ProgramConfig]) -> list[float]:
         """Algorithm 2's ``Evaluate_Parallel``: score a batch of points."""
         tracer = get_tracer()
         with tracer.span("eval.batch", category="eval") as sp:
             outcomes = [self.evaluate_one(c) for c in configs]
-            for outcome in outcomes:
-                self.record_outcome(outcome)
             self._tally(outcomes)
             if tracer.enabled:
                 sp.set(
                     points=len(outcomes),
-                    evaluations=sum(1 for o in outcomes if not o.cached),
-                    cache_hits=sum(1 for o in outcomes if o.cached),
+                    evaluations=len(outcomes),
                     invalid=sum(1 for o in outcomes if o.status == "invalid"),
                     transient=sum(1 for o in outcomes if o.status == "transient"),
                     permanent=sum(1 for o in outcomes if o.status == "permanent"),
@@ -177,9 +165,7 @@ class BatchEvaluator:
     def _tally(self, outcomes: Sequence[EvalOutcome]) -> None:
         if not outcomes:
             return
-        misses = sum(1 for o in outcomes if not o.cached)
-        self.evaluation_count += misses
-        self.cache_hits += len(outcomes) - misses
+        self.evaluation_count += len(outcomes)
         for o in outcomes:
             if o.status == "invalid":
                 self.invalid_count += 1
@@ -196,23 +182,10 @@ class BatchEvaluator:
             lanes[slot] += o.wall
         self.simulated_wall_seconds += max(lanes)
 
-    def extra_counters(self) -> dict[str, float]:
-        """Counters owned by inner layers (e.g. the quarantine gauge).
-
-        Tallying happens once, at the top of the evaluator stack, but some
-        state (the quarantine size) lives in wrapped layers;
-        this hook lets it surface through however many wrappers sit above.
-        """
-        inner = getattr(self, "inner", None)
-        if isinstance(inner, BatchEvaluator):
-            return inner.extra_counters()
-        return {}
-
     def counters(self) -> dict[str, float]:
         """Monotone counters for telemetry deltas (see ``SearchTelemetry``)."""
-        out = {
+        return {
             "evaluations": self.evaluation_count,
-            "cache_hits": self.cache_hits,
             "simulated_wall_seconds": self.simulated_wall_seconds,
             "invalid": self.invalid_count,
             "transient": self.transient_count,
@@ -220,18 +193,10 @@ class BatchEvaluator:
             "retries": self.retry_count,
             "table_fallbacks": self.table_fallback_count,
         }
-        out.update(self.extra_counters())
-        return out
 
     def restore_counters(self, saved: dict[str, float]) -> None:
-        """Reset the bookkeeping to a checkpointed ``counters()`` snapshot.
-
-        Only the counters this layer owns are restored; gauges surfaced via
-        :meth:`extra_counters` (quarantine size, …) are rebuilt from their
-        own persistent stores on resume.
-        """
+        """Reset the bookkeeping to a checkpointed ``counters()`` snapshot."""
         self.evaluation_count = int(saved.get("evaluations", 0))
-        self.cache_hits = int(saved.get("cache_hits", 0))
         self.simulated_wall_seconds = float(saved.get("simulated_wall_seconds", 0.0))
         self.invalid_count = int(saved.get("invalid", 0))
         self.transient_count = int(saved.get("transient", 0))
@@ -288,7 +253,6 @@ class ConfigurationEvaluator(BatchEvaluator):
         self.batch_parallelism = max(1, batch_parallelism)
         self.tables = list(tables) if tables is not None else None
         self.evaluation_count = 0
-        self.cache_hits = 0
         self.simulated_wall_seconds = 0.0
 
     @property
@@ -357,8 +321,7 @@ class ConfigurationEvaluator(BatchEvaluator):
             wall = self.model.wall_from_timing(timing)
         except ConfigurationError as exc:
             # The configuration is deterministically unbuildable: record it
-            # as an ``invalid`` outcome (counted in telemetry, cached by
-            # CachedEvaluator so it is never re-evaluated) rather than
+            # as an ``invalid`` outcome (counted in telemetry) rather than
             # swallowing the error into an anonymous penalty score.
             return EvalOutcome(
                 config=config,

@@ -14,9 +14,9 @@ of ``(fault seed, hazard kind, config fingerprint[, attempt])`` via
 :func:`repro.util.rng.stable_uniform` — no stateful generator, so the
 verdict cannot depend on evaluation order, thread interleaving, or which
 process asks.  Permanent hazards (compile/launch) are keyed on the
-configuration alone — the same point always fails, which is what makes
-quarantining sound.  Transient hazards (timeout, slowdown spike, worker
-death) are additionally keyed on the retry ``attempt``, so a retry can
+configuration alone — the same point always fails, in every run.
+Transient hazards (timeout, slowdown spike, worker death) are
+additionally keyed on the retry ``attempt``, so a retry can
 deterministically succeed where the first dispatch failed.
 
 An injected hazard only ever *raises*: worker death is a
@@ -51,8 +51,7 @@ class FaultSpec:
     compile_rate / launch_rate:
         Permanent, config-dependent failures (the toolchain rejects the
         kernel / the launch always asserts).  Keyed on the configuration
-        fingerprint only, so they are stable across retries and runs —
-        the precondition for quarantining.
+        fingerprint only, so they are stable across retries and runs.
     transient_rate:
         Retryable measurement hazards: timeouts and slowdown spikes
         (``timeout_fraction`` splits the two).  Keyed on (config, attempt).
@@ -161,9 +160,8 @@ def _base_calibration(evaluator: object):
 class FaultInjectingEvaluator(BatchEvaluator):
     """Inject the hazard mix of a :class:`FaultSpec` under any evaluator.
 
-    Sits directly above the base :class:`ConfigurationEvaluator` (below
-    cache and resilience layers — a cached result models a rig that is not
-    re-run, so it cannot fault).  Faulted attempts raise
+    Sits directly above the base :class:`ConfigurationEvaluator`, below
+    the resilience layer that retries what it raises.  Faulted attempts raise
     :class:`~repro.errors.EvaluationFailure` subclasses carrying the
     simulated wall-clock the doomed attempt still burned.
     """
@@ -182,9 +180,6 @@ class FaultInjectingEvaluator(BatchEvaluator):
     @property
     def batch_lanes(self) -> int:
         return self.inner.batch_lanes
-
-    def record_outcome(self, outcome: EvalOutcome) -> None:
-        self.inner.record_outcome(outcome)
 
     @staticmethod
     def fingerprint(config: ProgramConfig) -> str:

@@ -1,4 +1,4 @@
-"""Retry, quarantine, and failure surfacing for the evaluation engine.
+"""Retry and failure surfacing for the evaluation engine.
 
 :class:`ResilientEvaluator` is the layer that turns raised
 :class:`~repro.errors.EvaluationFailure`\\ s — real or injected by
@@ -12,25 +12,18 @@ the search can keep running on:
   A point that exhausts its retries becomes a ``status="transient"``
   outcome scored ``+inf``.
 * **Permanent** failures (compile/launch) immediately become
-  ``status="permanent"`` outcomes scored ``+inf`` and are **quarantined**
-  by configuration fingerprint: later evaluations are served an instant
-  quarantine hit (``cached=True``, zero wall) without ever reaching the
-  rig again.  With a persistent :class:`~repro.surf.cache.QuarantineStore`
-  the set survives across runs, alongside the evaluation cache.
+  ``status="permanent"`` outcomes scored ``+inf``, without a retry.  A
+  search scores each pool point at most once, so nothing needs to
+  remember them.
 
 Failed outcomes carry ``value=inf`` so searchers can tell a failure from
 a merely-penalized *invalid* configuration; the searchers clamp non-finite
 targets before surrogate training so the forest is not poisoned.
-
-``evaluate_one`` stays pure (quarantine reads only); quarantine insertion
-happens in ``record_outcome``, once per batch, like cache insertion.
 """
 
 from __future__ import annotations
 
 from repro.errors import EvaluationFailure, SearchError, TransientEvaluationError
-from repro.obs.tracer import get_tracer
-from repro.surf.cache import QuarantineStore
 from repro.surf.evaluator import BatchEvaluator, EvalOutcome
 from repro.tcr.space import ProgramConfig
 
@@ -49,16 +42,14 @@ class ResilientEvaluator(BatchEvaluator):
     Parameters
     ----------
     inner:
-        The wrapped evaluator stack (typically fault injector and/or cache
-        over a :class:`~repro.surf.evaluator.ConfigurationEvaluator`).
+        The wrapped evaluator stack (typically a fault injector over a
+        :class:`~repro.surf.evaluator.ConfigurationEvaluator`).
     max_retries:
         Transient-failure retries per configuration (total attempts =
         ``max_retries + 1``).
     backoff_seconds / backoff_factor / backoff_cap_seconds:
         Deterministic exponential backoff charged (as simulated wall)
         before each retry: ``min(cap, backoff * factor**(attempt-1))``.
-    quarantine:
-        The permanent-failure set; defaults to a fresh in-memory store.
     """
 
     def __init__(
@@ -68,7 +59,6 @@ class ResilientEvaluator(BatchEvaluator):
         backoff_seconds: float = 1.0,
         backoff_factor: float = 2.0,
         backoff_cap_seconds: float = 30.0,
-        quarantine: QuarantineStore | None = None,
     ) -> None:
         if max_retries < 0:
             raise SearchError("max_retries must be >= 0")
@@ -79,18 +69,10 @@ class ResilientEvaluator(BatchEvaluator):
         self.backoff_seconds = backoff_seconds
         self.backoff_factor = backoff_factor
         self.backoff_cap_seconds = backoff_cap_seconds
-        self.quarantine = quarantine if quarantine is not None else QuarantineStore()
 
     @property
     def batch_lanes(self) -> int:
         return self.inner.batch_lanes
-
-    @staticmethod
-    def fingerprint(config: ProgramConfig) -> str:
-        return config.describe()
-
-    def is_quarantined(self, config: ProgramConfig) -> bool:
-        return self.fingerprint(config) in self.quarantine
 
     def _backoff(self, retry_index: int) -> float:
         """Simulated wait before retry ``retry_index`` (0-based)."""
@@ -101,16 +83,6 @@ class ResilientEvaluator(BatchEvaluator):
 
     def evaluate_one(self, config: ProgramConfig) -> EvalOutcome:
         """Score one configuration, absorbing failures; pure."""
-        fp = self.fingerprint(config)
-        if fp in self.quarantine:
-            return EvalOutcome(
-                config=config,
-                value=FAILURE_VALUE,
-                wall=0.0,
-                cached=True,  # served from the quarantine set, rig untouched
-                status="permanent",
-                detail=f"quarantined: {self.quarantine.reason(fp)}",
-            )
         wall = 0.0
         attempts = 0
         while True:
@@ -144,28 +116,7 @@ class ResilientEvaluator(BatchEvaluator):
                 config=out.config,
                 value=out.value,
                 wall=out.wall + wall,
-                cached=out.cached,
                 status=out.status,
                 detail=out.detail,
                 attempts=attempts,
             )
-
-    def record_outcome(self, outcome: EvalOutcome) -> None:
-        # Driver-thread side effects, mirroring CachedEvaluator: quarantine
-        # insertion here keeps evaluate_one pure and JSONL appends serial.
-        if outcome.status == "permanent" and not outcome.cached:
-            fp = self.fingerprint(outcome.config)
-            self.quarantine.add(fp, outcome.detail)
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "eval.quarantine", category="eval",
-                    fingerprint=fp, reason=outcome.detail,
-                    quarantined=len(self.quarantine),
-                )
-        self.inner.record_outcome(outcome)
-
-    def extra_counters(self) -> dict[str, float]:
-        out = dict(super().extra_counters())
-        out["quarantined"] = float(len(self.quarantine))
-        return out

@@ -1,12 +1,11 @@
 """Search observability: per-batch event records for every searcher.
 
 Each search run (SURF, random, exhaustive) emits one :class:`BatchRecord`
-per evaluated batch — how many points were scored, how many came from the
-evaluation cache, the best objective seen so far, how long the surrogate
-refit took, and the simulated wall clock.  :class:`SearchTelemetry`
-collects them, computes counter deltas against the evaluator stack (via
-its ``counters()`` provider), and serializes to JSON for the CLI and the
-benchmark harness.
+per evaluated batch — how many points were scored, the best objective seen
+so far, how long the surrogate refit took, and the simulated wall clock.
+:class:`SearchTelemetry` collects them, computes counter deltas against
+the evaluator stack (via its ``counters()`` provider), and serializes to
+JSON for the CLI and the benchmark harness.
 
 Telemetry is pure observability: it never influences search decisions, so
 enabling it cannot perturb reproducibility.  (Surrogate fit times are real
@@ -31,9 +30,10 @@ class BatchRecord:
 
     batch_index: int
     batch_size: int
-    #: actual model evaluations spent on this batch (misses only)
+    #: model evaluations spent on this batch
     evaluations: int
-    #: points served from the evaluation cache
+    #: always 0 (nothing is memoized per point); kept so saved checkpoints
+    #: and stored results keep their layout
     cache_hits: int
     #: best objective (seconds) over everything evaluated so far
     best_so_far: float
@@ -62,9 +62,9 @@ class SearchTelemetry:
     ----------
     counters:
         Optional provider of monotone counters (the evaluator stack's
-        ``counters()``).  When given, per-batch evaluation/hit counts are
-        computed as deltas between snapshots; without it, every scored
-        point is assumed to be a fresh model evaluation.
+        ``counters()``).  When given, per-batch evaluation and failure
+        counts are computed as deltas between snapshots; without it, every
+        scored point is assumed to be a fresh model evaluation.
     """
 
     def __init__(self, counters: Callable[[], dict[str, float]] | None = None) -> None:
@@ -88,18 +88,17 @@ class SearchTelemetry:
 
         if now:
             evals = delta("evaluations")
-            hits = delta("cache_hits")
             wall = float(now.get("simulated_wall_seconds", 0.0))
             statuses = {k: delta(k) for k in ("invalid", "transient", "permanent", "retries")}
         else:
-            evals, hits, wall = batch_size, 0, 0.0
+            evals, wall = batch_size, 0.0
             statuses = {}
         self._last = now
         record = BatchRecord(
             batch_index=len(self.records),
             batch_size=batch_size,
             evaluations=evals,
-            cache_hits=hits,
+            cache_hits=0,
             best_so_far=float(best_so_far),
             fit_seconds=float(fit_seconds),
             simulated_wall_seconds=wall,
@@ -121,7 +120,6 @@ class SearchTelemetry:
             "batches": len(self.records),
             "points": sum(r.batch_size for r in self.records),
             "evaluations": sum(r.evaluations for r in self.records),
-            "cache_hits": sum(r.cache_hits for r in self.records),
             "fit_seconds": sum(r.fit_seconds for r in self.records),
             "best_objective": min(
                 (r.best_so_far for r in self.records), default=float("inf")
@@ -133,9 +131,6 @@ class SearchTelemetry:
             "transient": sum(r.transient for r in self.records),
             "permanent": sum(r.permanent for r in self.records),
             "retries": sum(r.retries for r in self.records),
-            # A gauge from the evaluator stack's latest counter snapshot
-            # (monotone; not meaningful as a per-batch delta).
-            "quarantined": float(self._last.get("quarantined", 0)),
         }
 
     def as_dicts(self) -> list[dict[str, float]]:
@@ -187,10 +182,6 @@ class SearchTelemetry:
         for part_index, part in enumerate(parts):
             if part is None:
                 continue
-            out._last["quarantined"] = max(
-                out._last.get("quarantined", 0.0),
-                float(part._last.get("quarantined", 0.0)),
-            )
             base_wall = max(
                 (r.simulated_wall_seconds for r in out.records), default=0.0
             )

@@ -1,9 +1,8 @@
 """Crash-safe file writes: one atomic-append and one atomic-replace primitive.
 
-Every persistent store in this package — the evaluation cache, the
-quarantine set, and the content-addressed result store — is an
-append-only JSONL file that many independent processes may write at
-once.  They all route their appends through :func:`atomic_append_jsonl`:
+The append-only persistent store in this package — the content-addressed
+result store's JSONL shards — may be written by many independent
+processes at once.  Its appends route through :func:`atomic_append_jsonl`:
 the serialized line is flushed in a **single** ``os.write`` on an
 ``O_APPEND`` file descriptor, so concurrent writers can never interleave
 *within* a line — the kernel serializes the offset update with the data.
@@ -11,12 +10,11 @@ the serialized line is flushed in a **single** ``os.write`` on an
 the stream's buffer are split across multiple syscalls and two processes
 can shear each other's records.)
 
-Loading is corruption-tolerant in the same shared way: undecodable lines
-(including the truncated final line a crash mid-append can leave) are
-counted, never fatal, and :func:`report_corrupt_lines` makes a nonzero
-count *visible* — a ``CorruptLinesWarning`` plus, when a tracer is
-active, a ``store.corrupt_lines`` event — instead of silently shrinking
-the store.
+Loading is corruption-tolerant: undecodable lines (including the
+truncated final line a crash mid-append can leave) are counted, never
+fatal, and :func:`report_corrupt_lines` makes a nonzero count *visible* —
+a ``CorruptLinesWarning`` plus, when a tracer is active, a
+``store.corrupt_lines`` event — instead of silently shrinking the store.
 
 Files that are rewritten whole — the checkpoint ``state.json``, a
 compacted result-store shard, a run's ``manifest.json`` — go through
@@ -128,8 +126,8 @@ def report_corrupt_lines(path: str | Path, count: int, kind: str) -> None:
     """Surface a nonzero corrupt-line count: warn + tracer event.
 
     Silent corruption is the failure mode this guards against — a store
-    that quietly loads smaller than it was written serves misses (or
-    re-runs quarantined points) with no signal anything is wrong.
+    that quietly loads smaller than it was written serves misses with no
+    signal anything is wrong.
     """
     if count <= 0:
         return

@@ -74,26 +74,34 @@ class TestCheckpointManager:
     def test_clear_drops_state_only(self, tmp_path):
         manager = CheckpointManager(tmp_path)
         manager.save({"n": 1})
-        manager.eval_cache_path.write_text("", encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{}", encoding="utf-8")
         manager.clear()
         assert manager.load() is None
-        assert manager.eval_cache_path.exists()
+        assert manifest.exists()
 
 
 class _Interrupted(Exception):
     pass
 
 
-def _run(program, tmp_path, monkeypatch=None, kill_after=None, **kw):
-    """One tuner run; optionally die right after the Nth checkpoint save."""
-    if kill_after is not None:
+def _run(
+    program, tmp_path, monkeypatch=None, kill_after=None, kill_before=None,
+    **kw,
+):
+    """One tuner run; optionally die right after the Nth checkpoint save
+    (``kill_after``), or inside it before it writes (``kill_before``: the
+    Nth batch is evaluated but never saved)."""
+    if kill_after is not None or kill_before is not None:
         orig = CheckpointManager.save
         counter = {"n": 0}
 
         def killing_save(self, state, extra=None):
-            orig(self, state, extra=extra)
             counter["n"] += 1
-            if counter["n"] >= kill_after:
+            if counter["n"] == kill_before:
+                raise _Interrupted
+            orig(self, state, extra=extra)
+            if counter["n"] == kill_after:
                 raise _Interrupted
 
         monkeypatch.setattr(CheckpointManager, "save", killing_save)
@@ -105,7 +113,7 @@ def _run(program, tmp_path, monkeypatch=None, kill_after=None, **kw):
         tuner = Autotuner(GTX980, **kw)
         return tuner.tune_program(program)
     finally:
-        if kill_after is not None:
+        if kill_after is not None or kill_before is not None:
             monkeypatch.setattr(CheckpointManager, "save", orig)
 
 
@@ -266,7 +274,10 @@ class TestInspectTool:
         out = capsys.readouterr().out
         assert "pruned stale tmp" in out
         assert "fingerprint:" in out
-        assert "eval cache:" in out
+        # The state and the manifest are all a checkpoint directory holds.
+        assert sorted(p.name for p in ck.iterdir()) == [
+            "manifest.json", "state.json",
+        ]
 
     def test_corrupt_state_fails(self, tmp_path, capsys):
         manager = CheckpointManager(tmp_path)

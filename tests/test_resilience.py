@@ -1,4 +1,4 @@
-"""Tests for fault injection and the retry/quarantine resilience layer."""
+"""Tests for fault injection and the retry resilience layer."""
 
 import multiprocessing
 
@@ -13,7 +13,6 @@ from repro.errors import (
 )
 from repro.gpusim.arch import GTX980, K20
 from repro.gpusim.perfmodel import GPUPerformanceModel
-from repro.surf.cache import CachedEvaluator, QuarantineStore
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator, EvalOutcome
 from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
 from repro.surf.resilience import FAILURE_VALUE, ResilientEvaluator
@@ -219,7 +218,7 @@ class TestResilientEvaluator:
         )
         assert [res._backoff(i) for i in range(4)] == [4.0, 8.0, 9.0, 9.0]
 
-    def test_permanent_failure_quarantines_via_record(self, setup):
+    def test_permanent_failure_scored_inf_without_retry(self, setup):
         program, model, pool = setup
         res = ResilientEvaluator(
             _Flaky(
@@ -232,22 +231,13 @@ class TestResilientEvaluator:
         values = res.evaluate_batch(pool[:1])
         assert values == [FAILURE_VALUE]
         assert res.permanent_count == 1
-        assert res.is_quarantined(pool[0])
-        # Second evaluation is an instant quarantine hit: no dispatch.
-        inner_dispatches = res.inner.dispatches
+        assert res.retry_count == 0
+        assert res.inner.dispatches == 1
+        # Nothing is remembered: scoring the point again dispatches again
+        # and charges the failed attempt's wall again.
         out = res.evaluate_one(pool[0])
-        assert out.cached and out.status == "permanent"
-        assert out.wall == 0.0
-        assert res.inner.dispatches == inner_dispatches
-
-    def test_quarantine_gauge_in_counters(self, setup):
-        program, model, pool = setup
-        store = QuarantineStore()
-        store.add(pool[3].describe(), "manual")
-        res = ResilientEvaluator(
-            ConfigurationEvaluator([program], model, seed=0), quarantine=store
-        )
-        assert res.counters()["quarantined"] == 1.0
+        assert out.status == "permanent" and out.wall == 2.0
+        assert res.inner.dispatches == 2
 
     def test_invalid_outcomes_pass_through(self, setup):
         program, model, pool = setup
@@ -262,7 +252,6 @@ class TestZeroFaultComposition:
     def _stack(self, program, model):
         ev = ConfigurationEvaluator([program], model, seed=0)
         ev = FaultInjectingEvaluator(ev, FaultSpec())
-        ev = CachedEvaluator(ev)
         return ResilientEvaluator(ev)
 
     def test_serial_stack_bitwise_identical(self, setup):
@@ -322,8 +311,38 @@ class TestFaultySearch:
             faults="compile=0.3,transient=0.2",
         )
         totals = tuner.tune_program(two_op_program).search.telemetry.totals()
-        for key in ("invalid", "transient", "permanent", "retries",
-                    "quarantined"):
+        for key in ("invalid", "transient", "permanent", "retries"):
             assert key in totals
         assert totals["permanent"] > 0
-        assert totals["quarantined"] > 0
+
+
+class TestRepeatedCalls:
+    """A tune call remembers nothing that a later call on the same tuner sees."""
+
+    SETTINGS = dict(
+        max_evaluations=15, batch_size=5, pool_size=60, seed=3,
+        faults="compile=0.2,launch=0.1,transient=0.2",
+    )
+
+    @staticmethod
+    def _outcome(result):
+        totals = result.search.telemetry.totals()
+        del totals["fit_seconds"]  # real wall-clock of this process
+        return (
+            [(c.describe(), y) for c, y in result.search.history],
+            repr(result.search_seconds),
+            totals,
+        )
+
+    @pytest.mark.parametrize("entry", ["tune_program", "tune_contraction"])
+    def test_faulted_calls_on_one_tuner_match_a_fresh_tuner(
+        self, entry, two_op_program, mttkrp
+    ):
+        source = two_op_program if entry == "tune_program" else mttkrp
+        fresh = self._outcome(
+            getattr(Autotuner(GTX980, **self.SETTINGS), entry)(source)
+        )
+        assert fresh[2]["permanent"] > 0, "no permanent failure to remember"
+        shared = getattr(Autotuner(GTX980, **self.SETTINGS), entry)
+        assert self._outcome(shared(source)) == fresh
+        assert self._outcome(shared(source)) == fresh

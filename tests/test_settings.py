@@ -37,7 +37,6 @@ BASE = dict(max_evaluations=12, batch_size=4, pool_size=60, seed=3)
 NOT_KEYED = {
     "search_workers": lambda tmp: {"search_workers": 2},
     "fast_model": lambda tmp: {"fast_model": True},
-    "cache": lambda tmp: {"cache": True},
     "checkpoint_dir": lambda tmp: {"checkpoint_dir": tmp / "ck", "resilient": False},
     "resume": lambda tmp: {
         "checkpoint_dir": tmp / "ck", "resume": True, "resilient": False,
@@ -204,6 +203,7 @@ class TestKeywordsAndEnvironment:
             {"elastic": 1},
             {"spool": "spool"},
             {"lease_ttl": 5.0},
+            {"cache": True},
         ],
     )
     def test_deleted_keywords_rejected(self, knob):
@@ -220,10 +220,11 @@ class TestKeywordsAndEnvironment:
             for f in dataclasses.fields(TuneSettings)
             if f.metadata["env"]
         }
-        assert envs == {"REPRO_EVAL_CACHE", "REPRO_RESULT_STORE"}
+        assert envs == {"REPRO_RESULT_STORE"}
         for retired in ("REPRO_EVAL_WORKERS", "REPRO_SEARCH_WORKERS",
                         "REPRO_ELASTIC", "REPRO_FAST_MODEL"):
             monkeypatch.setenv(retired, "3")
+        monkeypatch.setenv("REPRO_EVAL_CACHE", "eval_cache.jsonl")
         monkeypatch.setenv("REPRO_FAULTS", "0.5")
         monkeypatch.setenv("REPRO_SPOOL", "spool")
         settings = TuneSettings()
@@ -231,6 +232,7 @@ class TestKeywordsAndEnvironment:
         assert settings.fast_model is False
         assert not settings.faults.any()
         assert not hasattr(settings, "spool")
+        assert not hasattr(settings, "cache")
 
 
 class TestCheckpointFingerprint:

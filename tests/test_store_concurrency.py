@@ -1,11 +1,13 @@
-"""Multi-process concurrency smoke: many writers, one store, no torn lines.
+"""Multi-process concurrency smoke: many writers, one file, no torn lines.
 
-N subprocesses hammer the same on-disk store with overlapping keys (every
-writer writes every key, values derived deterministically from the key,
-padded past any stdio buffer size so a non-atomic append *would* shear).
-The parent then reloads and asserts zero corrupt lines and exact
-first-wins contents — whichever process won each key, the value is the
-one every process would have computed for it.
+N subprocesses hammer the same on-disk file, padded past any stdio buffer
+size so a non-atomic append *would* shear.  The result store gets
+overlapping keys (every writer writes every key, values derived
+deterministically from the key); the parent reloads it and asserts zero
+corrupt lines and exact first-wins contents — whichever process won each
+key, the value is the one every process would have computed for it.  The
+bare append primitive gets one headerless file, and every append must
+come back whole.
 """
 
 import json
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from repro.serve.store import ResultStore, StoreKey
-from repro.surf.cache import EvaluationCache
+from repro.util.jsonl import load_jsonl
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,15 +41,13 @@ for i in range({n_keys}):
     store.put(key, {{"name": f"w{{i}}", "value": i * 10, "pad": "x" * 8192}})
 """
 
-EVAL_CACHE_WORKER = """
+APPEND_WORKER = """
 import sys
-from repro.surf.cache import EvaluationCache
+from repro.util.jsonl import atomic_append_jsonl
 
 path, worker = sys.argv[1], int(sys.argv[2])
-cache = EvaluationCache(path)
 for i in range({n_keys}):
-    key = ("arch", "ctx", "prog", f"cfg-{{i}}" + "p" * 8192)
-    cache.put(key, float(i), float(i) / 2.0)
+    atomic_append_jsonl(path, {{"worker": worker, "i": i, "pad": "p" * 8192}})
 """
 
 
@@ -98,15 +98,14 @@ def test_result_store_many_writers(tmp_path):
     assert total_lines >= N_KEYS + len(store.shard_paths())
 
 
-def test_evaluation_cache_many_writers(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    _hammer(tmp_path, EVAL_CACHE_WORKER, str(path))
+def test_atomic_append_many_writers(tmp_path):
+    path = tmp_path / "appends.jsonl"
+    _hammer(tmp_path, APPEND_WORKER, str(path))
 
-    cache = EvaluationCache(path)
-    assert cache.corrupt_lines == 0
-    assert len(cache) == N_KEYS
-    for i in range(N_KEYS):
-        key = ("arch", "ctx", "prog", f"cfg-{i}" + "p" * 8192)
-        assert cache.get(key) == (float(i), float(i) / 2.0, "ok")
-    for line in path.read_text(encoding="utf-8").splitlines():
-        json.loads(line)
+    entries, corrupt = load_jsonl(path)
+    assert corrupt == 0
+    assert all(entry["pad"] == "p" * 8192 for entry in entries)
+    # Every append of every writer is present, exactly once.
+    assert sorted((e["worker"], e["i"]) for e in entries) == [
+        (w, i) for w in range(N_PROCS) for i in range(N_KEYS)
+    ]

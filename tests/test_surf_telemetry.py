@@ -133,13 +133,13 @@ class TestResumeTelemetry:
         # but a resuming process's evaluator counters start wherever that
         # process is — diffing against the stale snapshot made the first
         # post-resume batch report negative (or double-counted) deltas.
-        counters = {"evaluations": 0.0, "cache_hits": 0.0}
+        counters = {"evaluations": 0.0}
         first = SearchTelemetry(counters=lambda: dict(counters))
         counters["evaluations"] = 10.0
         first.record_batch(batch_size=10, best_so_far=1.0)
         saved = first.snapshot_state()
 
-        fresh = {"evaluations": 0.0, "cache_hits": 0.0}  # new process: zeros
+        fresh = {"evaluations": 0.0}  # new process: zeros
         resumed = SearchTelemetry(counters=lambda: dict(fresh))
         resumed.restore_state(saved)
         fresh["evaluations"] = 4.0  # the first post-resume batch
@@ -159,9 +159,10 @@ class TestResumeTelemetry:
     def test_resumed_run_telemetry_deltas_nonnegative(
         self, two_op_program, tmp_path, monkeypatch
     ):
-        # End-to-end: kill a checkpointed run mid-search, resume it, and
-        # check every post-resume batch has sane (nonnegative) deltas that
-        # still add up to the reference run's totals.
+        # End-to-end: kill a faulted checkpointed run inside a save, after
+        # its batch was evaluated but before it was written, and resume.
+        # The unsaved batch is evaluated again, so every post-resume batch
+        # has sane deltas and the totals are the uninterrupted run's.
         from tests.test_checkpoint import _Interrupted, _run
 
         kw = {"faults": "0.2"}
@@ -169,23 +170,22 @@ class TestResumeTelemetry:
         ck = tmp_path / "ck"
         with pytest.raises(_Interrupted):
             _run(
-                two_op_program, tmp_path, monkeypatch, kill_after=2,
+                two_op_program, tmp_path, monkeypatch, kill_before=2,
                 checkpoint_dir=ck, **kw,
             )
         resumed = _run(
             two_op_program, tmp_path, checkpoint_dir=ck, resume=True, **kw
         )
         records = resumed.search.telemetry.records
-        assert all(r.evaluations >= 0 and r.cache_hits >= 0 for r in records)
+        assert all(r.evaluations >= 0 and r.cache_hits == 0 for r in records)
         ref_totals = reference.search.telemetry.totals()
         res_totals = resumed.search.telemetry.totals()
-        for key in ("batches", "points", "best_objective"):
-            assert res_totals[key] == ref_totals[key]
-        # The resumed run replays the killed batch from the persistent
-        # eval cache, so evaluations+cache_hits (work accounted) matches.
+        del ref_totals["fit_seconds"], res_totals["fit_seconds"]
+        assert ref_totals["retries"] + ref_totals["permanent"] > 0
+        assert res_totals == ref_totals
         assert (
-            res_totals["evaluations"] + res_totals["cache_hits"]
-            == ref_totals["evaluations"] + ref_totals["cache_hits"]
+            resumed.search.simulated_wall_seconds
+            == reference.search.simulated_wall_seconds
         )
 
 

@@ -3,9 +3,9 @@
 Usage:
     python tools/checkpoint_inspect.py DIR [--prune]
 
-Prints the run fingerprint, searcher progress, telemetry totals, eval-cache
-and quarantine sizes for ``DIR`` (recursing into per-variant ``v*/``
-subdirectories), and validates the state file's structure.  ``--prune``
+Prints the run fingerprint, searcher progress and telemetry totals for
+``DIR`` (recursing into per-variant ``v*/`` subdirectories), and validates
+the state file's structure.  ``--prune``
 removes stale ``.state.json.tmp.*`` files left behind by killed writers.
 
 Exit status: 0 when every state file found is valid, 1 otherwise.
@@ -20,13 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.errors import CheckpointError  # noqa: E402
-from repro.surf.cache import EvaluationCache, QuarantineStore  # noqa: E402
-from repro.surf.checkpoint import (  # noqa: E402
-    CheckpointManager,
-    EVAL_CACHE_FILENAME,
-    QUARANTINE_FILENAME,
-    STATE_FILENAME,
-)
+from repro.surf.checkpoint import CheckpointManager, STATE_FILENAME  # noqa: E402
 
 
 def _describe_state(payload: dict) -> list[str]:
@@ -87,21 +81,6 @@ def inspect_dir(directory: Path, prune: bool, indent: str = "") -> bool:
                 print(f"{indent}{line}")
     else:
         print(f"{indent}no {STATE_FILENAME}")
-    cache_path = directory / EVAL_CACHE_FILENAME
-    if cache_path.exists():
-        cache = EvaluationCache(cache_path)
-        suffix = (
-            f" ({cache.corrupt_lines} corrupt lines skipped)"
-            if cache.corrupt_lines
-            else ""
-        )
-        print(f"{indent}eval cache: {len(cache)} entries{suffix}")
-    quarantine_path = directory / QUARANTINE_FILENAME
-    if quarantine_path.exists():
-        quarantine = QuarantineStore(quarantine_path)
-        print(f"{indent}quarantine: {len(quarantine)} fingerprints")
-        for fingerprint, reason in sorted(quarantine.entries().items()):
-            print(f"{indent}  {fingerprint}: {reason}")
     for sub in sorted(directory.glob("v*")):
         if sub.is_dir() and (sub / STATE_FILENAME).exists():
             print(f"{indent}variant directory {sub.name}/:")

@@ -32,7 +32,6 @@ from pathlib import Path
 #: authoritative per-batch records) for the "counter totals" section.
 COUNTER_KEYS = (
     "evaluations",
-    "cache_hits",
     "invalid",
     "transient",
     "permanent",
