@@ -10,9 +10,7 @@ variable (only the result-store path keeps one), and exactly one
     settings — and through them the result-store key
     (:meth:`repro.serve.store.StoreKey.from_manifest`) — and the
     checkpoint fingerprint.  ``searcher`` and ``seed`` are keyed too; the
-    manifest holds them as fields of its own.  A keyed setting marked
-    ``omit_default`` enters only when it differs from its default, so
-    keys written before the setting existed stay valid.
+    manifest holds them as fields of its own.
 ``recorded``
     Bitwise-invisible in every result (the parallel search core replays
     the serial bits; timing tables reproduce the scalar model exactly).
@@ -43,14 +41,9 @@ RUNTIME = "runtime"
 MANIFEST_FIELDS = ("searcher", "seed")
 
 
-def _setting(default, role: str, *, env: str | None = None,
-             omit_default: bool = False, encode=None):
+def _setting(default, role: str, *, env: str | None = None, encode=None):
     return field(
-        default=default,
-        metadata={
-            "role": role, "env": env,
-            "omit_default": omit_default, "encode": encode,
-        },
+        default=default, metadata={"role": role, "env": env, "encode": encode}
     )
 
 
@@ -81,14 +74,10 @@ class TuneSettings:
         Concurrent lanes of the simulated tuning rig — sets the simulated
         wall-clock (Table II's "Search"), never the objective values.
     faults:
-        Deterministic fault injection (:mod:`repro.surf.faults`): a
-        :class:`FaultSpec` or a spec string for :meth:`FaultSpec.parse`
-        (empty = none).  Enabling faults enables the resilience layer.
-    max_retries:
-        Transient-failure retry budget of the resilience layer.
-    resilient:
-        Force the retry layer on or off; ``None`` enables it
-        exactly when faults are injected or a checkpoint directory is set.
+        The simulated rig's hazards and retry budget
+        (:mod:`repro.surf.faults`): a :class:`FaultSpec` or a spec string
+        for :meth:`FaultSpec.parse` (empty = none).  A fault-free spec
+        enters keys as ``""``, whatever its seed and retry budget.
     acquisition:
         SURF's ranking rule: ``"mean"`` (default) or ``"lcb"``.
     backend:
@@ -132,10 +121,8 @@ class TuneSettings:
     per_variant: bool = _setting(False, KEYED)
     batch_parallelism: int = _setting(1, KEYED)
     faults: FaultSpec | str = _setting("", KEYED, encode=FaultSpec.describe)
-    max_retries: int = _setting(2, KEYED)
-    resilient: bool | None = _setting(None, KEYED)
-    acquisition: str = _setting("mean", KEYED, omit_default=True)
-    backend: str = _setting("loopnest", KEYED, omit_default=True)
+    acquisition: str = _setting("mean", KEYED)
+    backend: str = _setting("loopnest", KEYED)
     search_workers: int = _setting(1, RECORDED)
     fast_model: bool = _setting(False, RECORDED)
     checkpoint_dir: str | Path | None = _setting(None, RUNTIME)
@@ -161,22 +148,15 @@ class TuneSettings:
         for name in ("checkpoint_dir", "trace"):
             value = getattr(self, name)
             normal[name] = Path(value) if value else None
-        resilient = self.resilient
-        if resilient is None:
-            resilient = faults.any() or normal["checkpoint_dir"] is not None
-        normal["resilient"] = bool(resilient)
         for name, value in normal.items():
             object.__setattr__(self, name, value)
 
     def _values(self, entries) -> dict:
         values = vars(self)
-        out = {}
-        for name, default, omit_default, encode in entries:
-            value = values[name]
-            if omit_default and value == default:
-                continue
-            out[name] = value if encode is None else encode(value)
-        return out
+        return {
+            name: values[name] if encode is None else encode(values[name])
+            for name, encode in entries
+        }
 
     @cached_property
     def keyed(self) -> dict:
@@ -190,9 +170,9 @@ class TuneSettings:
 
 
 def _entries(role: str) -> tuple:
-    """``(name, default, omit_default, encode)`` of each setting of ``role``."""
+    """``(name, encode)`` of each setting of ``role``."""
     return tuple(
-        (f.name, f.default, f.metadata["omit_default"], f.metadata["encode"])
+        (f.name, f.metadata["encode"])
         for f in fields(TuneSettings)
         if f.metadata["role"] == role
     )

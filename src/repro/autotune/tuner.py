@@ -32,12 +32,10 @@ from repro.obs.exporters import write_chrome_trace
 from repro.obs.manifest import MANIFEST_FILENAME, RunManifest, fingerprint_of
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
-from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator
+from repro.surf.evaluator import ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
-from repro.surf.faults import FaultInjectingEvaluator
 from repro.surf.pool import SpacePool, as_pool
 from repro.surf.random_search import RandomSearch
-from repro.surf.resilience import ResilientEvaluator
 from repro.surf.search import SearchResult, SURFSearch
 from repro.surf.separable import SeparableExhaustiveSearch
 from repro.surf.telemetry import SearchTelemetry
@@ -177,12 +175,11 @@ class Autotuner:
         self,
         programs: list[TCRProgram],
         tables: list[ProgramTimingTable] | None = None,
-    ) -> BatchEvaluator:
-        """Stack the evaluation engine, innermost first:
-        model -> fault injection -> retry.  A fresh stack per search, so no
-        call's accounting depends on what an earlier call evaluated."""
+    ) -> ConfigurationEvaluator:
+        """The simulated rig of one search: a fresh evaluator per search, so
+        no call's accounting depends on what an earlier call evaluated."""
         settings = self.settings
-        evaluator: BatchEvaluator = ConfigurationEvaluator(
+        return ConfigurationEvaluator(
             programs,
             self.model,
             seed=settings.seed,
@@ -190,14 +187,8 @@ class Autotuner:
             include_transfer=settings.include_transfer,
             batch_parallelism=settings.batch_parallelism,
             tables=tables,
+            faults=settings.faults,
         )
-        if settings.faults.any():
-            evaluator = FaultInjectingEvaluator(evaluator, settings.faults)
-        if settings.resilient:
-            evaluator = ResilientEvaluator(
-                evaluator, max_retries=settings.max_retries
-            )
-        return evaluator
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -355,7 +346,7 @@ class Autotuner:
         name: str,
         pool,
         space_size: int,
-        evaluator: BatchEvaluator | None,
+        evaluator: ConfigurationEvaluator | None,
     ) -> SearchCheckpointer | None:
         """Build the per-run checkpoint handle; load prior state on resume."""
         if checkpoint_dir is None:

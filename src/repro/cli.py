@@ -81,13 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--faults", default="", metavar="SPEC",
-        help="inject deterministic evaluation faults: a bare probability "
-        "('0.15') or 'compile=..,launch=..,transient=..,worker=..' "
-        "(default: none); enables the retry resilience layer",
-    )
-    tune.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="transient-failure retry budget of the resilience layer",
+        help="inject deterministic evaluation faults (default: none): a "
+        "bare probability ('0.15') and/or 'compile=..,launch=..,"
+        "transient=..,worker=..'; add ',retries=N' for the "
+        "transient-failure retry budget (default 2)",
     )
     tune.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -236,7 +233,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         search_workers=args.search_workers,
         fast_model=args.fast_model,
         faults=args.faults,
-        max_retries=args.retries,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         trace=args.trace,

@@ -68,38 +68,6 @@ class SearchError(ReproError):
     """SURF / baseline searchers got inconsistent inputs."""
 
 
-class EvaluationFailure(ReproError):
-    """An empirical evaluation failed outright (compile, launch, measure).
-
-    Distinct from :class:`ConfigurationError` (a *modeled* property of the
-    point — the config is illegal and deterministically unbuildable):
-    an ``EvaluationFailure`` is a failure of the *rig*, real or injected.
-    ``stage`` names where it died; ``wall`` is the simulated wall-clock
-    the doomed attempt still cost, so failure handling can keep the
-    search-time accounting honest.
-    """
-
-    def __init__(self, message: str, stage: str = "evaluate", wall: float = 0.0):
-        self.stage = stage
-        self.wall = wall
-        super().__init__(message)
-
-
-class TransientEvaluationError(EvaluationFailure):
-    """A retryable evaluation failure (timeout, slowdown spike, flaky node).
-
-    The resilience layer retries these with capped backoff; only after the
-    retry budget is exhausted does the outcome count as failed.
-    """
-
-
-class WorkerDiedError(TransientEvaluationError):
-    """The worker evaluating a configuration died mid-flight.
-
-    The resilience layer handles it as a transient fault.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint directory is missing, corrupt, or incompatible.
 

@@ -19,8 +19,7 @@ from repro.surf.exhaustive import ExhaustiveSearch
 from repro.surf.separable import SeparableExhaustiveSearch
 from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator, EvalOutcome
 from repro.surf.telemetry import BatchRecord, SearchTelemetry
-from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
-from repro.surf.resilience import ResilientEvaluator
+from repro.surf.faults import FaultSpec
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "BatchRecord",
     "SearchTelemetry",
     "FaultSpec",
-    "FaultInjectingEvaluator",
-    "ResilientEvaluator",
     "CheckpointManager",
     "SearchCheckpointer",
 ]

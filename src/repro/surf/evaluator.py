@@ -8,20 +8,16 @@ the books the paper reports: how many evaluations were spent and how much
 *wall-clock search time* they would have cost on the real toolchain
 (Table II's "Search" column).
 
-The evaluation engine is a small stack of composable layers, all sharing
-the :class:`BatchEvaluator` protocol (``evaluate_one`` is pure; batch
-bookkeeping happens once per batch on the driver), innermost first:
-
-``ConfigurationEvaluator``
-    The base layer: scores one point on the performance model — or, when
-    per-variant :class:`~repro.gpusim.timing_table.ProgramTimingTable`\\ s
-    are supplied, by table lookup (bitwise identical to the model; the
-    scalar path remains the fallback for configurations outside the
-    tables).
-``FaultInjectingEvaluator`` (:mod:`repro.surf.faults`)
-    Deterministic hazards, when faults are injected.
-``ResilientEvaluator`` (:mod:`repro.surf.resilience`)
-    Retries transient failures and scores permanent ones ``+inf``.
+The evaluation engine is one class, :class:`ConfigurationEvaluator`: the
+whole simulated rig.  It scores one point on the performance model — or,
+when per-variant :class:`~repro.gpusim.timing_table.ProgramTimingTable`\\ s
+are supplied, by table lookup (bitwise identical to the model; the scalar
+path remains the fallback for configurations outside the tables).  When
+its :class:`~repro.surf.faults.FaultSpec` can fire, every attempt first
+asks the spec for a hazard verdict: transient failures are retried with
+capped backoff, permanent ones are scored ``+inf``.  The
+:class:`BatchEvaluator` base does the per-batch bookkeeping
+(``evaluate_one`` is pure; counters move once per batch, on the driver).
 
 Nothing is memoized: each call scores every point it is handed, so a
 run's accounting never depends on what an earlier run evaluated.
@@ -35,12 +31,13 @@ itself is too cheap (milliseconds per batch) for a process fan-out to pay.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.gpusim.timing_table import ProgramTimingTable
 from repro.obs.tracer import get_tracer
+from repro.surf.faults import HAZARDS, FaultSpec, backoff_seconds
 from repro.tcr.program import TCRProgram
 from repro.tcr.space import ProgramConfig
 from repro.util.rng import spawn_rng
@@ -50,6 +47,7 @@ __all__ = [
     "BatchEvaluator",
     "EvalOutcome",
     "PENALTY_SECONDS",
+    "FAILURE_VALUE",
     "EVAL_STATUSES",
 ]
 
@@ -57,6 +55,12 @@ __all__ = [
 #: block too large for the device).  Far above any real kernel time so the
 #: search learns to avoid the region, but finite so surrogate fitting works.
 PENALTY_SECONDS = 10.0
+
+#: Objective recorded for failed (transient/permanent) outcomes.  Infinite —
+#: unlike the finite :data:`PENALTY_SECONDS` of merely invalid points — so
+#: "we learned this is bad" and "we learned nothing" stay distinguishable
+#: in history; searchers clamp it for model fitting.
+FAILURE_VALUE = float("inf")
 
 #: The outcome taxonomy, in increasing order of badness:
 #: ``ok`` — a real measurement; ``invalid`` — the configuration is illegal
@@ -96,7 +100,7 @@ class EvalOutcome:
 
 
 class BatchEvaluator:
-    """Shared bookkeeping for the evaluator stack.
+    """Per-batch bookkeeping of an evaluator.
 
     Subclasses implement :meth:`evaluate_one` (a *pure* scoring function —
     no counter mutation).  ``evaluate_batch`` then does all bookkeeping
@@ -124,18 +128,6 @@ class BatchEvaluator:
 
     def evaluate_one(self, config: ProgramConfig) -> EvalOutcome:
         raise NotImplementedError
-
-    def evaluate_attempt(self, config: ProgramConfig, attempt: int) -> EvalOutcome:
-        """Attempt-aware scoring hook used by the resilience layer.
-
-        ``attempt`` is the zero-based retry index for this configuration.
-        The base evaluators ignore it (the model is deterministic);
-        :class:`~repro.surf.faults.FaultInjectingEvaluator` keys transient
-        hazards on it so retries can deterministically succeed or fail.
-        Wrappers must forward it down the stack.
-        """
-        del attempt
-        return self.evaluate_one(config)
 
     def evaluate_batch(self, configs: Sequence[ProgramConfig]) -> list[float]:
         """Algorithm 2's ``Evaluate_Parallel``: score a batch of points."""
@@ -233,6 +225,9 @@ class ConfigurationEvaluator(BatchEvaluator):
         (the tables reproduce ``program_timing`` bitwise, and noise is
         applied on top from the same per-configuration rng substream).
         Configurations a table cannot index fall back to the scalar path.
+    faults:
+        The rig's hazard mix and retry budget (:mod:`repro.surf.faults`);
+        fault-free by default.
     """
 
     def __init__(
@@ -244,6 +239,7 @@ class ConfigurationEvaluator(BatchEvaluator):
         include_transfer: bool = True,
         batch_parallelism: int = 1,
         tables: Sequence[ProgramTimingTable | None] | None = None,
+        faults: FaultSpec | None = None,
     ) -> None:
         self.programs = list(programs)
         self.model = model
@@ -252,6 +248,7 @@ class ConfigurationEvaluator(BatchEvaluator):
         self.include_transfer = include_transfer
         self.batch_parallelism = max(1, batch_parallelism)
         self.tables = list(tables) if tables is not None else None
+        self.faults = faults if faults is not None else FaultSpec()
         self.evaluation_count = 0
         self.simulated_wall_seconds = 0.0
 
@@ -276,7 +273,45 @@ class ConfigurationEvaluator(BatchEvaluator):
         )
 
     def evaluate_one(self, config: ProgramConfig) -> EvalOutcome:
-        """Score one configuration; pure (no evaluator state is touched)."""
+        """Score one configuration on the rig; pure (no evaluator state is
+        touched).
+
+        Each attempt first takes the fault spec's verdict.  A transient
+        hazard is retried up to ``faults.retries`` times, and a point that
+        exhausts them is a ``transient`` outcome; a permanent hazard is a
+        ``permanent`` outcome at once.  Both score :data:`FAILURE_VALUE`.
+        The walls of doomed attempts and the backoff before each retry are
+        charged to the outcome.
+        """
+        faults = self.faults
+        if not faults.any():
+            return self._measure(config)
+        cal = self.model.cal
+        fingerprint = config.describe()
+        wall = 0.0
+        for attempt in range(faults.retries + 1):
+            hazard = faults.verdict(fingerprint, attempt)
+            if hazard is None:
+                out = self._measure(config)
+                return replace(out, wall=out.wall + wall, attempts=attempt + 1)
+            permanent, cap_share = HAZARDS[hazard]
+            wall += cal.compile_seconds + cap_share * cal.measure_cap_seconds
+            detail = f"injected {hazard} failure (attempt {attempt}) [{fingerprint}]"
+            if permanent:
+                return EvalOutcome(
+                    config=config, value=FAILURE_VALUE, wall=wall,
+                    status="permanent", detail=detail, attempts=attempt + 1,
+                )
+            if attempt < faults.retries:
+                wall += backoff_seconds(attempt)
+        return EvalOutcome(
+            config=config, value=FAILURE_VALUE, wall=wall, status="transient",
+            detail=f"gave up after {attempt + 1} attempts: {detail}",
+            attempts=attempt + 1,
+        )
+
+    def _measure(self, config: ProgramConfig) -> EvalOutcome:
+        """One successful dispatch: the model's (or table's) outcome."""
         table = self._table_for(config)
         fallback = False
         if table is not None:

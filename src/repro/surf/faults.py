@@ -1,12 +1,13 @@
-"""Deterministic fault injection for the evaluation engine.
+"""Deterministic fault injection: the simulated rig's hazards and retries.
 
 Real autotuning rigs fail in ways the performance model never does:
 ``nvcc`` rejects a kernel, a launch asserts, a measurement times out or
 comes back wildly slow because the node was busy, a worker process dies.
-Production tuners treat those as first-class search observations; to make
-every failure path of our resilience layer testable without a GPU (or a
-flaky cluster), :class:`FaultInjectingEvaluator` simulates a configurable
-hazard mix *deterministically*.
+Production tuners treat those as first-class search observations.  A
+:class:`FaultSpec` describes such a hazard mix and the rig's retry
+budget; the :class:`~repro.surf.evaluator.ConfigurationEvaluator` asks
+it for a :meth:`~FaultSpec.verdict` on every attempt, so every failure
+path of the rig is testable without a GPU (or a flaky cluster).
 
 Determinism discipline (same as the measurement noise in
 :mod:`repro.gpusim.perfmodel`): every hazard decision is a pure function
@@ -15,31 +16,45 @@ of ``(fault seed, hazard kind, config fingerprint[, attempt])`` via
 verdict cannot depend on evaluation order, thread interleaving, or which
 process asks.  Permanent hazards (compile/launch) are keyed on the
 configuration alone — the same point always fails, in every run.
-Transient hazards (timeout, slowdown spike, worker death) are
-additionally keyed on the retry ``attempt``, so a retry can
-deterministically succeed where the first dispatch failed.
-
-An injected hazard only ever *raises*: worker death is a
-:class:`~repro.errors.WorkerDiedError`, which the resilience layer handles
-as a transient fault.  It never ends the real process, so a faulted run
-behaves the same whichever process it runs in.
+Transient hazards (worker death, timeout) are additionally keyed on the
+retry ``attempt``, so a retry can deterministically succeed where the
+first dispatch failed.  An injected worker death is a verdict like any
+other: it never ends the real process, so a faulted run behaves the same
+whichever process it runs in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.errors import (
-    EvaluationFailure,
-    SearchError,
-    TransientEvaluationError,
-    WorkerDiedError,
-)
-from repro.surf.evaluator import BatchEvaluator, EvalOutcome
-from repro.tcr.space import ProgramConfig
+from repro.errors import SearchError
 from repro.util.rng import stable_uniform
 
-__all__ = ["FaultSpec", "FaultInjectingEvaluator"]
+__all__ = ["FaultSpec", "HAZARDS", "backoff_seconds"]
+
+#: Each hazard a verdict can name: whether it is permanent (never
+#: retried), and the share of the measurement cap the doomed attempt
+#: burns after its compile.  A compile failure costs one compile; a
+#: launch failure or worker death costs a compile plus a fraction of the
+#: cap; a timeout (or a slowdown spike past the cap) burns compile + the
+#: full cap.
+HAZARDS = {
+    "compile": (True, 0.0),
+    "launch": (True, 0.1),
+    "worker": (False, 0.5),
+    "timeout": (False, 1.0),
+}
+
+#: Capped exponential backoff charged (as simulated wall, never a real
+#: sleep) before each retry: ``min(cap, first * factor**retry)``.
+BACKOFF_FIRST_SECONDS = 1.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_SECONDS = 30.0
+
+
+def backoff_seconds(retry: int) -> float:
+    """Simulated wait before retry ``retry`` (0-based)."""
+    return min(BACKOFF_CAP_SECONDS, BACKOFF_FIRST_SECONDS * BACKOFF_FACTOR**retry)
 
 
 @dataclass(frozen=True)
@@ -53,30 +68,36 @@ class FaultSpec:
         kernel / the launch always asserts).  Keyed on the configuration
         fingerprint only, so they are stable across retries and runs.
     transient_rate:
-        Retryable measurement hazards: timeouts and slowdown spikes
-        (``timeout_fraction`` splits the two).  Keyed on (config, attempt).
+        Retryable measurement hazards: timeouts and slowdown spikes, each
+        of which burns the full measurement cap.  Keyed on (config,
+        attempt).
     worker_death_rate:
         The worker evaluating the point dies mid-flight.  Keyed on
         (config, attempt); handled as a transient fault.
     seed:
         Fault substream seed — independent of the measurement-noise seed,
         so enabling faults never perturbs the values of surviving points.
+    retries:
+        Transient-failure retries per configuration (total attempts =
+        ``retries + 1``).  Without hazards nothing is retried, so a
+        fault-free spec ignores it.
     """
 
     compile_rate: float = 0.0
     launch_rate: float = 0.0
     transient_rate: float = 0.0
     worker_death_rate: float = 0.0
-    timeout_fraction: float = 0.5
-    slowdown_factor: float = 20.0
     seed: int = 0
+    retries: int = 2
 
     def __post_init__(self) -> None:
         for name in ("compile_rate", "launch_rate", "transient_rate",
-                     "worker_death_rate", "timeout_fraction"):
+                     "worker_death_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise SearchError(f"fault {name} must be in [0, 1], got {rate!r}")
+        if self.retries < 0:
+            raise SearchError(f"fault retries must be >= 0, got {self.retries!r}")
 
     @property
     def total_rate(self) -> float:
@@ -92,13 +113,17 @@ class FaultSpec:
 
     def describe(self) -> str:
         """Canonical text form (also the parse format; part of checkpoint
-        fingerprints, so it must be stable)."""
+        fingerprints and store keys, so it must be stable).  A fault-free
+        spec describes as ``""``, whatever its seed and retry budget."""
+        if not self.any():
+            return ""
         parts = [
             f"compile={self.compile_rate:g}",
             f"launch={self.launch_rate:g}",
             f"transient={self.transient_rate:g}",
             f"worker={self.worker_death_rate:g}",
             f"seed={self.seed}",
+            f"retries={self.retries}",
         ]
         return ",".join(parts)
 
@@ -106,26 +131,14 @@ class FaultSpec:
     def parse(cls, text: str, seed: int = 0) -> "FaultSpec":
         """Parse a CLI hazard mix.
 
-        Either a bare probability (``"0.15"`` — spread 20/20/60 over
-        compile/launch/transient, no worker death), or comma-separated
-        ``key=value`` pairs with keys ``compile``, ``launch``,
-        ``transient``, ``worker``, ``timeout_fraction``,
-        ``slowdown_factor``, ``seed``.
+        Comma-separated ``key=value`` pairs with keys ``compile``,
+        ``launch``, ``transient``, ``worker``, ``seed`` and ``retries``,
+        optionally after a bare probability (``"0.15"`` — spread 20/20/60
+        over compile/launch/transient, no worker death).
         """
         text = text.strip()
         if not text:
             return cls(seed=seed)
-        try:
-            total = float(text)
-        except ValueError:
-            total = None
-        if total is not None:
-            return cls(
-                compile_rate=0.2 * total,
-                launch_rate=0.2 * total,
-                transient_rate=0.6 * total,
-                seed=seed,
-            )
         keymap = {
             "compile": "compile_rate",
             "launch": "launch_rate",
@@ -134,99 +147,43 @@ class FaultSpec:
         }
         valid = {f.name for f in fields(cls)}
         kwargs: dict[str, float | int] = {"seed": seed}
-        for part in text.split(","):
+        parts = text.split(",")
+        try:
+            total = float(parts[0])
+        except ValueError:
+            pass
+        else:
+            parts = parts[1:]
+            kwargs.update(
+                compile_rate=0.2 * total,
+                launch_rate=0.2 * total,
+                transient_rate=0.6 * total,
+            )
+        for part in parts:
             if "=" not in part:
                 raise SearchError(f"bad fault spec element {part!r} (want key=value)")
             key, _, value = part.partition("=")
             key = keymap.get(key.strip(), key.strip())
             if key not in valid:
                 raise SearchError(f"unknown fault spec key {key!r}")
-            kwargs[key] = int(value) if key == "seed" else float(value)
+            kwargs[key] = int(value) if key in ("seed", "retries") else float(value)
         return cls(**kwargs)
 
-
-def _base_calibration(evaluator: object):
-    """Walk the wrapper chain for the model's calibration constants."""
-    seen = 0
-    while evaluator is not None and seen < 16:
-        model = getattr(evaluator, "model", None)
-        if model is not None:
-            return model.cal
-        evaluator = getattr(evaluator, "inner", None)
-        seen += 1
-    return None
-
-
-class FaultInjectingEvaluator(BatchEvaluator):
-    """Inject the hazard mix of a :class:`FaultSpec` under any evaluator.
-
-    Sits directly above the base :class:`ConfigurationEvaluator`, below
-    the resilience layer that retries what it raises.  Faulted attempts raise
-    :class:`~repro.errors.EvaluationFailure` subclasses carrying the
-    simulated wall-clock the doomed attempt still burned.
-    """
-
-    def __init__(self, inner: BatchEvaluator, spec: FaultSpec) -> None:
-        self.inner = inner
-        self.spec = spec
-        cal = _base_calibration(inner)
-        # Wall costs of doomed attempts, mirroring the model's accounting:
-        # a compile failure costs one compile; a launch failure or worker
-        # death costs a compile plus (a fraction of) the measurement cap; a
-        # timeout burns compile + the full cap.
-        self._compile_wall = cal.compile_seconds if cal is not None else 30.0
-        self._cap_wall = cal.measure_cap_seconds if cal is not None else 10.0
-
-    @property
-    def batch_lanes(self) -> int:
-        return self.inner.batch_lanes
-
-    @staticmethod
-    def fingerprint(config: ProgramConfig) -> str:
-        return config.describe()
-
-    def _hazard(self, kind: str, *key: object) -> bool:
-        rate = getattr(self.spec, f"{kind}_rate")
+    def _fires(self, kind: str, *key: object) -> bool:
+        rate = getattr(self, f"{kind}_rate")
         if rate <= 0.0:
             return False
-        return stable_uniform(self.spec.seed, "fault", kind, *key) < rate
+        return stable_uniform(self.seed, "fault", kind, *key) < rate
 
-    def evaluate_one(self, config: ProgramConfig) -> EvalOutcome:
-        return self.evaluate_attempt(config, 0)
-
-    def evaluate_attempt(self, config: ProgramConfig, attempt: int) -> EvalOutcome:
-        """Score one configuration, first rolling the hazard dice; pure."""
-        fp = self.fingerprint(config)
-        # Permanent hazards: a function of the configuration alone.
-        if self._hazard("compile", fp):
-            raise EvaluationFailure(
-                f"injected compile failure [{fp}]",
-                stage="compile", wall=self._compile_wall,
-            )
-        if self._hazard("launch", fp):
-            raise EvaluationFailure(
-                f"injected launch failure [{fp}]",
-                stage="launch", wall=self._compile_wall + 0.1 * self._cap_wall,
-            )
-        # Transient hazards: a function of (configuration, attempt).
-        if self._hazard("worker_death", fp, attempt):
-            raise WorkerDiedError(
-                f"injected worker death (attempt {attempt}) [{fp}]",
-                stage="dispatch", wall=self._compile_wall + 0.5 * self._cap_wall,
-            )
-        if self._hazard("transient", fp, attempt):
-            spike = (
-                stable_uniform(self.spec.seed, "fault", "transient-kind", fp, attempt)
-                >= self.spec.timeout_fraction
-            )
-            if spike:
-                raise TransientEvaluationError(
-                    f"injected slowdown spike x{self.spec.slowdown_factor:g} "
-                    f"(attempt {attempt}) [{fp}]",
-                    stage="measure", wall=self._compile_wall + self._cap_wall,
-                )
-            raise TransientEvaluationError(
-                f"injected timeout (attempt {attempt}) [{fp}]",
-                stage="measure", wall=self._compile_wall + self._cap_wall,
-            )
-        return self.inner.evaluate_attempt(config, attempt)
+    def verdict(self, fingerprint: str, attempt: int) -> str | None:
+        """The hazard (a :data:`HAZARDS` name) that dooms ``attempt`` of the
+        configuration with this ``fingerprint``, or None; pure."""
+        if self._fires("compile", fingerprint):
+            return "compile"
+        if self._fires("launch", fingerprint):
+            return "launch"
+        if self._fires("worker_death", fingerprint, attempt):
+            return "worker"
+        if self._fires("transient", fingerprint, attempt):
+            return "timeout"
+        return None

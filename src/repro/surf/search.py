@@ -31,7 +31,7 @@ tracks the useful count and the champion, and writes and restores the
 history half of a checkpoint.  Each driver keeps only its own selection
 state.
 
-Fault tolerance (see :mod:`repro.surf.resilience`): failed evaluations
+Fault tolerance (see :mod:`repro.surf.faults`): failed evaluations
 come back as ``+inf`` observations.  They enter the history (the search
 *learned* the point is bad) but are clamped to the penalty value before
 surrogate training so an infinite target cannot poison the forest, and

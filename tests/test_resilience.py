@@ -1,23 +1,18 @@
-"""Tests for fault injection and the retry resilience layer."""
+"""Tests for the simulated rig's fault injection and retries."""
 
 import multiprocessing
 
 import pytest
 
 from repro.autotune import Autotuner
-from repro.errors import (
-    EvaluationFailure,
-    SearchError,
-    TransientEvaluationError,
-    WorkerDiedError,
-)
+from repro.errors import SearchError
 from repro.gpusim.arch import GTX980, K20
 from repro.gpusim.perfmodel import GPUPerformanceModel
-from repro.surf.evaluator import BatchEvaluator, ConfigurationEvaluator, EvalOutcome
-from repro.surf.faults import FaultInjectingEvaluator, FaultSpec
-from repro.surf.resilience import FAILURE_VALUE, ResilientEvaluator
+from repro.surf.evaluator import FAILURE_VALUE, ConfigurationEvaluator
+from repro.surf.faults import FaultSpec, backoff_seconds
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
+from repro.util.rng import stable_hash
 from repro.workloads import get_workload
 
 
@@ -57,11 +52,17 @@ class TestFaultSpec:
         assert spec.seed == 7
 
     def test_parse_key_value_pairs(self):
-        spec = FaultSpec.parse("compile=0.1,worker=0.05,slowdown_factor=8,seed=3")
+        spec = FaultSpec.parse("compile=0.1,worker=0.05,retries=4,seed=3")
         assert spec.compile_rate == 0.1
         assert spec.worker_death_rate == 0.05
-        assert spec.slowdown_factor == 8.0
+        assert spec.retries == 4
         assert spec.seed == 3
+        # A bare probability may lead the pairs.
+        mixed = FaultSpec.parse("0.2,retries=1", seed=7)
+        assert mixed == FaultSpec(
+            compile_rate=0.2 * 0.2, launch_rate=0.2 * 0.2,
+            transient_rate=0.6 * 0.2, seed=7, retries=1,
+        )
 
     def test_parse_empty_is_fault_free(self):
         assert not FaultSpec.parse("").any()
@@ -73,55 +74,66 @@ class TestFaultSpec:
     def test_rates_validated(self):
         with pytest.raises(SearchError, match="must be in"):
             FaultSpec(compile_rate=1.5)
+        with pytest.raises(SearchError, match="retries must be >= 0"):
+            FaultSpec(transient_rate=0.1, retries=-1)
 
     def test_describe_is_stable(self):
         spec = FaultSpec.parse("0.15", seed=3)
         assert spec.describe() == FaultSpec.parse("0.15", seed=3).describe()
         assert spec.describe() != FaultSpec.parse("0.15", seed=4).describe()
+        assert spec.describe() != FaultSpec.parse("0.15,retries=1", seed=3).describe()
+        assert FaultSpec.parse(spec.describe()) == spec
+        # No fault-free key carries a fault seed or a retry budget.
+        assert FaultSpec(seed=5, retries=7).describe() == ""
+
+
+def _rig(program, model, **faults):
+    """The evaluator under a hazard mix (fault seed 1 unless given)."""
+    return ConfigurationEvaluator(
+        [program], model, seed=0, faults=FaultSpec(**{"seed": 1, **faults})
+    )
+
+
+def _pick(pool, spec, *verdicts):
+    """The first pool point whose attempts 0, 1, ... get ``verdicts``."""
+    return next(
+        c for c in pool
+        if all(
+            spec.verdict(c.describe(), a) == v for a, v in enumerate(verdicts)
+        )
+    )
 
 
 class TestFaultInjector:
     def test_verdicts_deterministic_and_order_independent(self, setup):
         program, model, pool = setup
         def run(order):
-            inj = FaultInjectingEvaluator(
-                ConfigurationEvaluator([program], model, seed=0),
-                FaultSpec(compile_rate=0.3, transient_rate=0.3, seed=1),
-            )
-            verdicts = {}
-            for config in order:
-                try:
-                    inj.evaluate_attempt(config, 0)
-                    verdicts[config.describe()] = "ok"
-                except EvaluationFailure as exc:
-                    verdicts[config.describe()] = exc.stage
-            return verdicts
+            rig = _rig(program, model, compile_rate=0.3, transient_rate=0.3)
+            return {
+                c.describe(): (o.status, o.attempts, o.wall)
+                for c, o in zip(order, (rig.evaluate_one(c) for c in order))
+            }
         forward = run(pool[:20])
         backward = run(list(reversed(pool[:20])))
         assert forward == backward
-        assert len(set(forward.values())) > 1  # the mix actually fires
+        statuses = {status for status, _a, _w in forward.values()}
+        assert len(statuses) > 1  # the mix actually fires
 
     def test_permanent_hazard_ignores_attempt(self, setup):
         program, model, pool = setup
-        inj = FaultInjectingEvaluator(
-            ConfigurationEvaluator([program], model, seed=0),
-            FaultSpec(compile_rate=0.5, seed=1),
-        )
-        doomed = next(
-            c for c in pool if inj._hazard("compile", inj.fingerprint(c))
-        )
-        for attempt in range(4):
-            with pytest.raises(EvaluationFailure):
-                inj.evaluate_attempt(doomed, attempt)
+        rig = _rig(program, model, compile_rate=0.5)
+        doomed = _pick(pool, rig.faults, "compile")
+        assert [
+            rig.faults.verdict(doomed.describe(), a) for a in range(4)
+        ] == ["compile"] * 4
+        out = rig.evaluate_one(doomed)
+        assert (out.status, out.attempts) == ("permanent", 1)
 
     def test_transient_hazard_keys_on_attempt(self, setup):
         program, model, pool = setup
-        inj = FaultInjectingEvaluator(
-            ConfigurationEvaluator([program], model, seed=0),
-            FaultSpec(transient_rate=0.4, seed=1),
-        )
+        spec = FaultSpec(transient_rate=0.4, seed=1)
         verdict = {
-            (c.describe(), a): inj._hazard("transient", inj.fingerprint(c), a)
+            (c.describe(), a): spec.verdict(c.describe(), a)
             for c in pool[:40] for a in range(3)
         }
         # Some config fails on one attempt but not another: retries can win.
@@ -133,22 +145,19 @@ class TestFaultInjector:
     def test_zero_rates_never_fault(self, setup):
         program, model, pool = setup
         plain = ConfigurationEvaluator([program], model, seed=0)
-        inj = FaultInjectingEvaluator(
-            ConfigurationEvaluator([program], model, seed=0), FaultSpec()
-        )
-        assert inj.evaluate_batch(pool[:10]) == plain.evaluate_batch(pool[:10])
+        rig = _rig(program, model, retries=5)
+        assert rig.evaluate_batch(pool[:16]) == plain.evaluate_batch(pool[:16])
+        assert rig.simulated_wall_seconds == plain.simulated_wall_seconds
+        assert rig.counters() == plain.counters()
 
-    def test_worker_death_raises_outside_process_pool(self, setup):
+    def test_worker_death_is_a_retried_verdict(self, setup):
         program, model, pool = setup
-        inj = FaultInjectingEvaluator(
-            ConfigurationEvaluator([program], model, seed=0),
-            FaultSpec(worker_death_rate=1.0, seed=1),
-        )
-        # The draw must raise, never exit.
-        with pytest.raises(WorkerDiedError):
-            inj.evaluate_attempt(pool[0], 0)
+        rig = _rig(program, model, worker_death_rate=1.0, retries=3)
+        # Every attempt dies; the run gives up on the point, never exits.
+        out = rig.evaluate_one(pool[0])
+        assert (out.status, out.attempts) == ("transient", 4)
 
-    def test_worker_death_in_a_child_process_raises_too(self):
+    def test_worker_death_run_in_a_child_process_matches(self):
         # An injected worker death is a simulated hazard: a faulted run
         # inside a multiprocessing child must finish exactly as in-process.
         reference = _worker_death_run()
@@ -164,115 +173,80 @@ class TestFaultInjector:
         assert receive.recv() == reference
 
 
-class _Flaky(BatchEvaluator):
-    """Test double: fails the first ``fail_attempts`` dispatches per config."""
-
-    def __init__(self, inner, fail_attempts, error=TransientEvaluationError):
-        self.inner = inner
-        self.fail_attempts = fail_attempts
-        self.error = error
-        self.dispatches = 0
-
-    def evaluate_one(self, config):
-        return self.evaluate_attempt(config, 0)
-
-    def evaluate_attempt(self, config, attempt):
-        self.dispatches += 1
-        if attempt < self.fail_attempts:
-            raise self.error("synthetic failure", stage="test", wall=2.0)
-        return self.inner.evaluate_attempt(config, attempt)
-
-
 class TestResilientEvaluator:
+    """The evaluator retries transient hazards and scores failures +inf."""
+
     def test_retry_succeeds_and_charges_backoff(self, setup):
         program, model, pool = setup
         plain = ConfigurationEvaluator([program], model, seed=0)
-        res = ResilientEvaluator(
-            _Flaky(ConfigurationEvaluator([program], model, seed=0), 1),
-            max_retries=2,
-        )
-        out = res.evaluate_one(pool[0])
-        ref = plain.evaluate_one(pool[0])
+        rig = _rig(program, model, transient_rate=0.5, retries=2)
+        config = _pick(pool, rig.faults, "timeout", None)
+        out = rig.evaluate_one(config)
+        ref = plain.evaluate_one(config)
         assert out.status == "ok"
         assert out.attempts == 2
         assert out.value == ref.value
-        # Wall = failed attempt (2.0) + backoff (1.0) + the real evaluation.
-        assert out.wall == pytest.approx(ref.wall + 2.0 + 1.0)
+        # Wall = the timed-out attempt (compile + measurement cap) + the
+        # first backoff (1 s) + the real evaluation.
+        cal = model.cal
+        failed = cal.compile_seconds + cal.measure_cap_seconds
+        assert out.wall == pytest.approx(ref.wall + failed + 1.0)
 
     def test_gives_up_after_max_retries(self, setup):
         program, model, pool = setup
-        res = ResilientEvaluator(
-            _Flaky(ConfigurationEvaluator([program], model, seed=0), 99),
-            max_retries=2,
-        )
-        out = res.evaluate_one(pool[0])
+        rig = _rig(program, model, transient_rate=1.0, retries=2)
+        out = rig.evaluate_one(pool[0])
         assert out.status == "transient"
         assert out.value == FAILURE_VALUE
         assert out.attempts == 3  # 1 + 2 retries
-        # 3 failed attempts + backoffs 1.0 and 2.0.
-        assert out.wall == pytest.approx(3 * 2.0 + 1.0 + 2.0)
+        # 3 timed-out attempts + backoffs 1.0 and 2.0.
+        cal = model.cal
+        failed = cal.compile_seconds + cal.measure_cap_seconds
+        assert out.wall == pytest.approx(3 * failed + 1.0 + 2.0)
 
     def test_backoff_is_capped(self):
-        res = ResilientEvaluator(
-            _Flaky(None, 0), backoff_seconds=4.0, backoff_cap_seconds=9.0
-        )
-        assert [res._backoff(i) for i in range(4)] == [4.0, 8.0, 9.0, 9.0]
+        assert [backoff_seconds(i) for i in range(7)] == [
+            1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0,
+        ]
 
-    def test_permanent_failure_scored_inf_without_retry(self, setup):
+    def test_permanent_failure_scored_inf_without_retry(
+        self, setup, monkeypatch
+    ):
         program, model, pool = setup
-        res = ResilientEvaluator(
-            _Flaky(
-                ConfigurationEvaluator([program], model, seed=0),
-                99,
-                error=EvaluationFailure,
-            ),
-            max_retries=2,
-        )
-        values = res.evaluate_batch(pool[:1])
+        rig = _rig(program, model, compile_rate=1.0, retries=2)
+        verdicts = []
+        verdict = FaultSpec.verdict
+
+        def counting(spec, fingerprint, attempt):
+            verdicts.append(attempt)
+            return verdict(spec, fingerprint, attempt)
+
+        monkeypatch.setattr(FaultSpec, "verdict", counting)
+        values = rig.evaluate_batch(pool[:1])
         assert values == [FAILURE_VALUE]
-        assert res.permanent_count == 1
-        assert res.retry_count == 0
-        assert res.inner.dispatches == 1
+        assert rig.permanent_count == 1
+        assert rig.retry_count == 0
+        assert verdicts == [0]
         # Nothing is remembered: scoring the point again dispatches again
-        # and charges the failed attempt's wall again.
-        out = res.evaluate_one(pool[0])
-        assert out.status == "permanent" and out.wall == 2.0
-        assert res.inner.dispatches == 2
+        # and charges the failed attempt's wall (one compile) again.
+        out = rig.evaluate_one(pool[0])
+        assert out.status == "permanent"
+        assert out.wall == model.cal.compile_seconds
+        assert verdicts == [0, 0]
 
-    def test_invalid_outcomes_pass_through(self, setup):
-        program, model, pool = setup
-        res = ResilientEvaluator(ConfigurationEvaluator([program], model, seed=0))
-        outcomes = [res.evaluate_one(c) for c in pool]
-        assert all(o.status in ("ok", "invalid") for o in outcomes)
-
-
-class TestZeroFaultComposition:
-    """At fault rate 0 the full stack must be bitwise-invisible."""
-
-    def _stack(self, program, model):
-        ev = ConfigurationEvaluator([program], model, seed=0)
-        ev = FaultInjectingEvaluator(ev, FaultSpec())
-        return ResilientEvaluator(ev)
-
-    def test_serial_stack_bitwise_identical(self, setup):
-        program, model, pool = setup
+    def test_invalid_outcomes_pass_through(self):
+        # lg3 on the K20 has unbuildable points: a retried one stays invalid.
+        program = get_workload("lg3").program
+        space = TuningSpace([decide_search_space(program)])
+        pool = [space.config_at(g) for g in range(0, space.size(), 400_009)]
+        model = GPUPerformanceModel(K20)
         plain = ConfigurationEvaluator([program], model, seed=0)
-        stack = self._stack(program, model)
-        assert stack.evaluate_batch(pool[:16]) == plain.evaluate_batch(pool[:16])
-        assert stack.simulated_wall_seconds == plain.simulated_wall_seconds
-
-    def test_tuner_results_unchanged_by_resilience_layer(self, two_op_program):
-        base = Autotuner(
-            GTX980, max_evaluations=12, batch_size=4, pool_size=40, seed=5
-        ).tune_program(two_op_program)
-        hardened = Autotuner(
-            GTX980, max_evaluations=12, batch_size=4, pool_size=40, seed=5,
-            resilient=True,
-        ).tune_program(two_op_program)
-        assert hardened.search.best_objective == base.search.best_objective
-        assert [
-            (c.describe(), y) for c, y in hardened.search.history
-        ] == [(c.describe(), y) for c, y in base.search.history]
+        rig = _rig(program, model, transient_rate=0.3, retries=20)
+        outcomes = [rig.evaluate_one(c) for c in pool]
+        assert any(o.status == "invalid" and o.attempts > 1 for o in outcomes)
+        assert [(o.status, o.value) for o in outcomes] == [
+            (o.status, o.value) for o in map(plain.evaluate_one, pool)
+        ]
 
 
 class TestFaultySearch:
@@ -314,6 +288,41 @@ class TestFaultySearch:
         for key in ("invalid", "transient", "permanent", "retries"):
             assert key in totals
         assert totals["permanent"] > 0
+
+
+#: lg3 on the K20 (40 evaluations, batch 5, pool 200, seed 3) under two
+#: hazard mixes: simulated search seconds, evaluations, the
+#: invalid/transient/permanent/retries totals and a history digest.
+#: These pin the walls of failed attempts and of the retry backoff.
+RIG_PINS = {
+    "0.15": ("172.25296034372144", 43, (4, 0, 3, 2), "970df72466c9f5ef"),
+    "compile=0.05,launch=0.05,transient=0.2,worker=0.1,retries=1": (
+        "310.2451091891331", 55, (10, 8, 7, 21), "c9aa3f7522afe618",
+    ),
+}
+
+
+class TestRigPin:
+    @pytest.mark.parametrize("faults", sorted(RIG_PINS))
+    def test_faulted_lg3_run_is_pinned(self, faults):
+        tuner = Autotuner(
+            K20, max_evaluations=40, batch_size=5, pool_size=200, seed=3,
+            faults=faults,
+        )
+        search = get_workload("lg3").tune(tuner).search
+        totals = search.telemetry.totals()
+        history = format(
+            stable_hash("rig-pin", [(c.describe(), y) for c, y in search.history]),
+            "016x",
+        )
+        assert (
+            repr(search.simulated_wall_seconds),
+            totals["evaluations"],
+            tuple(
+                totals[k] for k in ("invalid", "transient", "permanent", "retries")
+            ),
+            history,
+        ) == RIG_PINS[faults]
 
 
 class TestRepeatedCalls:

@@ -26,12 +26,10 @@ from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.surf import (
     ConfigurationEvaluator,
     ExhaustiveSearch,
-    FaultInjectingEvaluator,
     FaultSpec,
     FeatureBinarizer,
     OrdinalEncoder,
     RandomSearch,
-    ResilientEvaluator,
     SURFSearch,
     SpacePool,
 )
@@ -64,13 +62,10 @@ def _plain_evaluator(program, model):
 
 
 def _faulty_evaluator(program, model):
-    """Deterministic fault stack: permanent failures surface as +inf."""
-    return ResilientEvaluator(
-        FaultInjectingEvaluator(
-            ConfigurationEvaluator([program], model, seed=0),
-            FaultSpec(compile_rate=0.15, transient_rate=0.1, seed=3),
-        ),
-        max_retries=1,
+    """Deterministic faults: permanent failures surface as +inf."""
+    return ConfigurationEvaluator(
+        [program], model, seed=0,
+        faults=FaultSpec(compile_rate=0.15, transient_rate=0.1, seed=3, retries=1),
     )
 
 

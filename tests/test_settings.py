@@ -31,16 +31,12 @@ GOLDEN = Path(__file__).parent / "golden"
 
 BASE = dict(max_evaluations=12, batch_size=4, pool_size=60, seed=3)
 
-#: A cheap non-default value for every setting that is not keyed.  A
-#: checkpoint directory turns the keyed ``resilient`` default on, so the
-#: checkpoint cases pin it to the default run's value.
+#: A cheap non-default value for every setting that is not keyed.
 NOT_KEYED = {
     "search_workers": lambda tmp: {"search_workers": 2},
     "fast_model": lambda tmp: {"fast_model": True},
-    "checkpoint_dir": lambda tmp: {"checkpoint_dir": tmp / "ck", "resilient": False},
-    "resume": lambda tmp: {
-        "checkpoint_dir": tmp / "ck", "resume": True, "resilient": False,
-    },
+    "checkpoint_dir": lambda tmp: {"checkpoint_dir": tmp / "ck"},
+    "resume": lambda tmp: {"checkpoint_dir": tmp / "ck", "resume": True},
     "trace": lambda tmp: {"trace": tmp / "trace" / "out.trace"},
     "result_store": lambda tmp: {"result_store": tmp / "rs"},
 }
@@ -58,29 +54,28 @@ KEYED_VALUES = {
     "per_variant": True,
     "batch_parallelism": 4,
     "faults": "0.1",
-    "max_retries": 3,
-    "resilient": True,
     "acquisition": "lcb",
     "backend": "ttgt",
 }
 
-#: StoreKey digests of the level-wise forest (GTX 980, seed 0): a change
-#: to how settings enter the key must keep every stored result reachable.
+#: StoreKey digests (GTX 980, seed 0) since every keyed setting enters
+#: every key and a fault-free spec enters as "": a change to how settings
+#: enter the key must keep every stored result reachable.
 GOLDEN_DIGESTS = {
-    "chain/default": "ce4448772839dc05",
-    "chain/sweep_auto": "1afa3eed78fafbf9",
-    "chain/lcb": "6d0203a689e3e7c1",
-    "chain/ttgt": "139595288fe9c457",
-    "chain/faults": "4fe134122fa3c34c",
-    "chain/per_variant": "c71273a966e9c0c3",
-    "chain/batch_parallelism": "8c616dd76edca617",
-    "eqn1/default": "bddaeb9ceb40eebe",
-    "eqn1/sweep_auto": "700db396330131a2",
-    "eqn1/lcb": "aad4de010139898c",
-    "eqn1/ttgt": "99264f4ec42e4fa5",
-    "eqn1/faults": "184ad596f59ad8b9",
-    "eqn1/per_variant": "e87d0ab929c6ea8f",
-    "eqn1/batch_parallelism": "84c3d7c4af5918b9",
+    "chain/default": "ea22411bedb93a08",
+    "chain/sweep_auto": "7ba85291f4330969",
+    "chain/lcb": "8fa0ca461e773952",
+    "chain/ttgt": "378e31cd013799d1",
+    "chain/faults": "d6fa3b95a60189c5",
+    "chain/per_variant": "f77b2d1382c498a3",
+    "chain/batch_parallelism": "a36cbc535f091392",
+    "eqn1/default": "2465a7d745b619f6",
+    "eqn1/sweep_auto": "2a06e87e93da1ea3",
+    "eqn1/lcb": "70ed66675637af1f",
+    "eqn1/ttgt": "2c0a90623785f978",
+    "eqn1/faults": "cecdc360a3267c93",
+    "eqn1/per_variant": "f855af44dbd2a1e3",
+    "eqn1/batch_parallelism": "ee5f118e852b82e7",
 }
 
 #: The same cases' digests under the seed-pinned forest, whose manifests
@@ -155,6 +150,7 @@ class TestDeclaration:
         root = tmp_path / "rs"
         written = Autotuner(
             GTX980, **BASE, result_store=root, search_workers=2, fast_model=True,
+            checkpoint_dir=tmp_path / "ck",
         ).tune_program(two_op_program)
         served = Autotuner(GTX980, **BASE, result_store=root).tune_program(
             two_op_program
@@ -180,6 +176,18 @@ class TestDeclaration:
             Autotuner(GTX980, **BASE, **explicit), "chain", [two_op_program]
         ) == _digest(Autotuner(GTX980, **BASE), "chain", [two_op_program])
 
+    def test_fault_free_retry_budget_keeps_the_default_run(self, two_op_program):
+        # Retries happen only when a fault can fire: a fault-free spec's
+        # retry budget changes neither the run nor its digest.
+        reference_tuner = Autotuner(GTX980, **BASE)
+        tuner = Autotuner(GTX980, **BASE, faults="retries=5")
+        assert _digest(tuner, "chain", [two_op_program]) == _digest(
+            reference_tuner, "chain", [two_op_program]
+        )
+        assert _outcome(tuner.tune_program(two_op_program)) == _outcome(
+            reference_tuner.tune_program(two_op_program)
+        )
+
 
 class TestGoldenDigests:
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
@@ -204,6 +212,8 @@ class TestKeywordsAndEnvironment:
             {"spool": "spool"},
             {"lease_ttl": 5.0},
             {"cache": True},
+            {"resilient": True},
+            {"max_retries": 3},
         ],
     )
     def test_deleted_keywords_rejected(self, knob):
@@ -244,7 +254,8 @@ class TestCheckpointFingerprint:
         assert set(fingerprint) == {"name", "arch", "space_size", "pool"} | set(
             tuner.settings.keyed
         )
-        assert fingerprint["resilient"] is True
+        assert "resilient" not in fingerprint
+        assert fingerprint["faults"] == ""
 
     def test_checkpoint_from_before_the_declaration_is_refused(
         self, two_op_program, tmp_path
@@ -259,11 +270,12 @@ class TestCheckpointFingerprint:
         with pytest.raises(CheckpointError) as info:
             tuner.tune_program(two_op_program)
         # The keyed settings the old fingerprint lacked (max_variants
-        # compares equal: absent reads as None, its default), and the
-        # retired tie_break it carried.
+        # compares equal: absent reads as None, its default), its
+        # fault-free spec spelled with a seed, and the retired max_retries
+        # and tie_break it carried.
         assert (
-            "differing: batch_parallelism, per_variant, pool_size, resilient, "
-            "tie_break)" in str(info.value)
+            "differing: acquisition, backend, batch_parallelism, faults, "
+            "max_retries, per_variant, pool_size, tie_break)" in str(info.value)
         )
 
     def test_checkpoint_of_the_seed_pinned_forest_is_refused(
@@ -280,20 +292,48 @@ class TestCheckpointFingerprint:
         )
         with pytest.raises(CheckpointError) as info:
             tuner.tune_program(two_op_program)
-        assert "(differing: tie_break)" in str(info.value)
+        assert (
+            "(differing: acquisition, backend, faults, max_retries, resilient, "
+            "tie_break)" in str(info.value)
+        )
 
-    def test_mid_run_checkpoint_of_the_fan_out_era_resumes_bitwise(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("searcher", ["surf", "random", "exhaustive"])
+    def test_mid_run_checkpoint_before_the_one_rig_is_refused(
+        self, tmp_path, searcher
     ):
-        # A SURF state.json written mid-run before evaluation lost its
-        # process fan-out: resuming it must finish with the uninterrupted
-        # run's champion, history and simulated search seconds.
-        settings = dict(seed=3, max_evaluations=20, batch_size=5, pool_size=200)
-        lg3 = get_workload("lg3")
-        reference = lg3.tune(Autotuner(K20, **settings, resilient=True))
+        # Mid-run state.json files whose fingerprints carried the retired
+        # resilient and max_retries settings, a seeded fault-free spec, and
+        # no acquisition or backend: the same search, under other keys.
         ck = tmp_path / "ck"
         ck.mkdir()
-        shutil.copy(GOLDEN / "checkpoint_surf_mid_run.json", ck / "state.json")
+        shutil.copy(
+            GOLDEN / f"checkpoint_{searcher}_mid_run.json", ck / "state.json"
+        )
+        tuner = Autotuner(
+            K20, seed=3, max_evaluations=20, batch_size=5, pool_size=200,
+            searcher=searcher, checkpoint_dir=ck, resume=True,
+        )
+        with pytest.raises(CheckpointError) as info:
+            get_workload("lg3").tune(tuner)
+        assert (
+            "(differing: acquisition, backend, faults, max_retries, resilient)"
+            in str(info.value)
+        )
+
+    def test_mid_run_checkpoint_of_surf_resumes_bitwise(
+        self, tmp_path, monkeypatch
+    ):
+        # A SURF state.json written mid-run: resuming it must finish with
+        # the uninterrupted run's champion, history and simulated search
+        # seconds.
+        settings = dict(seed=3, max_evaluations=20, batch_size=5, pool_size=200)
+        lg3 = get_workload("lg3")
+        reference = lg3.tune(Autotuner(K20, **settings))
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        shutil.copy(
+            GOLDEN / "checkpoint_surf_mid_run_one_rig.json", ck / "state.json"
+        )
         scored = []
         evaluate_one = ConfigurationEvaluator.evaluate_one
 
@@ -317,17 +357,18 @@ class TestCheckpointFingerprint:
         self, tmp_path, monkeypatch, searcher, evaluations
     ):
         # Random and exhaustive state.json files written mid-run (10
-        # points scored) before the drivers shared one history core.
+        # points scored).
         settings = dict(
             seed=3, max_evaluations=20, batch_size=5, pool_size=200,
             searcher=searcher,
         )
         lg3 = get_workload("lg3")
-        reference = lg3.tune(Autotuner(K20, **settings, resilient=True))
+        reference = lg3.tune(Autotuner(K20, **settings))
         ck = tmp_path / "ck"
         ck.mkdir()
         shutil.copy(
-            GOLDEN / f"checkpoint_{searcher}_mid_run.json", ck / "state.json"
+            GOLDEN / f"checkpoint_{searcher}_mid_run_one_rig.json",
+            ck / "state.json",
         )
         scored = []
         evaluate_one = ConfigurationEvaluator.evaluate_one
