@@ -10,11 +10,17 @@ Stages measured on one pool:
     Pool ids -> design matrix: :meth:`SpacePool.design_matrix`
     (vectorized id decode + ``transform_matrix``), no config objects.
 ``fit``
-    Surrogate refit on a full history (``nmax`` observations).
+    Surrogate refit on a full history: ``nmax`` pool rows with their
+    K20 performance-model times, like a late SURF refit.
 ``predict`` / ``select``
     One search-loop iteration over the whole remaining pool: score it,
     take the best batch, update the bookkeeping.  This is the loop body
     that dominates large-pool runs.
+``partition`` / ``table``
+    The same predict pass by each of the router's two predictors, called
+    directly (best of ``PREDICTOR_REPEATS``): the row-set partition and
+    the next-state table descent.  They must agree bitwise;
+    ``--min-partition-speedup`` gates their same-machine ratio.
 ``end_to_end``
     A whole SURF run (``nmax`` evaluations in batches of ``bs``) with a
     cheap deterministic evaluator.
@@ -46,7 +52,10 @@ import numpy as np
 
 from repro.core.pipeline import compile_contraction
 from repro.dsl.parser import parse_contraction
+from repro.gpusim.arch import K20
+from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.obs.tracer import Tracer, use_tracer
+from repro.surf import ConfigurationEvaluator
 from repro.surf.binarize import FeatureBinarizer
 from repro.surf.forest import ExtraTreesRegressor, pool_codes
 from repro.surf.pool import SpacePool
@@ -56,6 +65,9 @@ from repro.tcr.space import TuningSpace
 from repro.util.rng import spawn_rng, stable_hash
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+
+#: Timings per predictor in the partition-against-table stage (best kept).
+PREDICTOR_REPEATS = 3
 
 #: A contraction whose tuning space exceeds 10^7 points, so every bench
 #: pool is a genuine subsample.
@@ -142,8 +154,11 @@ def run_bench(
     # --- fit (full history of nmax observations) ---------------------
     hist_rng = spawn_rng(seed, "bench-history")
     hist_ids = np.sort(hist_rng.choice(n, size=min(nmax, n), replace=False))
+    evaluator = ConfigurationEvaluator(
+        [ps.program for ps in space.program_spaces], GPUPerformanceModel(K20)
+    )
     y = np.log(clamp_targets(
-        np.asarray(synthetic_evaluate(pool.configs(hist_ids)))
+        np.asarray(evaluator.evaluate_batch(pool.configs(hist_ids)))
     ))
     forest = ExtraTreesRegressor(n_estimators=30, seed=seed)
     t0 = time.perf_counter()
@@ -159,6 +174,21 @@ def run_bench(
     router = forest.make_router(codes)
     preds = router.predict(alive_ids)
     result["predict_seconds"] = time.perf_counter() - t0
+
+    # --- partition against table descent, same router and rows -------
+    tables, cflat = router.tables, router.pool.flat
+    for name, predictor in (("table", tables.descend),
+                            ("partition", tables.partition)):
+        best = float("inf")
+        for _ in range(PREDICTOR_REPEATS):
+            t0 = time.perf_counter()
+            out = predictor(cflat, alive_ids)
+            best = min(best, time.perf_counter() - t0)
+        result[f"{name}_seconds"] = best
+        result[f"{name}_matches_predict"] = bool(np.array_equal(out, preds))
+    result["partition_speedup"] = (
+        result["table_seconds"] / result["partition_seconds"]
+    )
 
     # --- select + bookkeeping (one loop iteration) -------------------
     perm = spawn_rng(seed, "bench-select").permutation(alive_ids.size)
@@ -214,10 +244,18 @@ def _fmt(result: dict) -> str:
         f"pool {result['configs']} (space {result['space']}, "
         f"search_workers {result['search_workers']}):"
     ]
-    for stage in ("encode", "fit", "predict", "select"):
+    for stage in ("encode", "fit", "predict", "select", "table", "partition"):
         if f"{stage}_seconds" not in result:
             continue
         lines.append(f"  {stage:8s} {result[f'{stage}_seconds'] * 1e3:9.1f} ms")
+    if "partition_speedup" in result:
+        same = result["partition_matches_predict"] and result[
+            "table_matches_predict"
+        ]
+        lines.append(
+            f"  partition vs table: {result['partition_speedup']:.2f}x "
+            f"[{'bitwise' if same else 'DIVERGED'}]"
+        )
     if "end_to_end_seconds" in result:
         line = f"  full run {result['end_to_end_seconds'] * 1e3:9.1f} ms"
         if "matches_serial" in result:
@@ -263,6 +301,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-end-to-end-seconds", type=float, default=None,
                         help="fail (exit 1) if a multi-worker end-to-end "
                         "run exceeds this wall time")
+    parser.add_argument("--min-partition-speedup", type=float, default=None,
+                        help="fail (exit 1) if the partition predictor is "
+                        "less than this many times faster than the table "
+                        "descent on a pool's predict pass")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the result records as JSON to PATH")
     args = parser.parse_args(argv)
@@ -318,6 +360,27 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
+    for record in records:
+        if "partition_speedup" not in record:
+            continue
+        if not (record["partition_matches_predict"]
+                and record["table_matches_predict"]):
+            print(
+                f"FAIL: partition and table predictors diverged at pool "
+                f"{record['configs']}",
+                file=sys.stderr,
+            )
+            return 1
+        if (args.min_partition_speedup is not None
+                and record["partition_speedup"] < args.min_partition_speedup):
+            print(
+                f"FAIL: partition predictor only "
+                f"{record['partition_speedup']:.2f}x the table descent at "
+                f"pool {record['configs']} (target "
+                f"{args.min_partition_speedup:.1f}x)",
+                file=sys.stderr,
+            )
+            return 1
     if args.max_end_to_end_seconds is not None:
         over = [r for r in records
                 if r.get("search_workers", 1) > 1

@@ -22,12 +22,15 @@ the trees in tree order.
 For repeated prediction over one fixed pool (the SURF driver's inner
 loop), :func:`pool_codes` + :meth:`ExtraTreesRegressor.make_router` go
 further: tuning features take only a handful of distinct values per
-column, so each pool row compresses into per-column *rank codes*, and
-each fitted forest compiles into a next-state table that resolves every
-``value <= threshold`` comparison per (node, code) pair once, at build
-time (~ms).  Descent then costs two gathers per level — no float loads,
-no comparisons — and stays bitwise-identical to :meth:`predict` because
-``x <= t``  ⟺  ``rank(x) < searchsorted(vocab, t, 'right')`` exactly.
+column, so the pool compresses into per-column *rank codes* (column
+major), and each fitted forest compiles into a next-state table that
+resolves every ``value <= threshold`` comparison per (node, code) pair
+once, at build time (~ms).  Descent then costs two gathers per level —
+no float loads, no comparisons — and stays bitwise-identical to
+:meth:`predict` because ``x <= t``  ⟺  ``rank(x) < searchsorted(vocab,
+t, 'right')`` exactly.  Large passes split row sets down the trees
+instead (:meth:`RouterTables.partition`), one test per node and each
+shared split once, with the same addends in the same order.
 """
 
 from __future__ import annotations
@@ -61,24 +64,39 @@ FIT_BLOCK_CELLS = 1 << 14
 #: working set L2-resident instead of streaming pool-sized temporaries.
 ROUTER_BLOCK_STATES = 1 << 16
 
+#: ``RouterTables.predict`` partitions a pass of at least this many rows
+#: per forest node; below it, per-node Python overhead loses to the table
+#: descent.
+PARTITION_ROWS_PER_NODE = 2
+
 
 class PoolCodes:
-    """A design matrix compressed to per-column rank codes.
+    """A design matrix compressed to per-column rank codes, column-major.
 
-    ``codes[i, j]`` is the rank of ``X[i, j]`` within ``columns[j]`` (the
-    sorted distinct values of column ``j``), so ``columns[j][codes[i, j]]``
-    reconstructs ``X[i, j]`` bitwise.
+    ``codes[j, i]`` is the rank of ``X[i, j]`` within ``columns[j]`` (the
+    sorted distinct values of column ``j``), so ``columns[j][codes[j, i]]``
+    reconstructs ``X[i, j]`` bitwise.  Each column is contiguous: the
+    partition predictor reads one column per node test.
     """
 
     def __init__(self, codes: np.ndarray, columns: list[np.ndarray]) -> None:
         self.codes = np.ascontiguousarray(codes)
         self.flat = self.codes.reshape(-1)
         self.columns = columns
-        self.n, self.d = codes.shape
+        self.d, self.n = codes.shape
         #: Shared-memory spec of ``codes`` when the matrix lives in a
         #: :class:`~repro.surf.shared.SharedArray` (set by the driver;
         #: lets predict workers attach instead of receiving a pickle).
         self.spec: tuple | None = None
+        # ``columns`` padded into one (d, max card) table for ``rows``.
+        self._vocab = np.zeros((self.d, max((c.size for c in columns), default=1)))
+        for j, vals in enumerate(columns):
+            self._vocab[j, : vals.size] = vals
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Design-matrix rows ``X[ids]``, rebuilt bitwise from the codes."""
+        ids = np.asarray(ids, dtype=np.int64)
+        return self._vocab[np.arange(self.d), self.codes[:, ids].T]
 
 
 def pool_codes(X: np.ndarray, max_card: int = MAX_ROUTER_CARD) -> PoolCodes | None:
@@ -86,13 +104,13 @@ def pool_codes(X: np.ndarray, max_card: int = MAX_ROUTER_CARD) -> PoolCodes | No
     more than ``max_card`` distinct values (router not worthwhile/safe)."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    codes = np.empty((n, d), dtype=np.uint8)
+    codes = np.empty((d, n), dtype=np.uint8)
     columns: list[np.ndarray] = []
     for j in range(d):
         vals = np.unique(X[:, j])
         if vals.size > max_card:
             return None
-        codes[:, j] = np.searchsorted(vals, X[:, j])
+        codes[j] = np.searchsorted(vals, X[:, j])
         columns.append(vals)
     return PoolCodes(codes, columns)
 
@@ -117,7 +135,7 @@ def _codes_task(X_spec, out_spec, cols, max_card):
         if vals.size > max_card:
             columns.append(None)
             continue
-        out[:, j] = np.searchsorted(vals, X[:, j])
+        out[j] = np.searchsorted(vals, X[:, j])
         columns.append(vals)
     meta = {"seconds": time.perf_counter() - start,
             "worker_pid": os.getpid(), "columns": len(cols)}
@@ -134,7 +152,7 @@ def pool_codes_shared(ctx, X_spec, n: int, d: int,
     returned :class:`PoolCodes` is backed by a context-owned segment with
     ``spec`` set, so predict workers attach it for free.
     """
-    shared_codes = ctx.allocate((n, d), np.uint8)
+    shared_codes = ctx.allocate((d, n), np.uint8)
     ranges = chunk_ranges(d, ctx.workers)
     payloads = [
         (X_spec, shared_codes.spec, list(range(s, e)), max_card)
@@ -155,14 +173,16 @@ def pool_codes_shared(ctx, X_spec, n: int, d: int,
 @dataclass
 class RouterTables:
     """The detachable half of a :class:`PoolRouter`: every array the coded
-    descent needs *except* the pool itself.
+    predictors need *except* the pool itself.
 
-    Small (next-state table, leaf values, per-tree roots/order — hundreds
-    of KB at paper-scale budgets), so it travels to predict workers by
-    pickle while the pool-sized code matrix travels by shared memory.
-    All descent methods are bitwise chunk-invariant: each row's walk is
-    independent, and the cross-tree mean/std reduce per column in fixed
-    tree order, so any row partition concatenates to the serial answer.
+    Small (next-state table, per-node split arrays, leaf values, per-tree
+    roots/order — hundreds of KB at paper-scale budgets), so it travels
+    to predict workers by pickle while the pool-sized code matrix travels
+    by shared memory.  ``cflat`` is the flat column-major code matrix:
+    row ``i`` of column ``j`` is ``cflat[j * n + i]``.  All predictors are
+    bitwise chunk-invariant: each row's walk is independent, and the
+    cross-tree mean/std reduce per row in fixed tree order, so any row
+    partition concatenates to the serial answer.
     """
 
     table: np.ndarray
@@ -176,14 +196,21 @@ class RouterTables:
     fmask: int
     nt: int
     d: int
+    n: int
     dtype: np.dtype
+    #: Per node: split column (-1 for a leaf), code cut (a row goes right
+    #: when its code is ``>= cut``), and child node ids.
+    column: np.ndarray
+    cut: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
     def _descend(self, cflat: np.ndarray, ids: np.ndarray):
         """Yield ``(start, stop, seed_values)`` leaf-value blocks, with
-        trees back in seed order — the shared core of every predictor."""
+        trees back in seed order — the shared core of the table descent."""
         ids = np.asarray(ids, dtype=np.int64)
         m = ids.size
-        nt = self.nt
+        nt, n = self.nt, self.n
         table = self.table
         fmask, fbits, shift = self.fmask, self.fbits, self.shift
         block = max(1, ROUTER_BLOCK_STATES // max(nt, 1))
@@ -191,12 +218,14 @@ class RouterTables:
             e = min(s + block, m)
             blk = e - s
             st = np.repeat(self.roots, blk).reshape(nt, blk)
-            row_d = (ids[s:e] * self.d).astype(self.dtype)[None, :]
+            row = ids[s:e].astype(self.dtype)[None, :]
             for lvl in range(self.depth):
                 a = int(self.active[lvl])
                 part = st[:a]
-                code = cflat[row_d + (part & fmask)]
-                st[:a] = table[((part >> fbits) << shift) + code]
+                at = part & fmask
+                at *= n
+                at += row
+                st[:a] = table[((part >> fbits) << shift) + cflat[at]]
             values = self.value[st >> fbits]
             seed_values = np.empty_like(values)
             seed_values[self.order] = values  # back to seed tree order
@@ -210,12 +239,28 @@ class RouterTables:
             out[:, s:e] = seed_values
         return out
 
-    def predict(self, cflat: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    def predict(
+        self, cflat: np.ndarray, ids: np.ndarray, stats: dict | None = None
+    ) -> np.ndarray:
         """Ensemble mean — bitwise equal to ``forest.predict(X[ids])``.
+
+        Passes of at least ``PARTITION_ROWS_PER_NODE`` rows per forest
+        node take :meth:`partition`, smaller ones :meth:`descend`.
+        ``stats``, when given, is filled with the ``path`` taken (and the
+        partition's split counts)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size >= PARTITION_ROWS_PER_NODE * self.column.size:
+            return self.partition(cflat, ids, stats)
+        if stats is not None:
+            stats["path"] = "table"
+        return self.descend(cflat, ids)
+
+    def descend(self, cflat: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Ensemble mean by next-state table descent.
 
         Fused with the descent: each block accumulates its own mean in
         seed tree order instead of materializing the (nt, m) leaf matrix
-        twice (per-column sums see the same addends in the same order, so
+        twice (per-row sums see the same addends in the same order, so
         block width cannot change a bit)."""
         ids = np.asarray(ids, dtype=np.int64)
         acc = np.zeros(ids.size)
@@ -225,10 +270,107 @@ class RouterTables:
                 sub += row
         return acc / self.nt
 
+    def split_users(self) -> tuple[np.ndarray, np.ndarray]:
+        """The structural pass of :meth:`partition`: a split id per node
+        (-1 for a leaf) and the number of nodes that use each split.
+
+        Nodes share a split when they test the same column at the same
+        cut on the same parent path, so they send the same rows the same
+        way.  A path is the split above plus the side taken; the roots
+        share the empty path.  Level by level, over all trees at once."""
+        column, cut, left, right = self.column, self.cut, self.left, self.right
+        split = np.full(column.size, -1, dtype=np.int64)
+        path = np.zeros(column.size, dtype=np.int64)
+        users = []
+        frontier = self.roots >> self.fbits
+        n_splits = 0
+        while frontier.size:
+            inner = frontier[column[frontier] >= 0]
+            # One int per (path, column, cut); a cut is at most 256, since
+            # codes are uint8.
+            key = (path[inner] * self.d + column[inner]) * 257 + cut[inner]
+            _, inverse, count = np.unique(
+                key, return_inverse=True, return_counts=True
+            )
+            sid = n_splits + inverse
+            split[inner] = sid
+            path[left[inner]] = 2 * sid + 1
+            path[right[inner]] = 2 * sid + 2
+            users.append(count)
+            n_splits += count.size
+            frontier = np.concatenate((left[inner], right[inner]))
+        return split, np.concatenate(users)
+
+    def partition(
+        self, cflat: np.ndarray, ids: np.ndarray, stats: dict | None = None
+    ) -> np.ndarray:
+        """Ensemble mean by splitting row sets down the trees — bitwise
+        equal to :meth:`descend`.
+
+        Each tree, in seed order, splits the rows down its nodes with one
+        test per node on one contiguous code column; its leaves write
+        their values into a pool-sized buffer, which is added to the sum
+        after the tree, so each row gets the same addends in the same
+        order as the table descent.  A split is computed once per
+        distinct (parent path, column, cut), handed to every later tree
+        that reaches it, and dropped after its last user
+        (:meth:`split_users`).  ``stats`` gets the distinct ``splits``
+        computed, the ``split_rows`` they split, and the splits still
+        ``held`` at the end (0: every user came)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        split, users = self.split_users()
+        waiting = users.tolist()
+        column = self.column.tolist()
+        cut = self.cut.tolist()
+        left = self.left.tolist()
+        right = self.right.tolist()
+        value = self.value.tolist()
+        sid = split.tolist()
+        n = self.n
+        codes = [cflat[j * n:(j + 1) * n] for j in range(self.d)]
+        seed_roots = np.empty(self.nt, dtype=np.int64)
+        seed_roots[self.order] = self.roots >> self.fbits
+        held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        splits = split_rows = 0
+        acc = np.zeros(n)
+        buf = np.zeros(n)
+        for root in seed_roots.tolist():
+            stack = [(root, ids)] if ids.size else []
+            while stack:
+                node, rows = stack.pop()
+                j = column[node]
+                if j < 0:
+                    buf[rows] = value[node]
+                    continue
+                s = sid[node]
+                sides = held.get(s)
+                if sides is None:
+                    go_right = codes[j][rows] >= cut[node]
+                    sides = rows[~go_right], rows[go_right]
+                    splits += 1
+                    split_rows += rows.size
+                waiting[s] -= 1
+                if waiting[s]:
+                    held[s] = sides
+                else:
+                    held.pop(s, None)
+                lo, hi = sides
+                if hi.size:
+                    stack.append((right[node], hi))
+                if lo.size:
+                    stack.append((left[node], lo))
+            acc += buf
+        if stats is not None:
+            stats.update(
+                path="partition", splits=splits, split_rows=split_rows,
+                held=len(held),
+            )
+        return acc[ids] / self.nt
+
     def predict_mean_std(
         self, cflat: np.ndarray, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both ensemble moments from a single descent.
+        """Both ensemble moments from a single table descent.
 
         ``predict`` + ``predict_std`` walk every tree twice for the same
         ids; acquisition rules that need uncertainty (e.g. a lower
@@ -252,25 +394,30 @@ def _predict_task(tables: RouterTables, codes_spec, ids, mode):
 
     start = time.perf_counter()
     cflat = attach_shared(codes_spec).reshape(-1)
+    stats: dict = {}
     if mode == "mean":
-        out = tables.predict(cflat, ids)
+        out = tables.predict(cflat, ids, stats)
     elif mode == "mean_std":
         out = np.stack(tables.predict_mean_std(cflat, ids))
     else:
         out = tables.leaf_values(cflat, ids)
     meta = {"seconds": time.perf_counter() - start,
-            "worker_pid": os.getpid(), "rows": int(np.asarray(ids).size)}
-    return out, meta
+            "worker_pid": os.getpid(), "rows": int(np.asarray(ids).size),
+            **stats}
+    return (out, stats), meta
 
 
 def shared_router_predict(ctx, router: "PoolRouter", ids: np.ndarray,
-                          mode: str = "mean", parent=None):
+                          mode: str = "mean", parent=None,
+                          stats: dict | None = None):
     """Fan one predict pass out over the worker pool, chunked by rows.
 
     Requires the router's pool codes to live in shared memory
     (``router.pool.spec`` set).  Returns what the serial method of the
-    same ``mode`` returns, bitwise: per-row descents are independent and
-    chunks are concatenated in row order.
+    same ``mode`` returns, bitwise: per-row predictions are independent
+    and chunks are concatenated in row order.  Each ``"mean"`` chunk
+    picks its own path by its size; ``stats`` gets the paths taken
+    (``"/"``-joined when chunks differ) and the chunks' summed counts.
     """
     spec = router.pool.spec
     if spec is None:
@@ -280,11 +427,18 @@ def shared_router_predict(ctx, router: "PoolRouter", ids: np.ndarray,
     payloads = [
         (router.tables, spec, ids[s:e], mode) for s, e in ranges
     ]
-    parts = ctx.run_chunks(
+    results = ctx.run_chunks(
         _predict_task, payloads, span_name="search.predict.chunk",
         parent=parent,
     )
+    parts = [out for out, _stats in results]
     if mode == "mean":
+        if stats is not None:
+            chunks = [chunk for _out, chunk in results]
+            stats["path"] = "/".join(sorted({c["path"] for c in chunks}))
+            for key in ("splits", "split_rows", "held"):
+                if any(key in c for c in chunks):
+                    stats[key] = sum(c.get(key, 0) for c in chunks)
         return np.concatenate(parts)
     out = np.concatenate(parts, axis=1)
     if mode == "mean_std":
@@ -296,10 +450,11 @@ class PoolRouter:
     """Per-fit routing tables for one forest over one coded pool.
 
     Each state packs ``(node << fbits) | feature``; one descent level is
-    ``code = Cflat[row * d + (state & fmask)]`` followed by
+    ``code = Cflat[(state & fmask) * n + row]`` followed by
     ``state = table[((state >> fbits) << shift) + code]``.  Leaves
     self-loop, so running the loop for the ensemble's max depth lands
-    every (tree, sample) pair on its leaf.
+    every (tree, sample) pair on its leaf.  The same cuts, per node,
+    drive the partition predictor (:meth:`RouterTables.partition`).
     """
 
     def __init__(self, forest: "ExtraTreesRegressor", pool: PoolCodes) -> None:
@@ -321,6 +476,7 @@ class PoolRouter:
         table = np.empty((nn, card), dtype=dtype)
         table[:] = packed[:, None]  # leaves (and unused codes) self-loop
         internal = np.flatnonzero(feat >= 0)
+        node_cut = np.zeros(nn, dtype=np.int64)
         if internal.size:
             fi = feat[internal]
             thr = forest._threshold[internal]
@@ -330,6 +486,7 @@ class PoolRouter:
                 cut[sel] = np.searchsorted(
                     pool.columns[j], thr[sel], side="right"
                 )
+            node_cut[internal] = cut
             go_left = np.arange(card)[None, :] < cut[:, None]
             table[internal] = np.where(
                 go_left,
@@ -357,16 +514,22 @@ class PoolRouter:
             fmask=(1 << fbits) - 1,
             nt=forest._roots.size,
             d=d,
+            n=pool.n,
             dtype=np.dtype(dtype),
+            column=feat,
+            cut=node_cut,
+            left=forest._left,
+            right=forest._right,
         )
 
     def leaf_values(self, ids: np.ndarray) -> np.ndarray:
         """Per-tree leaf predictions for pool rows ``ids`` — (nt, m)."""
         return self.tables.leaf_values(self.pool.flat, ids)
 
-    def predict(self, ids: np.ndarray) -> np.ndarray:
-        """Ensemble mean over pool rows — bitwise equal to ``predict(X[ids])``."""
-        return self.tables.predict(self.pool.flat, ids)
+    def predict(self, ids: np.ndarray, stats: dict | None = None) -> np.ndarray:
+        """Ensemble mean over pool rows — bitwise equal to ``predict(X[ids])``
+        (see :meth:`RouterTables.predict` for the path and ``stats``)."""
+        return self.tables.predict(self.pool.flat, ids, stats)
 
     def predict_std(self, ids: np.ndarray) -> np.ndarray:
         return self.tables.leaf_values(self.pool.flat, ids).std(axis=0)

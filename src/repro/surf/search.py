@@ -367,6 +367,15 @@ class SURFSearch:
                     # Materialized-pool fallback: copy the codes into a
                     # context segment so predict workers can attach them.
                     codes.spec = ctx.share(codes.codes).spec
+        if codes is not None:
+            # The codes stand for the pool from here on: refits rebuild
+            # their training rows from them, bitwise, so the float matrix
+            # is not held through the loop.
+            X_all = None
+
+        def train_rows() -> np.ndarray:
+            ids = hist.ids.view
+            return X_all[ids] if codes is None else codes.rows(ids)
 
         alive = np.ones(n, dtype=bool)  # not yet dispatched
         nmax = min(self.max_evaluations, n)
@@ -383,7 +392,7 @@ class SURFSearch:
                 "search.fit", category="search", observations=len(hist),
             ) as sp:
                 start = time.perf_counter()
-                model.fit(X_all[hist.ids.view], targets())
+                model.fit(train_rows(), targets())
                 sp.set(nodes=model.node_count, depth=model.depth)
                 router = model.make_router(codes)
                 return time.perf_counter() - start
@@ -441,6 +450,9 @@ class SURFSearch:
                 workers=workers, chunks=(workers if shared else 1),
                 acquisition=self.acquisition,
             ) as sp:
+                # Which predictor ran: "partition" or "table" on the
+                # coded pool, "float" without codes (+ partition counts).
+                info = {"path": "table" if router is not None else "float"}
                 if self.acquisition == "lcb":
                     if shared:
                         mean, std = shared_router_predict(
@@ -453,12 +465,13 @@ class SURFSearch:
                     preds = mean - LCB_KAPPA * std
                 elif shared:
                     preds = shared_router_predict(
-                        ctx, router, alive_ids, "mean", parent=sp
+                        ctx, router, alive_ids, "mean", parent=sp, stats=info
                     )
                 elif router is not None:
-                    preds = router.predict(alive_ids)
+                    preds = router.predict(alive_ids, info)
                 else:
                     preds = model.predict(X_all[alive_ids])
+                sp.set(**info)
             with get_tracer().span(
                 "search.select", category="search", rows=m, take=take
             ):

@@ -111,6 +111,38 @@ class TestPhaseCoverage:
             assert attrs["depth"] >= 1
         assert [s.attributes["observations"] for s in fits] == [5, 10, 15, 20]
 
+    def test_small_pool_predicts_by_table_descent(self, mttkrp):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            _tuner().tune_contraction(mttkrp)
+        predicts = [s for s in tracer.finished() if s.name == "search.predict"]
+        assert len(predicts) == 3
+        for span in predicts:
+            # ~190 rows against hundreds of forest nodes: below the rule.
+            assert span.attributes["path"] == "table"
+            assert "splits" not in span.attributes
+
+    def test_large_pool_predicts_by_partition(self):
+        from repro.gpusim.arch import K20
+        from repro.workloads import get_workload
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            get_workload("lg3").tune(Autotuner(
+                K20, seed=3, max_evaluations=40, batch_size=10,
+                pool_size=20_000,
+            ))
+        predicts = [s for s in tracer.finished() if s.name == "search.predict"]
+        assert len(predicts) == 3
+        for span in predicts:
+            attrs = span.attributes
+            assert attrs["path"] == "partition"
+            assert attrs["held"] == 0
+            # A root split sees every row.  Without sharing, the 30
+            # trees' root splits alone would split 30 times the rows.
+            assert attrs["splits"] > 0
+            assert attrs["rows"] <= attrs["split_rows"] < 30 * attrs["rows"]
+
 
 class TestManifests:
     def test_manifest_next_to_trace_and_checkpoint(self, tmp_path):

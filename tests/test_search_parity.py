@@ -12,8 +12,9 @@ copies of the seed implementations.
 
 It also pins the pieces the drivers are built from — the space-fed design
 matrix against the per-config ``features()`` dict path, and the coded
-router against float tree descent — and the lexsort tie rule (randomized
-ties at any prediction magnitude).
+router's table descent and row-set partition against float tree descent
+(plus a golden large-pool run that takes the partition on every pass) —
+and the lexsort tie rule (randomized ties at any prediction magnitude).
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ from repro.surf import (
     SpacePool,
 )
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
-from repro.surf.forest import ExtraTreesRegressor, pool_codes
+from repro.surf.forest import (
+    PARTITION_ROWS_PER_NODE,
+    ExtraTreesRegressor,
+    pool_codes,
+)
+from repro.surf.pool import MaterializedPool
 from repro.surf.search import _bottom_k_lex
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
@@ -337,6 +343,164 @@ class TestRouterParity:
         assert np.array_equal(
             router.predict_std(sub), forest.predict_std(X[sub])
         )
+
+
+@pytest.fixture(scope="module")
+def lg3_pool():
+    """A binarized lg3 pool: its unroll columns take 12 values each."""
+    from repro.workloads import get_workload
+
+    space = TuningSpace([decide_search_space(get_workload("lg3").program)])
+    ids = space.sample_ids(1500, spawn_rng(0, "partition-pool"))
+    return SpacePool(space, ids).design_matrix(FeatureBinarizer())
+
+
+def _router_case(X, seed, trees=12, train_rows=60, constant=False):
+    """A forest fit on ``train_rows`` rows of ``X`` and its router."""
+    codes = pool_codes(X)
+    assert codes is not None
+    rng = spawn_rng(seed, "partition-parity")
+    train = rng.choice(X.shape[0], size=train_rows, replace=False)
+    y = np.full(train.size, 0.25) if constant else rng.normal(size=train.size)
+    forest = ExtraTreesRegressor(n_estimators=trees, seed=seed).fit(X[train], y)
+    return forest, forest.make_router(codes), rng
+
+
+def _assert_partition_exact(forest, router, X, ids) -> dict:
+    """The partition, called directly, equals the float descent and the
+    table descent bitwise, and holds no shared split after the pass."""
+    stats: dict = {}
+    got = router.tables.partition(router.pool.flat, ids, stats)
+    assert np.array_equal(got, forest.predict(X[ids]))
+    assert np.array_equal(got, router.tables.descend(router.pool.flat, ids))
+    assert stats["path"] == "partition"
+    assert stats["held"] == 0
+    return stats
+
+
+class TestPartitionParity:
+    """The partition predictor equals the float and table descents, bitwise."""
+
+    @pytest.mark.parametrize("encoder_cls", [FeatureBinarizer, OrdinalEncoder])
+    def test_space_pool(self, setup, encoder_cls):
+        _program, space, ids, _pool, _model = setup
+        X = SpacePool(space, ids).design_matrix(encoder_cls())
+        forest, router, rng = _router_case(X, seed=3)
+        stats = _assert_partition_exact(
+            forest, router, X, np.arange(X.shape[0])
+        )
+        # Trees share splits: fewer are computed than internal nodes.
+        assert 0 < stats["splits"] < int((router.tables.column >= 0).sum())
+        _assert_partition_exact(
+            forest, router, X, np.sort(rng.choice(X.shape[0], 150, replace=False))
+        )
+
+    def test_multi_valued_unroll_column(self, lg3_pool):
+        X = lg3_pool
+        assert max(np.unique(X[:, j]).size for j in range(X.shape[1])) == 12
+        forest, router, _rng = _router_case(X, seed=5, trees=30, train_rows=100)
+        _assert_partition_exact(forest, router, X, np.arange(X.shape[0]))
+
+    def test_single_leaf_trees(self, setup):
+        _program, space, ids, _pool, _model = setup
+        X = SpacePool(space, ids).design_matrix(FeatureBinarizer())
+        forest, router, _rng = _router_case(X, seed=1, constant=True)
+        assert forest.depth == 0
+        stats = _assert_partition_exact(
+            forest, router, X, np.arange(X.shape[0])
+        )
+        assert stats["splits"] == 0
+
+    def test_unsorted_and_duplicated_ids(self, setup):
+        _program, space, ids, _pool, _model = setup
+        X = SpacePool(space, ids).design_matrix(FeatureBinarizer())
+        forest, router, rng = _router_case(X, seed=7)
+        rows = rng.choice(X.shape[0], size=400, replace=True)
+        assert np.unique(rows).size < rows.size  # duplicates
+        assert np.any(np.diff(rows) < 0)  # unsorted
+        _assert_partition_exact(forest, router, X, rows)
+
+    def test_empty_ids(self, setup):
+        _program, space, ids, _pool, _model = setup
+        X = SpacePool(space, ids).design_matrix(FeatureBinarizer())
+        forest, router, _rng = _router_case(X, seed=2)
+        stats: dict = {}
+        empty = np.zeros(0, dtype=np.int64)
+        got = router.tables.partition(router.pool.flat, empty, stats)
+        assert got.shape == (0,)
+        assert np.array_equal(got, router.tables.descend(router.pool.flat, empty))
+        assert stats["splits"] == 0 and stats["held"] == 0
+
+    def test_row_chunks_concatenate_to_the_whole(self, lg3_pool):
+        X = lg3_pool
+        forest, router, _rng = _router_case(X, seed=4, trees=30, train_rows=100)
+        rows = np.arange(X.shape[0])
+        whole = router.tables.partition(router.pool.flat, rows)
+        chunks = [
+            router.tables.partition(router.pool.flat, part)
+            for part in (rows[:611], rows[611:])
+        ]
+        assert np.array_equal(np.concatenate(chunks), whole)
+        _assert_partition_exact(forest, router, X, rows)
+
+    def test_size_rule_picks_the_path(self, setup):
+        _program, space, ids, _pool, _model = setup
+        X = SpacePool(space, ids).design_matrix(FeatureBinarizer())
+        forest, router, _rng = _router_case(X, seed=6, trees=3, train_rows=20)
+        rule = PARTITION_ROWS_PER_NODE * forest.node_count
+        assert rule <= X.shape[0]
+        below, above = {}, {}
+        small = router.predict(np.arange(rule - 1), below)
+        large = router.predict(np.arange(rule), above)
+        assert below["path"] == "table" and "splits" not in below
+        assert above["path"] == "partition" and above["held"] == 0
+        assert np.array_equal(small, large[: rule - 1])
+        assert np.array_equal(large, forest.predict(X[:rule]))
+
+
+class TestCodesRebuildTrainingRows:
+    """Refits rebuild their training rows from the pool codes, bitwise."""
+
+    @pytest.mark.parametrize("kind", ["binarized", "ordinal", "materialized"])
+    def test_rows_equal_design_matrix_rows(self, setup, kind):
+        _program, space, ids, pool, _model = setup
+        if kind == "materialized":
+            X = MaterializedPool(pool).design_matrix(FeatureBinarizer())
+        else:
+            encoder = FeatureBinarizer() if kind == "binarized" else OrdinalEncoder()
+            X = SpacePool(space, ids).design_matrix(encoder)
+        codes = pool_codes(X)
+        rows = spawn_rng(8, "rebuild").choice(X.shape[0], size=90, replace=False)
+        rebuilt = codes.rows(rows)
+        assert rebuilt.dtype == X.dtype and rebuilt.shape == (90, X.shape[1])
+        assert rebuilt.tobytes() == X[rows].tobytes()
+
+
+#: Champion-plus-history digest of ``tune lg3 --arch k20 --evals 40
+#: --batch 10 --pool 20000 --seed 3``, captured before the partition
+#: predictor existed; all three of its predict passes now take it.
+GOLDEN_LARGE_POOL = "65ba09a09d779cd9"
+
+
+class TestLargePoolGolden:
+    def test_partition_serves_every_pass_of_a_golden_run(self):
+        from repro.autotune import Autotuner
+        from repro.gpusim.arch import K20
+        from repro.obs.tracer import Tracer, use_tracer
+        from repro.workloads import get_workload
+
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = get_workload("lg3").tune(Autotuner(
+                K20, seed=3, max_evaluations=40, batch_size=10,
+                pool_size=20_000,
+            ))
+        assert _run_digest(result.search) == GOLDEN_LARGE_POOL
+        paths = [
+            s.attributes["path"] for s in tracer.finished()
+            if s.name == "search.predict"
+        ]
+        assert paths == ["partition"] * 3
 
 
 class TestParallelParity:
