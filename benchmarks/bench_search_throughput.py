@@ -6,12 +6,16 @@ bookkeeping) stage by stage and end to end, serial and multi-core.
 
 Stages measured on one pool:
 
-``encode``
-    Pool ids -> design matrix: :meth:`SpacePool.design_matrix`
-    (vectorized id decode + ``transform_matrix``), no config objects.
+``encode`` / ``matrix``
+    Pool ids -> rank codes, by the driver's path (:meth:`SpacePool.codes`:
+    vectorized id decode + ``transform_codes``, no float matrix) and by
+    the reference path (:meth:`SpacePool.design_matrix` + ``pool_codes``),
+    best of ``PREDICTOR_REPEATS`` each.  They must agree bitwise;
+    ``--min-encode-speedup`` gates their same-machine ratio.
 ``fit``
-    Surrogate refit on a full history: ``nmax`` pool rows with their
-    K20 performance-model times, like a late SURF refit.
+    Surrogate refit on a full history: ``nmax`` pool rows rebuilt from
+    the codes (as the driver's refits do) with their K20
+    performance-model times, like a late SURF refit.
 ``predict`` / ``select``
     One search-loop iteration over the whole remaining pool: score it,
     take the best batch, update the bookkeeping.  This is the loop body
@@ -31,7 +35,7 @@ Run as a script::
         --pool-sizes 10000,100000 --json output.json
 
 The end-to-end run is traced, and the per-phase wall breakdown (encode,
-rank-coding, every refit, every full-pool predict pass, batch
+every refit, every full-pool predict pass, batch
 materialization, evaluation, selection, history bookkeeping) lands in the
 JSON record — so the gap between the sum of the stage microbenches and
 the end-to-end wall is attributed, not guessed at.  ``--search-workers``
@@ -66,7 +70,8 @@ from repro.util.rng import spawn_rng, stable_hash
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
-#: Timings per predictor in the partition-against-table stage (best kept).
+#: Timings per encode path and per predictor in the stages that race two
+#: paths (best kept).
 PREDICTOR_REPEATS = 3
 
 #: A contraction whose tuning space exceeds 10^7 points, so every bench
@@ -146,10 +151,17 @@ def run_bench(
         return _bench_end_to_end(result, pool, nmax, batch_size, seed,
                                  search_workers)
 
-    # --- encode ------------------------------------------------------
-    t0 = time.perf_counter()
-    X_all = pool.design_matrix(FeatureBinarizer())
-    result["encode_seconds"] = time.perf_counter() - t0
+    # --- encode: direct codes against matrix + rank coding -----------
+    codes, result["encode_seconds"] = _best_of(
+        lambda: pool.codes(FeatureBinarizer())
+    )
+    reference, result["matrix_seconds"] = _best_of(
+        lambda: pool_codes(pool.design_matrix(FeatureBinarizer()))
+    )
+    result["encode_matches_matrix"] = _same_codes(codes, reference)
+    result["encode_speedup"] = (
+        result["matrix_seconds"] / result["encode_seconds"]
+    )
 
     # --- fit (full history of nmax observations) ---------------------
     hist_rng = spawn_rng(seed, "bench-history")
@@ -162,11 +174,10 @@ def run_bench(
     ))
     forest = ExtraTreesRegressor(n_estimators=30, seed=seed)
     t0 = time.perf_counter()
-    forest.fit(X_all[hist_ids], y)
+    forest.fit(codes.rows(hist_ids), y)
     result["fit_seconds"] = time.perf_counter() - t0
 
     # --- predict over the remaining pool -----------------------------
-    codes = pool_codes(X_all)
     alive = np.ones(n, dtype=bool)
     alive[hist_ids] = False
     alive_ids = np.flatnonzero(alive)
@@ -179,12 +190,9 @@ def run_bench(
     tables, cflat = router.tables, router.pool.flat
     for name, predictor in (("table", tables.descend),
                             ("partition", tables.partition)):
-        best = float("inf")
-        for _ in range(PREDICTOR_REPEATS):
-            t0 = time.perf_counter()
-            out = predictor(cflat, alive_ids)
-            best = min(best, time.perf_counter() - t0)
-        result[f"{name}_seconds"] = best
+        out, result[f"{name}_seconds"] = _best_of(
+            lambda: predictor(cflat, alive_ids)
+        )
         result[f"{name}_matches_predict"] = bool(np.array_equal(out, preds))
     result["partition_speedup"] = (
         result["table_seconds"] / result["partition_seconds"]
@@ -209,6 +217,29 @@ def run_bench(
             result, pool, nmax, batch_size, seed, search_workers
         )
     return result
+
+
+def _best_of(fn):
+    """``fn()``'s result and its best wall time over ``PREDICTOR_REPEATS``
+    calls."""
+    best = float("inf")
+    for _ in range(PREDICTOR_REPEATS):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def _same_codes(a, b) -> bool:
+    """Two :class:`PoolCodes` (or Nones) hold the same bits."""
+    if a is None or b is None:
+        return a is None and b is None
+    return (
+        a.codes.shape == b.codes.shape
+        and a.codes.tobytes() == b.codes.tobytes()
+        and len(a.columns) == len(b.columns)
+        and all(x.tobytes() == y.tobytes() for x, y in zip(a.columns, b.columns))
+    )
 
 
 def _bench_end_to_end(
@@ -244,10 +275,17 @@ def _fmt(result: dict) -> str:
         f"pool {result['configs']} (space {result['space']}, "
         f"search_workers {result['search_workers']}):"
     ]
-    for stage in ("encode", "fit", "predict", "select", "table", "partition"):
+    for stage in ("encode", "matrix", "fit", "predict", "select", "table",
+                  "partition"):
         if f"{stage}_seconds" not in result:
             continue
         lines.append(f"  {stage:8s} {result[f'{stage}_seconds'] * 1e3:9.1f} ms")
+    if "encode_speedup" in result:
+        same = result["encode_matches_matrix"]
+        lines.append(
+            f"  encode vs matrix: {result['encode_speedup']:.2f}x "
+            f"[{'bitwise' if same else 'DIVERGED'}]"
+        )
     if "partition_speedup" in result:
         same = result["partition_matches_predict"] and result[
             "table_matches_predict"
@@ -305,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail (exit 1) if the partition predictor is "
                         "less than this many times faster than the table "
                         "descent on a pool's predict pass")
+    parser.add_argument("--min-encode-speedup", type=float, default=None,
+                        help="fail (exit 1) if the direct encode is less "
+                        "than this many times faster than the design "
+                        "matrix plus rank coding on a pool")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the result records as JSON to PATH")
     args = parser.parse_args(argv)
@@ -360,6 +402,25 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
+    for record in records:
+        if "encode_speedup" not in record:
+            continue
+        if not record["encode_matches_matrix"]:
+            print(
+                f"FAIL: direct codes and matrix codes diverged at pool "
+                f"{record['configs']}",
+                file=sys.stderr,
+            )
+            return 1
+        if (args.min_encode_speedup is not None
+                and record["encode_speedup"] < args.min_encode_speedup):
+            print(
+                f"FAIL: direct encode only {record['encode_speedup']:.2f}x "
+                f"the design matrix plus rank coding at pool "
+                f"{record['configs']} (target {args.min_encode_speedup:.1f}x)",
+                file=sys.stderr,
+            )
+            return 1
     for record in records:
         if "partition_speedup" not in record:
             continue

@@ -87,9 +87,9 @@ class TuneSettings:
     Recorded
     --------
     search_workers:
-        Fan the search core's pool-sized loops (full-pool predict, rank
-        coding, odometer encode) over this many processes sharing the pool
-        through shared memory (:mod:`repro.surf.shared`).
+        Fan the full-pool predict passes over this many processes, which
+        attach the pool's rank codes from shared memory
+        (:mod:`repro.surf.shared`); the encode runs once, in-process.
     fast_model:
         Score configurations by precomputed timing-table lookup instead of
         the scalar model per point.

@@ -70,10 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument(
         "--search-workers", type=int, default=1, metavar="N",
-        help="fan the SURF search core (full-pool predict, rank coding, "
-        "odometer encode) over N worker processes with shared-memory "
-        "pools; champion, history and checkpoints are bitwise-identical "
-        "to serial",
+        help="fan SURF's full-pool predict passes over N worker processes "
+        "that share the pool's rank codes; champion, history and "
+        "checkpoints are bitwise-identical to serial",
     )
     tune.add_argument(
         "--telemetry", default=None, metavar="PATH",

@@ -24,7 +24,11 @@ Both encoders also accept a columnar
 slices gathered from the tuning space's odometer tables, skipping the
 per-config dict materialization entirely.  For the same pool the two
 routes produce bitwise-identical design matrices (pinned by the parity
-suite).
+suite).  ``transform_codes`` goes one step further and writes the
+view's :class:`~repro.surf.forest.PoolCodes` directly — each column's
+uint8 ranks and sorted vocabulary, bitwise what
+:func:`~repro.surf.forest.pool_codes` derives from the float matrix —
+so the SURF driver never builds that matrix for a space pool.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import SearchError
+from repro.surf.forest import MAX_ROUTER_CARD, PoolCodes
 
 __all__ = ["FeatureBinarizer", "OrdinalEncoder", "ABSENT"]
 
@@ -58,6 +63,32 @@ def _assemble_columns(
             for cat in sorted(categories[key]):
                 columns.append((key, cat))
     return columns
+
+
+def _observed(g) -> set[str]:
+    """The categories a view group's rows take (counted, not sorted)."""
+    counts = np.bincount(g.codes, minlength=len(g.vocab))
+    return {g.vocab[c] for c in np.flatnonzero(counts)}
+
+
+def _rank_column(n: int, fill: float, writes: list):
+    """``(codes, vocab)`` of the column that starts at ``fill`` and takes
+    ``column[rows] = table[codes]`` for each ``(rows, codes, table)`` in
+    turn, or None past ``MAX_ROUTER_CARD`` values.  A per-row slot into
+    the concatenated tables stands for the value, so only the table
+    values the rows take are sorted, not the ``n`` rows."""
+    slot = np.zeros(n, dtype=np.int64)
+    tables = [np.array([fill])]
+    offset = 1
+    for rows, codes, table in writes:
+        slot[rows] = codes + offset
+        tables.append(table)
+        offset += len(table)
+    values = np.concatenate(tables).astype(np.float64)
+    vocab = np.unique(values[np.bincount(slot, minlength=offset) > 0])
+    if vocab.size > MAX_ROUTER_CARD:
+        return None
+    return np.searchsorted(vocab, values).astype(np.uint8)[slot], vocab
 
 
 class FeatureBinarizer:
@@ -115,8 +146,7 @@ class FeatureBinarizer:
         categories: dict[str, set[str]] = {}
         coverage: dict[str, int] = {}
         for g in view.cats:
-            observed = {g.vocab[c] for c in np.unique(g.codes)}
-            categories.setdefault(g.key, set()).update(observed)
+            categories.setdefault(g.key, set()).update(_observed(g))
             coverage[g.key] = coverage.get(g.key, 0) + int(g.rows.size)
         for g in view.nums:
             numeric.add(g.key)
@@ -129,49 +159,87 @@ class FeatureBinarizer:
         self._keys = keys
         return self
 
-    def transform_matrix(self, view) -> np.ndarray:
-        """Vectorized transform of a FeatureView — bitwise-identical to
-        :meth:`transform` on the corresponding feature dicts."""
+    def _writes(self, view):
+        """What a FeatureView writes into the design matrix: per
+        categorical group the ``(rows, codes, colmap)`` that light cells
+        ``(rows, colmap[codes])`` (``-1``: an unseen category lights
+        none), the ``(rows, codes, table)`` writes of each numeric column,
+        and each absent indicator's ``(column, covered rows mask)``."""
         if self._columns is None:
             raise SearchError("binarizer has not been fit")
-        out = np.zeros((view.n, len(self._columns)))
         col_of: dict[tuple[str, str | None], int] = {
             c: i for i, c in enumerate(self._columns)
         }
-        absent_keys = {key for key, cat in self._columns if cat == ABSENT}
-        covered: dict[str, np.ndarray] = {}
-
-        def mark(key: str, rows: np.ndarray) -> None:
-            if key in absent_keys:
-                mask = covered.get(key)
-                if mask is None:
-                    mask = covered[key] = np.zeros(view.n, dtype=bool)
-                mask[rows] = True
-
+        covered = {
+            key: np.zeros(view.n, dtype=bool)
+            for key, cat in self._columns if cat == ABSENT
+        }
+        hot: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        numeric: dict[int, list] = {}
         for g in view.cats:
             colmap = np.array(
                 [col_of.get((g.key, v), -1) for v in g.vocab], dtype=np.int64
             )
-            cols = colmap[g.codes]
-            ok = cols >= 0  # unseen category encodes as all-zero
-            out[g.rows[ok], cols[ok]] = 1.0
-            mark(g.key, g.rows)
+            rows, codes = g.rows, g.codes
+            if (colmap < 0).any():  # unseen category encodes as all-zero
+                ok = colmap[codes] >= 0
+                rows, codes = rows[ok], codes[ok]
+            hot.append((rows, codes, colmap))
+            if g.key in covered:
+                covered[g.key][g.rows] = True
         for g in view.nums:
             col = col_of.get((g.key, None))
             if col is None:
                 raise SearchError(
                     f"numeric feature {g.key!r} was not seen during fit"
                 )
-            out[g.rows, col] = g.values
-            mark(g.key, g.rows)
-        for key in absent_keys:
-            mask = covered.get(key)
-            col = col_of[(key, ABSENT)]
-            if mask is None:
-                out[:, col] = 1.0
-            else:
-                out[~mask, col] = 1.0
+            numeric.setdefault(col, []).append((g.rows, g.codes, g.table))
+            if g.key in covered:
+                covered[g.key][g.rows] = True
+        absent = [(col_of[(key, ABSENT)], mask) for key, mask in covered.items()]
+        return hot, numeric, absent
+
+    def transform_matrix(self, view) -> np.ndarray:
+        """Vectorized transform of a FeatureView — bitwise-identical to
+        :meth:`transform` on the corresponding feature dicts."""
+        hot, numeric, absent = self._writes(view)
+        out = np.zeros((view.n, len(self._columns)))
+        for rows, codes, colmap in hot:
+            out[rows, colmap[codes]] = 1.0
+        for col, writes in numeric.items():
+            for rows, codes, table in writes:
+                out[rows, col] = table[codes]
+        for col, mask in absent:
+            out[~mask, col] = 1.0
         return out
+
+    def transform_codes(self, view) -> PoolCodes | None:
+        """``pool_codes(self.transform_matrix(view))``, bitwise and None
+        exactly where that is, with no float matrix on the way: one-hot
+        columns are counted, never sorted, and a numeric column ranks
+        only the table values its rows take."""
+        hot, numeric, absent = self._writes(view)
+        n = view.n
+        out = np.zeros((len(self._columns), n), dtype=np.uint8)
+        flat = out.reshape(-1)
+        for rows, codes, colmap in hot:
+            flat[(colmap * n)[codes] + rows] = 1
+        for col, mask in absent:
+            out[col, ~mask] = 1
+        columns: list[np.ndarray] = []
+        for j, (_key, cat) in enumerate(self._columns):
+            if cat is None:
+                ranked = _rank_column(n, 0.0, numeric.get(j, []))
+                if ranked is None:
+                    return None
+                out[j], vocab = ranked
+            else:
+                lit = np.count_nonzero(out[j])
+                vocab = np.array([v for v, k in ((0.0, n - lit), (1.0, lit)) if k])
+                if lit == n:
+                    out[j] = 0  # a constant 1 ranks 0 in [1.]
+            columns.append(vocab)
+        return PoolCodes(out, columns)
 
     def transform(self, feature_dicts: Sequence[dict[str, object]]) -> np.ndarray:
         """Encode dicts into a dense (n, d) float64 design matrix."""
@@ -243,9 +311,7 @@ class OrdinalEncoder:
         categories: dict[str, set[str]] = {}
         for g in view.cats:
             keys.add(g.key)
-            categories.setdefault(g.key, set()).update(
-                g.vocab[c] for c in np.unique(g.codes)
-            )
+            categories.setdefault(g.key, set()).update(_observed(g))
         for g in view.nums:
             keys.add(g.key)
         self._keys = sorted(keys)
@@ -255,28 +321,51 @@ class OrdinalEncoder:
         }
         return self
 
-    def transform_matrix(self, view) -> np.ndarray:
-        """Vectorized FeatureView transform, bitwise equal to
-        :meth:`transform` on the corresponding dicts."""
+    def _writes(self, view) -> list[list]:
+        """Per output column, the ``(rows, codes, table)`` writes of a
+        FeatureView, in the order they apply."""
         if self._codes is None or self._keys is None:
             raise SearchError("encoder has not been fit")
-        # Every (row, key) cell is either written by a group below or the
-        # key is absent for that row: start from the absent sentinel.
-        out = np.full((view.n, len(self._keys)), -2.0)
         col_of = {key: i for i, key in enumerate(self._keys)}
+        writes: list[list] = [[] for _ in self._keys]
         for g in view.cats:
             col = col_of.get(g.key)
             if col is None:
                 continue  # key unseen at fit: dict transform ignores it too
             codes = self._codes.get(g.key, {})
             vmap = np.array([float(codes.get(v, -1)) for v in g.vocab])
-            out[g.rows, col] = vmap[g.codes]
+            writes[col].append((g.rows, g.codes, vmap))
         for g in view.nums:
             col = col_of.get(g.key)
-            if col is None:
-                continue
-            out[g.rows, col] = g.values
+            if col is not None:
+                writes[col].append((g.rows, g.codes, g.table))
+        return writes
+
+    def transform_matrix(self, view) -> np.ndarray:
+        """Vectorized FeatureView transform, bitwise equal to
+        :meth:`transform` on the corresponding dicts."""
+        writes = self._writes(view)
+        # Every (row, key) cell is either written below or the key is
+        # absent for that row: start from the absent sentinel.
+        out = np.full((view.n, len(writes)), -2.0)
+        for col, column in enumerate(writes):
+            for rows, codes, table in column:
+                out[rows, col] = table[codes]
         return out
+
+    def transform_codes(self, view) -> PoolCodes | None:
+        """``pool_codes(self.transform_matrix(view))``, bitwise and None
+        exactly where that is, with no float matrix on the way."""
+        writes = self._writes(view)
+        codes = np.empty((len(writes), view.n), dtype=np.uint8)
+        columns: list[np.ndarray] = []
+        for col, column in enumerate(writes):
+            ranked = _rank_column(view.n, -2.0, column)
+            if ranked is None:
+                return None
+            codes[col], vocab = ranked
+            columns.append(vocab)
+        return PoolCodes(codes, columns)
 
     def transform(self, feature_dicts: Sequence[dict[str, object]]) -> np.ndarray:
         if self._codes is None or self._keys is None:

@@ -20,10 +20,12 @@ depth-bounded vectorized loop over (tree, sample) pairs, and averages
 the trees in tree order.
 
 For repeated prediction over one fixed pool (the SURF driver's inner
-loop), :func:`pool_codes` + :meth:`ExtraTreesRegressor.make_router` go
+loop), :class:`PoolCodes` + :meth:`ExtraTreesRegressor.make_router` go
 further: tuning features take only a handful of distinct values per
 column, so the pool compresses into per-column *rank codes* (column
-major), and each fitted forest compiles into a next-state table that
+major; the encoders write them straight from a pool's feature view, and
+:func:`pool_codes` derives them from a float design matrix), and each
+fitted forest compiles into a next-state table that
 resolves every ``value <= threshold`` comparison per (node, code) pair
 once, at build time (~ms).  Descent then costs two gathers per level —
 no float loads, no comparisons — and stays bitwise-identical to
@@ -49,7 +51,6 @@ __all__ = [
     "PoolRouter",
     "RouterTables",
     "pool_codes",
-    "pool_codes_shared",
     "shared_router_predict",
 ]
 
@@ -85,8 +86,7 @@ class PoolCodes:
         self.columns = columns
         self.d, self.n = codes.shape
         #: Shared-memory spec of ``codes`` when the matrix lives in a
-        #: :class:`~repro.surf.shared.SharedArray` (set by the driver;
-        #: lets predict workers attach instead of receiving a pickle).
+        #: :class:`~repro.surf.shared.SharedArray` (see :meth:`shared`).
         self.spec: tuple | None = None
         # ``columns`` padded into one (d, max card) table for ``rows``.
         self._vocab = np.zeros((self.d, max((c.size for c in columns), default=1)))
@@ -97,6 +97,14 @@ class PoolCodes:
         """Design-matrix rows ``X[ids]``, rebuilt bitwise from the codes."""
         ids = np.asarray(ids, dtype=np.int64)
         return self._vocab[np.arange(self.d), self.codes[:, ids].T]
+
+    def shared(self, ctx) -> "PoolCodes":
+        """These codes in a segment that the worker context ``ctx`` owns,
+        with ``spec`` set, so predict workers attach them by name."""
+        segment = ctx.share(self.codes)
+        out = PoolCodes(segment.array, self.columns)
+        out.spec = segment.spec
+        return out
 
 
 def pool_codes(X: np.ndarray, max_card: int = MAX_ROUTER_CARD) -> PoolCodes | None:
@@ -113,61 +121,6 @@ def pool_codes(X: np.ndarray, max_card: int = MAX_ROUTER_CARD) -> PoolCodes | No
         codes[j] = np.searchsorted(vals, X[:, j])
         columns.append(vals)
     return PoolCodes(codes, columns)
-
-
-def _codes_task(X_spec, out_spec, cols, max_card):
-    """Worker: rank-code one block of design-matrix columns in place.
-
-    Reads the shared design matrix, writes the shared codes matrix for
-    ``cols`` only, and returns the per-column sorted vocabularies (or
-    ``None`` where a column exceeds ``max_card`` — the parent then
-    abandons the router exactly like serial :func:`pool_codes`).
-    """
-    import os
-    import time
-
-    start = time.perf_counter()
-    X = attach_shared(X_spec)
-    out = attach_shared(out_spec)
-    columns: list[np.ndarray | None] = []
-    for j in cols:
-        vals = np.unique(X[:, j])
-        if vals.size > max_card:
-            columns.append(None)
-            continue
-        out[j] = np.searchsorted(vals, X[:, j])
-        columns.append(vals)
-    meta = {"seconds": time.perf_counter() - start,
-            "worker_pid": os.getpid(), "columns": len(cols)}
-    return columns, meta
-
-
-def pool_codes_shared(ctx, X_spec, n: int, d: int,
-                      max_card: int = MAX_ROUTER_CARD) -> PoolCodes | None:
-    """Column-parallel :func:`pool_codes` over a shared design matrix.
-
-    Bitwise-identical to the serial path for any worker count: each
-    column's vocabulary and rank codes depend only on that column, and
-    workers each own a disjoint column block of the shared output.  The
-    returned :class:`PoolCodes` is backed by a context-owned segment with
-    ``spec`` set, so predict workers attach it for free.
-    """
-    shared_codes = ctx.allocate((d, n), np.uint8)
-    ranges = chunk_ranges(d, ctx.workers)
-    payloads = [
-        (X_spec, shared_codes.spec, list(range(s, e)), max_card)
-        for s, e in ranges
-    ]
-    parts = ctx.run_chunks(_codes_task, payloads, span_name="search.codes.chunk")
-    columns: list[np.ndarray] = []
-    for part in parts:
-        for vals in part:
-            if vals is None:
-                return None
-            columns.append(vals)
-    codes = PoolCodes(shared_codes.array, columns)
-    codes.spec = shared_codes.spec
-    return codes
 
 
 @dataclass

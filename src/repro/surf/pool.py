@@ -8,10 +8,11 @@ objects per point.  This module gives them an id-based protocol instead:
     everywhere — ``as_pool`` adapts transparently).
 ``SpacePool``
     Holds only sorted global ids against a
-    :class:`~repro.tcr.space.TuningSpace`.  The design matrix is built in
-    one vectorized pass from the space's per-kernel feature tables (see
-    :func:`feature_view`); ``ProgramConfig`` objects are materialized
-    lazily, only for evaluation batches, the champion, and checkpoints.
+    :class:`~repro.tcr.space.TuningSpace`.  Its rank codes (``codes``)
+    are written in one vectorized pass from the space's per-kernel
+    feature tables (see :func:`feature_view`), with no float design
+    matrix on the way; ``ProgramConfig`` objects are materialized lazily,
+    only for evaluation batches, the champion, and checkpoints.
 
 Both expose ``__len__``, ``config(i)``, ``configs(ids)``,
 ``design_matrix(encoder)`` and ``fingerprint()``.  For identical ids the
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.errors import SearchError
 from repro.surf.binarize import FeatureBinarizer, OrdinalEncoder
-from repro.surf.shared import attach_shared, chunk_ranges
+from repro.surf.forest import PoolCodes
 from repro.tcr.space import ProgramConfig, TuningSpace
 from repro.util.rng import stable_hash
 
@@ -42,7 +43,6 @@ __all__ = [
     "feature_view",
     "GrowableArray",
     "MaterializedPool",
-    "SharedPool",
     "SpacePool",
     "as_pool",
 ]
@@ -102,7 +102,8 @@ class NumGroup:
 
     key: str
     rows: np.ndarray
-    values: np.ndarray      # float64
+    codes: np.ndarray       # per-row index into table
+    table: np.ndarray       # float64 values
 
 
 @dataclass
@@ -140,7 +141,7 @@ def feature_view(space: TuningSpace, ids: np.ndarray) -> FeatureView:
             for attr in ("tx", "ty", "bx", "by", "inner"):
                 codes, vocab = tables[attr]
                 cats.append(CatGroup(f"k{k}_{attr}", rows, codes[dig], vocab))
-            nums.append(NumGroup(f"k{k}_unroll", rows, tables["unroll"][dig]))
+            nums.append(NumGroup(f"k{k}_unroll", rows, dig, tables["unroll"]))
     return FeatureView(n=len(ids), cats=cats, nums=nums)
 
 
@@ -200,6 +201,15 @@ class SpacePool:
         encoder.fit_view(view)
         return encoder.transform_matrix(view)
 
+    def codes(
+        self, encoder: FeatureBinarizer | OrdinalEncoder
+    ) -> PoolCodes | None:
+        """``pool_codes(self.design_matrix(encoder))``, bitwise, written
+        straight from the feature view (None exactly where that is)."""
+        view = feature_view(self.space, self.ids)
+        encoder.fit_view(view)
+        return encoder.transform_codes(view)
+
     def fingerprint(self) -> str:
         if len(self) <= SMALL_POOL_LIMIT:
             # Seed-compatible describe hash: checkpoints written against a
@@ -212,78 +222,6 @@ class SpacePool:
             stable_hash("pool-ids", int(self.space.size()), self.ids.tolist()),
             "016x",
         )
-
-
-def _encode_task(space, encoder, ids_spec, start, stop, out_spec):
-    """Worker: decode + transform one contiguous row chunk of the pool.
-
-    The id vector and the output matrix live in shared memory; the worker
-    rebuilds its chunk's :class:`FeatureView` locally (the vectorized
-    odometer decode is cheap) and writes the transformed rows in place.
-    Every output cell is written exactly once, by exactly one worker.
-    """
-    import os
-    import time
-
-    t0 = time.perf_counter()
-    ids = attach_shared(ids_spec)
-    out = attach_shared(out_spec)
-    view = feature_view(space, ids[start:stop])
-    out[start:stop] = encoder.transform_matrix(view)
-    meta = {"seconds": time.perf_counter() - t0,
-            "worker_pid": os.getpid(), "rows": stop - start}
-    return None, meta
-
-
-class SharedPool(SpacePool):
-    """A :class:`SpacePool` whose big operands live in shared memory.
-
-    Built by the SURF driver when ``search_workers > 1``: the sorted id
-    vector moves into a :class:`~repro.surf.shared.SharedArray` once, and
-    ``design_matrix`` fans the odometer encode out over the context's
-    worker processes — workers attach the ids and the output matrix by
-    segment name and never receive a pickled pool.
-
-    Bitwise contract: the encoder is fit on the *full* view by the parent
-    (identical columns to the serial path by construction), and each
-    worker transforms a contiguous row chunk with that fitted encoder.
-    ``transform_matrix`` writes each row from that row's features alone,
-    so the chunk concatenation equals the serial matrix bit for bit; the
-    parity suite pins this for every worker count.
-    """
-
-    def __init__(self, space, ids, ctx) -> None:
-        super().__init__(space, ids)
-        self._ctx = ctx
-        self._shared_ids = ctx.share(self.ids)
-        self.ids = self._shared_ids.array
-        #: Shared-memory spec of the design matrix after ``design_matrix``
-        #: (lets the column-parallel rank coding attach it for free).
-        self.X_spec: tuple | None = None
-
-    @classmethod
-    def from_pool(cls, pool: SpacePool, ctx) -> "SharedPool":
-        return cls(pool.space, pool.ids, ctx)
-
-    def design_matrix(
-        self, encoder: FeatureBinarizer | OrdinalEncoder
-    ) -> np.ndarray:
-        view = feature_view(self.space, self.ids)
-        encoder.fit_view(view)
-        if isinstance(encoder, FeatureBinarizer):
-            width = len(encoder.columns)
-        else:
-            width = len(encoder._keys or [])
-        shared_X = self._ctx.allocate((len(self), width), np.float64)
-        payloads = [
-            (self.space, encoder, self._shared_ids.spec, s, e, shared_X.spec)
-            for s, e in chunk_ranges(len(self), self._ctx.workers)
-        ]
-        self._ctx.run_chunks(
-            _encode_task, payloads, span_name="search.encode.chunk"
-        )
-        self.X_spec = shared_X.spec
-        return shared_X.array
 
 
 def as_pool(pool) -> MaterializedPool | SpacePool:

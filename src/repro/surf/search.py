@@ -20,10 +20,11 @@ features.  Determinism: sampling, tree fitting and tie-breaking all run on
 seeded substreams.
 
 The driver is array-native: the pool is ids (see :mod:`repro.surf.pool`),
-the not-yet-dispatched set is a boolean mask, selection takes the bottom-k
-by argpartition, and prediction over the pool runs through the forest's
-coded router (:mod:`repro.surf.forest`).  Config objects are materialized
-only for evaluation batches, the champion, and checkpoints.
+binarized once, straight to per-column rank codes; the not-yet-dispatched
+set is a boolean mask, selection takes the bottom-k by argpartition, and
+prediction over the pool runs through the forest's coded router
+(:mod:`repro.surf.forest`).  Config objects are materialized only for
+evaluation batches, the champion, and checkpoints.
 
 :class:`SearchHistory` is what SURF and the random and exhaustive
 baselines share: it evaluates a batch, records it in growable arrays,
@@ -57,17 +58,11 @@ from repro.surf.checkpoint import SearchCheckpointer, rng_state, set_rng_state
 from repro.surf.evaluator import PENALTY_SECONDS
 from repro.surf.forest import (
     ExtraTreesRegressor,
+    PoolCodes,
     pool_codes,
-    pool_codes_shared,
     shared_router_predict,
 )
-from repro.surf.pool import (
-    SMALL_POOL_LIMIT,
-    GrowableArray,
-    SharedPool,
-    SpacePool,
-    as_pool,
-)
+from repro.surf.pool import SMALL_POOL_LIMIT, GrowableArray, SpacePool, as_pool
 from repro.surf.shared import SearchWorkerContext, resolve_search_workers
 from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.space import ProgramConfig
@@ -91,6 +86,34 @@ def _bottom_k_lex(preds: np.ndarray, perm: np.ndarray, k: int) -> np.ndarray:
     cand = np.flatnonzero(preds <= pivot)  # superset: all possible winners
     ranked = cand[np.lexsort((perm[cand], preds[cand]))]
     return ranked[:k]
+
+
+def _encode_pool(
+    pool, encoder: FeatureBinarizer | OrdinalEncoder
+) -> tuple[PoolCodes | None, np.ndarray | None]:
+    """The pool as the loop reads it: ``(codes, None)``, or ``(None, X)``
+    when a column has too many values for rank codes.  A
+    :class:`SpacePool`'s codes come straight from its feature view; any
+    other pool rank-codes its float design matrix, then drops it.  The
+    ``search.encode`` span records the ``path`` (``codes``, or ``matrix``
+    where the matrix was built) and the ``kept_bytes`` the loop holds."""
+    tracer = get_tracer()
+    n = len(pool)
+    with tracer.span("search.encode", category="search", rows=n) as sp:
+        X = None
+        if isinstance(pool, SpacePool):
+            codes = pool.codes(encoder)
+            if codes is None:  # pool_codes(X) would be None as well
+                X = pool.design_matrix(encoder)
+        else:
+            X = pool.design_matrix(encoder)
+            with tracer.span("search.codes", category="search", rows=n):
+                codes = pool_codes(X)
+        sp.set(path="codes" if X is None else "matrix")
+        if codes is not None:
+            X = None
+        sp.set(kept_bytes=int(X.nbytes if codes is None else codes.codes.nbytes))
+    return codes, X
 
 
 def clamp_targets(y: np.ndarray) -> np.ndarray:
@@ -279,11 +302,12 @@ class SURFSearch:
         permutation (``(prediction, permutation)`` lexsort), so ties are
         randomized at any prediction magnitude.
 
-        ``search_workers`` fans the search core's pool-sized loops — the
-        full-pool predict pass, the rank coding and the odometer encode —
-        out over that many worker processes (shared-memory pool, see
-        :mod:`repro.surf.shared`).  Results are bitwise-identical for
-        every worker count; ``None`` or 1 is the serial path.
+        ``search_workers`` fans the full-pool predict passes out over
+        that many worker processes, which attach the pool's rank codes
+        from one shared-memory segment (see :mod:`repro.surf.shared`).
+        The encode runs once, in this process.  Results are
+        bitwise-identical for every worker count; ``None`` or 1 is the
+        serial path.
 
         ``acquisition`` ranks the not-yet-evaluated pool each iteration:
         ``"mean"`` (default, the paper's rule) by the ensemble-mean
@@ -322,19 +346,18 @@ class SURFSearch:
         to one that was never interrupted.
 
         With ``search_workers > 1`` a per-run worker context (process pool
-        + shared-memory segments) lives for exactly this call; every value
-        the search produces — champion, history, rng stream, checkpoint
-        states — is bitwise-identical to the serial run, so the worker
-        count is a ``recorded`` setting, absent from run fingerprints and
-        checkpoint state (a run may resume under a different count).
+        + the shared codes segment) lives for exactly this call and is
+        closed on every exit path; every value the search produces —
+        champion, history, rng stream, checkpoint states — is
+        bitwise-identical to the serial run, so the worker count is a
+        ``recorded`` setting, absent from run fingerprints and checkpoint
+        state (a run may resume under a different count).
         """
         hist = SearchHistory(
             self.name, pool, evaluate_batch, telemetry, checkpointer
         )
         ctx = SearchWorkerContext.create(self.search_workers)
         try:
-            if ctx is not None and type(hist.pool) is SpacePool:
-                hist.pool = SharedPool.from_pool(hist.pool, ctx)
             return self._search(hist, wall_seconds, ctx)
         finally:
             if ctx is not None:
@@ -346,32 +369,12 @@ class SURFSearch:
         workers = ctx.workers if ctx is not None else 1
         rng = spawn_rng(self.seed, "surf-driver")
         encoder = FeatureBinarizer() if self.binarize else OrdinalEncoder()
-        with get_tracer().span(
-            "search.encode", category="search", rows=n, workers=workers
-        ):
-            X_all = pool.design_matrix(encoder)
-        # Coded twin of X_all for the router fast path (None if any column
-        # is too wide — prediction then falls back to float descent).
-        with get_tracer().span(
-            "search.codes", category="search", rows=n, workers=workers
-        ):
-            if (
-                ctx is not None
-                and isinstance(pool, SharedPool)
-                and pool.X_spec is not None
-            ):
-                codes = pool_codes_shared(ctx, pool.X_spec, n, X_all.shape[1])
-            else:
-                codes = pool_codes(X_all)
-                if ctx is not None and codes is not None:
-                    # Materialized-pool fallback: copy the codes into a
-                    # context segment so predict workers can attach them.
-                    codes.spec = ctx.share(codes.codes).spec
-        if codes is not None:
-            # The codes stand for the pool from here on: refits rebuild
-            # their training rows from them, bitwise, so the float matrix
-            # is not held through the loop.
-            X_all = None
+        # Rank codes for the router, or the float matrix (and float
+        # descent) when a column is too wide for them.
+        codes, X_all = _encode_pool(pool, encoder)
+        if ctx is not None and codes is not None:
+            # Predict workers attach the codes by segment name.
+            codes = codes.shared(ctx)
 
         def train_rows() -> np.ndarray:
             ids = hist.ids.view

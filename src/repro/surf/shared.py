@@ -1,25 +1,19 @@
 """Multi-core plumbing for the array-native search core.
 
-The SURF inner loop is embarrassingly parallel in three places — the
-full-pool router descent (independent per row), the rank coding
-(independent per column), and the odometer encode (independent per row) —
-but numpy's gather/fancy-indexing kernels hold the GIL, so threads cannot
-scale them.  This module provides the process-worker
-infrastructure instead:
+The SURF inner loop's full-pool router descent is embarrassingly
+parallel (independent per row), but numpy's gather/fancy-indexing kernels
+hold the GIL, so threads cannot scale it.  This module provides the
+process-worker infrastructure instead:
 
 ``SharedArray`` / ``attach_shared``
     Numpy arrays backed by ``multiprocessing.shared_memory``.  The parent
-    creates segments for the pool-sized operands (id vector, rank-coded
-    design matrix, encode output); workers attach by name and never
-    receive a pickled pool.  Attachments are cached per process, and the
-    worker-side ``resource_tracker`` registration is undone immediately —
-    CPython registers shared memory on *attach* as well as create, and a
-    worker exiting must not unlink segments the parent still owns.
+    puts the pool's rank codes in a segment; workers attach by name and
+    never receive a pickled pool.  Attachments are cached per process.
 
 ``SearchWorkerPool``
     A persistent ``ProcessPoolExecutor`` (fork start method where the
     platform offers it — workers inherit the parent's imports for free)
-    sized to ``workers`` processes, reused across every parallel stage of
+    sized to ``workers`` processes, reused across every predict pass of
     one search run.
 
 ``SearchWorkerContext``
@@ -29,12 +23,11 @@ infrastructure instead:
     in submission order, and record a child tracer span per chunk under
     the caller's phase span.
 
-Bitwise contract: every parallel stage in this repo partitions rows (or
-columns) into contiguous chunks, computes each chunk exactly as the
-serial code would, and reassembles in chunk order.  Because the serial
-kernels are themselves per-row (per-column) independent, the
-result is bitwise-identical for *any* worker count — ``search_workers`` is
-a throughput knob, never a semantics knob.
+Bitwise contract: a predict pass partitions its rows into contiguous
+chunks, computes each chunk exactly as the serial code would, and
+reassembles in chunk order.  Because the serial kernels are per-row
+independent, the result is bitwise-identical for *any* worker count —
+``search_workers`` is a throughput knob, never a semantics knob.
 """
 
 from __future__ import annotations
@@ -177,10 +170,10 @@ def _preferred_context():
 class SearchWorkerPool:
     """A persistent process pool for the search core's parallel stages.
 
-    One pool serves a whole search run: predict passes, rank coding and
-    encodes all reuse the same worker processes, so per-stage overhead is
-    one pickle round-trip of the small task payload (router tables,
-    encoders — the pool-sized operands travel via shared memory).
+    One pool serves a whole search run: every predict pass reuses the
+    same worker processes, so per-pass overhead is one pickle round-trip
+    of the small task payload (router tables — the pool's codes travel
+    via shared memory).
     """
 
     def __init__(self, workers: int) -> None:
@@ -233,12 +226,6 @@ class SearchWorkerContext:
     def share(self, array: np.ndarray) -> SharedArray:
         """Copy ``array`` into a context-owned shared segment."""
         shared = SharedArray(array)
-        self._segments.append(shared)
-        return shared
-
-    def allocate(self, shape: tuple[int, ...], dtype) -> SharedArray:
-        """A context-owned uninitialized shared array (worker-filled)."""
-        shared = SharedArray(shape=shape, dtype=dtype)
         self._segments.append(shared)
         return shared
 

@@ -132,7 +132,14 @@ class TestPhaseCoverage:
                 K20, seed=3, max_evaluations=40, batch_size=10,
                 pool_size=20_000,
             ))
-        predicts = [s for s in tracer.finished() if s.name == "search.predict"]
+        spans = tracer.finished()
+        # The pool is coded straight from its feature view: no float
+        # matrix and no rank-coding pass.
+        (encode,) = [s for s in spans if s.name == "search.encode"]
+        assert encode.attributes["path"] == "codes"
+        assert encode.attributes["kept_bytes"] == 20_000 * 43  # uint8 codes
+        assert not [s for s in spans if s.name == "search.codes"]
+        predicts = [s for s in spans if s.name == "search.predict"]
         assert len(predicts) == 3
         for span in predicts:
             attrs = span.attributes

@@ -11,10 +11,12 @@ captured from the drivers while they were still checked bitwise against
 copies of the seed implementations.
 
 It also pins the pieces the drivers are built from — the space-fed design
-matrix against the per-config ``features()`` dict path, and the coded
-router's table descent and row-set partition against float tree descent
-(plus a golden large-pool run that takes the partition on every pass) —
-and the lexsort tie rule (randomized ties at any prediction magnitude).
+matrix against the per-config ``features()`` dict path, the rank codes
+the encoders write straight from a feature view against ``pool_codes``
+of that matrix, and the coded router's table descent and row-set
+partition against float tree descent (plus a golden large-pool run that
+takes the partition on every pass and builds no float matrix) — and the
+lexsort tie rule (randomized ties at any prediction magnitude).
 """
 
 from __future__ import annotations
@@ -35,12 +37,20 @@ from repro.surf import (
     SpacePool,
 )
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
+from repro.surf.binarize import ABSENT
 from repro.surf.forest import (
+    MAX_ROUTER_CARD,
     PARTITION_ROWS_PER_NODE,
     ExtraTreesRegressor,
     pool_codes,
 )
-from repro.surf.pool import MaterializedPool
+from repro.surf.pool import (
+    CatGroup,
+    FeatureView,
+    MaterializedPool,
+    NumGroup,
+    feature_view,
+)
 from repro.surf.search import _bottom_k_lex
 from repro.tcr.decision import decide_search_space
 from repro.tcr.space import TuningSpace
@@ -346,13 +356,19 @@ class TestRouterParity:
 
 
 @pytest.fixture(scope="module")
-def lg3_pool():
-    """A binarized lg3 pool: its unroll columns take 12 values each."""
+def lg3_space_pool():
+    """An lg3 pool whose unroll columns take 12 values each."""
     from repro.workloads import get_workload
 
     space = TuningSpace([decide_search_space(get_workload("lg3").program)])
     ids = space.sample_ids(1500, spawn_rng(0, "partition-pool"))
-    return SpacePool(space, ids).design_matrix(FeatureBinarizer())
+    return SpacePool(space, ids)
+
+
+@pytest.fixture(scope="module")
+def lg3_pool(lg3_space_pool):
+    """The binarized design matrix of the lg3 pool."""
+    return lg3_space_pool.design_matrix(FeatureBinarizer())
 
 
 def _router_case(X, seed, trees=12, train_rows=60, constant=False):
@@ -476,6 +492,158 @@ class TestCodesRebuildTrainingRows:
         assert rebuilt.tobytes() == X[rows].tobytes()
 
 
+def _assert_same_codes(got, want) -> None:
+    """Two :class:`PoolCodes` hold the same bits, vocabularies included."""
+    assert got is not None and want is not None
+    assert got.codes.dtype == want.codes.dtype == np.uint8
+    assert got.codes.shape == want.codes.shape
+    assert got.codes.tobytes() == want.codes.tobytes()
+    assert len(got.columns) == len(want.columns)
+    for a, b in zip(got.columns, want.columns):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _direct_codes(pool: SpacePool, encoder_cls):
+    """A space pool's direct codes, checked against ``pool_codes`` of its
+    design matrix; returns the codes and the fitted encoder."""
+    encoder = encoder_cls()
+    codes = pool.codes(encoder)
+    _assert_same_codes(codes, pool_codes(pool.design_matrix(encoder_cls())))
+    return codes, encoder
+
+
+def _union_space(two_op_program) -> TuningSpace:
+    """A union space of a two-kernel and a one-kernel variant: the
+    one-kernel rows have no ``k1_*`` features."""
+    from repro.core.tensor import TensorRef
+    from repro.tcr.program import TCROperation, TCRProgram
+
+    single = TCRProgram(
+        name="single",
+        dims={"i": 4, "j": 4, "l": 4},
+        arrays={"A": ("i", "j"), "C": ("j", "l"), "Y": ("i", "l")},
+        operations=[
+            TCROperation(
+                TensorRef("Y", ("i", "l")),
+                (TensorRef("A", ("i", "j")), TensorRef("C", ("j", "l"))),
+            )
+        ],
+    )
+    return TuningSpace([
+        decide_search_space(program, variant_index=i)
+        for i, program in enumerate([two_op_program, single])
+    ])
+
+
+def _wide_view(values: int) -> FeatureView:
+    """A synthetic view whose numeric column takes ``values`` values."""
+    n = 2 * values
+    rows = np.arange(n)
+    return FeatureView(
+        n=n,
+        cats=[CatGroup("k0_tx", rows, rows % 2, ("x", "y"))],
+        nums=[NumGroup("k0_unroll", rows, rows % values, np.arange(values) + 1.0)],
+    )
+
+
+ENCODERS = [FeatureBinarizer, OrdinalEncoder]
+
+
+class TestDirectCodes:
+    """The encoders' direct codes equal ``pool_codes`` of the design matrix,
+    bitwise, vocabularies included, and are None exactly where it is."""
+
+    @pytest.mark.parametrize("encoder_cls", ENCODERS)
+    def test_single_variant_pool(self, setup, encoder_cls):
+        _program, space, ids, _pool, _model = setup
+        codes, encoder = _direct_codes(SpacePool(space, ids), encoder_cls)
+        if encoder_cls is FeatureBinarizer:
+            variant = encoder.columns.index(("variant", "0"))
+            assert codes.columns[variant].tolist() == [1.0]
+            assert not codes.codes[variant].any()
+
+    @pytest.mark.parametrize("encoder_cls", ENCODERS)
+    def test_union_pool_with_absent_slots(self, two_op_program, encoder_cls):
+        space = _union_space(two_op_program)
+        ids = space.sample_ids(400, spawn_rng(3, "union-pool"))
+        codes, encoder = _direct_codes(SpacePool(space, ids), encoder_cls)
+        if encoder_cls is FeatureBinarizer:
+            absent = encoder.columns.index(("k1_tx", ABSENT))
+            unroll = encoder.columns.index(("k1_unroll", None))
+            assert codes.columns[absent].tolist() == [0.0, 1.0]
+            assert codes.columns[unroll][0] == 0.0  # zero-filled rows
+            assert codes.columns[unroll].size > 1
+        else:
+            assert min(c[0] for c in codes.columns) == -2.0
+
+    @pytest.mark.parametrize("encoder_cls", ENCODERS)
+    def test_lg3_pool_with_12_valued_unroll(self, lg3_space_pool, encoder_cls):
+        codes, _encoder = _direct_codes(lg3_space_pool, encoder_cls)
+        assert max(c.size for c in codes.columns) == 12
+
+    @pytest.mark.parametrize("encoder_cls", ENCODERS)
+    def test_one_row_pool(self, setup, encoder_cls):
+        _program, space, ids, _pool, _model = setup
+        codes, _encoder = _direct_codes(SpacePool(space, ids[:1]), encoder_cls)
+        assert codes.n == 1 and all(c.size == 1 for c in codes.columns)
+
+    @pytest.mark.parametrize("encoder_cls", ENCODERS)
+    def test_too_many_values_returns_none(self, encoder_cls):
+        wide = _wide_view(MAX_ROUTER_CARD + 1)
+        encoder = encoder_cls().fit_view(wide)
+        assert pool_codes(encoder.transform_matrix(wide)) is None
+        assert encoder.transform_codes(wide) is None
+        edge = _wide_view(MAX_ROUTER_CARD)
+        encoder = encoder_cls().fit_view(edge)
+        _assert_same_codes(
+            encoder.transform_codes(edge), pool_codes(encoder.transform_matrix(edge))
+        )
+
+    def test_driver_falls_back_to_the_float_matrix(self, setup, monkeypatch):
+        from repro.obs.tracer import Tracer, use_tracer
+        from repro.surf import pool as pool_module
+
+        program, space, ids, _pool, model = setup
+        plain = pool_module.feature_view
+
+        def widened(space, ids):
+            view = plain(space, ids)
+            rows = np.arange(view.n)
+            card = MAX_ROUTER_CARD + 1
+            view.nums.append(
+                NumGroup("wide", rows, rows % card, np.arange(card) + 1.0)
+            )
+            return view
+
+        monkeypatch.setattr(pool_module, "feature_view", widened)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            SURFSearch(batch_size=5, max_evaluations=15, seed=2).search(
+                SpacePool(space, ids),
+                _plain_evaluator(program, model).evaluate_batch,
+            )
+        spans = tracer.finished()
+        (encode,) = [s for s in spans if s.name == "search.encode"]
+        assert encode.attributes["path"] == "matrix"
+        assert encode.attributes["kept_bytes"] == len(ids) * 8 * (
+            len(FeatureBinarizer().fit_view(widened(space, ids)).columns)
+        )
+        assert not [s for s in spans if s.name == "search.codes"]
+        paths = {s.attributes["path"] for s in spans if s.name == "search.predict"}
+        assert paths == {"float"}
+
+    def test_fit_view_keeps_only_the_categories_rows_take(self, setup):
+        # Three rows take few of each table's categories: fit_view counts
+        # the ones they take, like the dict fit.
+        _program, space, ids, pool, _model = setup
+        view = feature_view(space, np.sort(ids)[:3])
+        from_view = FeatureBinarizer().fit_view(view).columns
+        from_dicts = FeatureBinarizer().fit(
+            [c.features() for c in pool[:3]]
+        ).columns
+        assert from_view == from_dicts
+
+
 #: Champion-plus-history digest of ``tune lg3 --arch k20 --evals 40
 #: --batch 10 --pool 20000 --seed 3``, captured before the partition
 #: predictor existed; all three of its predict passes now take it.
@@ -501,6 +669,22 @@ class TestLargePoolGolden:
             if s.name == "search.predict"
         ]
         assert paths == ["partition"] * 3
+
+    def test_golden_run_builds_no_float_matrix(self, monkeypatch):
+        from repro.autotune import Autotuner
+        from repro.gpusim.arch import K20
+        from repro.surf import search as search_module
+        from repro.workloads import get_workload
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a space pool built its float matrix")
+
+        monkeypatch.setattr(SpacePool, "design_matrix", refuse)
+        monkeypatch.setattr(search_module, "pool_codes", refuse)
+        result = get_workload("lg3").tune(Autotuner(
+            K20, seed=3, max_evaluations=40, batch_size=10, pool_size=20_000,
+        ))
+        assert _run_digest(result.search) == GOLDEN_LARGE_POOL
 
 
 class TestParallelParity:

@@ -2,9 +2,9 @@
 
 The parity suite (``test_search_parity.py::TestParallelParity``) pins the
 end-to-end drivers; this file pins the pieces they are built from — the
-shared-memory arrays, the chunking arithmetic, and each parallel stage
-(encode, rank-coding, router predict) bitwise against its serial
-counterpart.
+shared-memory arrays, the chunking arithmetic, the worker context's
+teardown, and the one parallel stage (the router predict over shared
+codes) bitwise against its serial counterpart.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from repro.surf import FeatureBinarizer, SpacePool
 from repro.surf.forest import (
     ExtraTreesRegressor,
     pool_codes,
-    pool_codes_shared,
     shared_router_predict,
 )
-from repro.surf.pool import SharedPool
 from repro.surf.shared import (
     SearchWorkerContext,
     SharedArray,
@@ -199,39 +197,76 @@ def _echo_task(i):
     return i, {"seconds": 0.0, "worker_pid": 0}
 
 
-class TestParallelStages:
-    """Each fan-out stage bitwise against its serial counterpart."""
+class Boom(Exception):
+    """Stands in for a failure inside a parallel search run."""
 
-    def test_shared_encode_matches_serial(self, space_and_ids, ctx):
-        space, ids = space_and_ids
-        X_serial = SpacePool(space, ids).design_matrix(FeatureBinarizer())
-        shared_pool = SharedPool(space, ids, ctx)
-        X_parallel = shared_pool.design_matrix(FeatureBinarizer())
-        assert np.array_equal(X_serial, X_parallel)
-        assert shared_pool.X_spec is not None
 
-    def test_shared_codes_match_serial(self, space_and_ids, ctx):
+class TestSearchTeardown:
+    """A ``search_workers > 1`` run leaves no worker process and no shared
+    segment behind, however it ends."""
+
+    @pytest.mark.parametrize("where", ["encode", "loop", "none"])
+    def test_context_closes_on_every_exit_path(
+        self, space_and_ids, monkeypatch, where
+    ):
+        import multiprocessing
+        from multiprocessing import shared_memory
+
+        from repro.surf import SURFSearch
+
         space, ids = space_and_ids
-        shared_pool = SharedPool(space, ids, ctx)
-        X = shared_pool.design_matrix(FeatureBinarizer())
-        serial = pool_codes(X)
-        parallel = pool_codes_shared(
-            ctx, shared_pool.X_spec, X.shape[0], X.shape[1]
+        segments: list[str] = []
+        real_share = SearchWorkerContext.share
+
+        def recording_share(self, array):
+            shared = real_share(self, array)
+            segments.append(shared.spec[0])
+            return shared
+
+        monkeypatch.setattr(SearchWorkerContext, "share", recording_share)
+        if where == "encode":
+            def failing_codes(self, view, max_card=64):
+                raise Boom
+
+            monkeypatch.setattr(FeatureBinarizer, "transform_codes", failing_codes)
+        batches = 0
+
+        def evaluate(batch):
+            nonlocal batches
+            batches += 1
+            if where == "loop" and batches == 3:  # after two shared predicts
+                raise Boom
+            return [1.0 + 0.01 * i for i, _config in enumerate(batch)]
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        searcher = SURFSearch(
+            batch_size=5, max_evaluations=20, seed=1, search_workers=2
         )
-        assert serial is not None and parallel is not None
-        assert np.array_equal(serial.codes, parallel.codes)
-        assert len(serial.columns) == len(parallel.columns)
-        for a, b in zip(serial.columns, parallel.columns):
-            assert np.array_equal(a, b)
-        assert parallel.spec is not None
+        if where == "none":
+            searcher.search(SpacePool(space, ids), evaluate)
+        else:
+            with pytest.raises(Boom):
+                searcher.search(SpacePool(space, ids), evaluate)
+        after = {p.pid for p in multiprocessing.active_children()}
+        assert after <= before  # every worker the run started is gone
+        assert len(segments) == (0 if where == "encode" else 1)
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+
+class TestParallelStages:
+    """The predict fan-out bitwise against the serial router."""
 
     def test_shared_predict_matches_serial(self, space_and_ids, ctx):
         space, ids = space_and_ids
-        shared_pool = SharedPool(space, ids, ctx)
-        X = shared_pool.design_matrix(FeatureBinarizer())
-        codes = pool_codes_shared(
-            ctx, shared_pool.X_spec, X.shape[0], X.shape[1]
-        )
+        pool = SpacePool(space, ids)
+        X = pool.design_matrix(FeatureBinarizer())
+        # The driver's way: encode once in this process, then share only
+        # the codes segment.
+        codes = pool.codes(FeatureBinarizer()).shared(ctx)
+        assert codes.spec is not None
+        assert np.array_equal(attach_shared(codes.spec), codes.codes)
         rng = spawn_rng(1, "predict-parity")
         train = rng.choice(X.shape[0], size=70, replace=False)
         y = rng.normal(size=train.size)
@@ -239,6 +274,7 @@ class TestParallelStages:
         router = forest.make_router(codes)
         sub = np.sort(rng.choice(X.shape[0], size=150, replace=False))
 
+        assert np.array_equal(router.predict(sub), forest.predict(X[sub]))
         assert np.array_equal(
             shared_router_predict(ctx, router, sub, mode="mean"),
             router.predict(sub),
