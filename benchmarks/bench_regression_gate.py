@@ -1,23 +1,13 @@
 #!/usr/bin/env python3
-"""Bench regression gate: fail CI when a guarded fast path regresses.
+"""Bench regression gate: fail CI when the timing-table fast path regresses.
 
-Two suites, selected with ``--suite``:
-
-``tables`` (default)
-    Times scalar vs timing-table scoring
-    (:func:`benchmarks.bench_timing_table.run_bench`) for each entry of
-    the committed ``BENCH_tables.json`` at the repo root — ``loopnest``,
-    the lg3t loop-nest space at 1000 configs, and ``ttgt``, the d16 TTGT
-    space of :mod:`benchmarks.bench_ttgt_crossover` at 2000 — and gates
-    each entry's scalar/table *speedup ratio* against its own committed
-    baseline.
-``search_parallel``
-    Runs the full SURF end-to-end twice — serial and with
-    ``--search-workers`` worker processes — on the same pool.  The runs
-    must agree **bitwise** (champion + history digest; a divergence fails
-    regardless of speed), and the parallel/serial wall ratio is gated
-    against the matching record in the committed ``BENCH_pr8.json``
-    baseline.
+Times scalar vs timing-table scoring
+(:func:`benchmarks.bench_timing_table.run_bench`) for each entry of the
+committed ``BENCH_tables.json`` at the repo root — ``loopnest``, the
+lg3t loop-nest space at 1000 configs, and ``ttgt``, the d16 TTGT space
+of :mod:`benchmarks.bench_ttgt_crossover` at 2000 — and gates each
+entry's scalar/table *speedup ratio* against its own committed
+baseline.
 
 Comparing ratios — not raw seconds — makes the gate robust to CI
 machines of different speeds: both paths run on the same box, so a
@@ -32,10 +22,6 @@ CI usage (fails with exit 1 on a >20% speedup drop of any entry)::
 Refresh a committed baseline after an intentional perf change::
 
     PYTHONPATH=src python benchmarks/bench_regression_gate.py --update
-
-(For the search_parallel suite, ``--update`` refreshes the matching
-record in place; regenerate the whole sweep with
-``benchmarks/bench_search_throughput.py --search-workers 1,2 --json``.)
 """
 
 from __future__ import annotations
@@ -46,35 +32,21 @@ import pathlib
 import sys
 
 try:
-    from benchmarks.bench_search_throughput import run_bench as run_search_bench
     from benchmarks.bench_timing_table import lg3t_case
     from benchmarks.bench_timing_table import run_bench as run_table_bench
     from benchmarks.bench_ttgt_crossover import ttgt_case
 except ImportError:  # run as a script from benchmarks/
-    from bench_search_throughput import run_bench as run_search_bench
     from bench_timing_table import lg3t_case
     from bench_timing_table import run_bench as run_table_bench
     from bench_ttgt_crossover import ttgt_case
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
+BASELINE = REPO_ROOT / "BENCH_tables.json"
+OUTPUT = pathlib.Path(__file__).parent / "output" / "BENCH_tables.json"
+LABEL = "timing-table fast path"
 
 #: Allowed fractional drop in speedup vs the baseline before failing.
 TOLERANCE = 0.20
-
-SUITES = {
-    "tables": {
-        "baseline": REPO_ROOT / "BENCH_tables.json",
-        "output": OUTPUT_DIR / "BENCH_tables.json",
-        "label": "timing-table fast path",
-    },
-    "search_parallel": {
-        "baseline": REPO_ROOT / "BENCH_pr8.json",
-        "output": OUTPUT_DIR / "BENCH_pr8.json",
-        "default_configs": 100000,
-        "label": "search core (multi-core end-to-end)",
-    },
-}
 
 #: The (program, space) each ``tables`` entry times, by entry name.
 TABLE_CASES = {"loopnest": lg3t_case, "ttgt": ttgt_case}
@@ -98,23 +70,6 @@ def _load_baseline(path: pathlib.Path) -> dict:
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise SystemExit(f"FAIL: cannot read baseline {path}: {exc}")
-
-
-def _parallel_baseline_record(baseline: dict, configs: int) -> dict:
-    """The multi-worker sweep record gated against: same pool size, any
-    worker count > 1, with the serial-vs-parallel ratio recorded."""
-    for record in baseline.get("records", []):
-        if (
-            record.get("configs") == configs
-            and record.get("search_workers", 1) > 1
-            and "parallel_speedup" in record
-        ):
-            return record
-    raise SystemExit(
-        f"FAIL: baseline has no multi-worker record at pool {configs}; "
-        "regenerate with benchmarks/bench_search_throughput.py "
-        "--search-workers 1,2 --json"
-    )
 
 
 def _check(result: dict, baseline_speedup: float, label: str, args) -> bool:
@@ -144,9 +99,9 @@ def _write(path: pathlib.Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
-def _gate_tables(args, suite: dict, baseline_path, json_path) -> int:
-    """The ``tables`` suite: one best-of-N measurement per committed entry,
-    each at the entry's own pool size and against its own ratio."""
+def _gate_tables(args, baseline_path, json_path) -> int:
+    """One best-of-N measurement per committed entry, each at the entry's
+    own pool size and against its own ratio."""
     baseline_all = _load_baseline(baseline_path)
     entries = baseline_all["entries"]
     results = []
@@ -181,7 +136,7 @@ def _gate_tables(args, suite: dict, baseline_path, json_path) -> int:
     passed = [
         _check(
             result, float(entry["speedup"]),
-            f"{suite['label']} [{entry['name']}, {result['workload']}]", args,
+            f"{LABEL} [{entry['name']}, {result['workload']}]", args,
         )
         for entry, result in zip(entries, results)
     ]
@@ -197,15 +152,7 @@ def _gate_tables(args, suite: dict, baseline_path, json_path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", choices=sorted(SUITES), default="tables",
-                        help="which guarded fast path to measure")
-    parser.add_argument("--configs", type=int, default=None,
-                        help="pool size measured by the search_parallel "
-                        "suite (default: the suite's)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--search-workers", type=int, default=None,
-                        help="worker count for the search_parallel suite "
-                        "(default: the baseline record's count)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="bench repetitions; the best ratio is compared")
     parser.add_argument("--tolerance", type=float, default=TOLERANCE,
@@ -218,68 +165,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the fresh measurement as the new baseline "
                         "instead of gating against the old one")
     args = parser.parse_args(argv)
-
-    suite = SUITES[args.suite]
-    baseline_path = pathlib.Path(args.baseline or suite["baseline"])
-    json_path = pathlib.Path(args.json or suite["output"])
-    if args.suite == "tables":
-        if args.configs is not None:
-            parser.error("each tables entry is measured at its committed "
-                         "pool size; --configs is for search_parallel")
-        return _gate_tables(args, suite, baseline_path, json_path)
-
-    configs = args.configs if args.configs is not None else suite["default_configs"]
-    baseline_all = _load_baseline(baseline_path)
-    baseline_rec = _parallel_baseline_record(baseline_all, configs)
-    nmax = int(baseline_rec.get("nmax", 200))
-    batch_size = int(baseline_rec.get("batch_size", 10))
-    workers = args.search_workers or int(baseline_rec.get("search_workers", 2))
-
-    def measure() -> dict:
-        serial = run_search_bench(
-            configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
-            search_workers=1, stages=False,
-        )
-        parallel = run_search_bench(
-            configs, seed=args.seed, nmax=nmax, batch_size=batch_size,
-            search_workers=workers, stages=False,
-        )
-        if (
-            parallel["history_digest"] != serial["history_digest"]
-            or parallel["end_best_objective"] != serial["end_best_objective"]
-        ):
-            # Parity is non-negotiable: a bitwise divergence fails the
-            # gate immediately, whatever the speed looks like.
-            raise SystemExit(
-                f"FAIL: search_workers={workers} run diverged bitwise "
-                f"from serial at pool {configs}"
-            )
-        parallel["exact_match"] = True
-        parallel["serial_end_to_end_seconds"] = serial["end_to_end_seconds"]
-        parallel["parallel_speedup"] = (
-            serial["end_to_end_seconds"] / parallel["end_to_end_seconds"]
-        )
-        parallel["speedup"] = parallel["parallel_speedup"]
-        return parallel
-
-    result = _best_of(measure, args.repeats)
-    result["suite"] = args.suite
-    result["tolerance"] = args.tolerance
-
-    if args.update:
-        baseline_rec.update({k: v for k, v in result.items() if k != "suite"})
-        _write(baseline_path, baseline_all)
-        print(
-            f"baseline updated: {baseline_path} "
-            f"(speedup {result['speedup']:.1f}x on {result['configs']} configs)"
-        )
-        return 0
-
-    passed = _check(
-        result, float(baseline_rec["parallel_speedup"]), suite["label"], args
+    return _gate_tables(
+        args,
+        pathlib.Path(args.baseline or BASELINE),
+        pathlib.Path(args.json or OUTPUT),
     )
-    _write(json_path, result)
-    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Not a paper table — this times the SURF core (id pools, space-fed design
 matrices, the level-wise forest fit, the coded pool router, mask-based
-bookkeeping) stage by stage and end to end, serial and multi-core.
+bookkeeping) stage by stage and end to end, in one process.
 
 Stages measured on one pool:
 
@@ -38,10 +38,8 @@ The end-to-end run is traced, and the per-phase wall breakdown (encode,
 every refit, every full-pool predict pass, batch
 materialization, evaluation, selection, history bookkeeping) lands in the
 JSON record — so the gap between the sum of the stage microbenches and
-the end-to-end wall is attributed, not guessed at.  ``--search-workers``
-adds parallel-path records (one per worker count) whose champion/history
-digest is checked against the serial record: the multi-core search core
-must be bitwise-invisible in the results.
+the end-to-end wall is attributed, not guessed at.
+``--max-end-to-end-seconds`` gates that wall.
 """
 
 from __future__ import annotations
@@ -106,24 +104,19 @@ def synthetic_evaluate(batch) -> list[float]:
 def _phase_breakdown(spans, wall_seconds: float) -> dict:
     """Aggregate the driver's ``search.*`` spans into per-phase totals.
 
-    Top-level phases and per-worker ``*.chunk`` spans are kept apart (the
-    chunk seconds overlap their parent phase, so they never enter the
-    attribution sum); ``unattributed_seconds`` is what the spans do not
-    explain — the honest remainder, recorded instead of hidden.
+    ``unattributed_seconds`` is what the spans do not explain — the
+    honest remainder, recorded instead of hidden.
     """
     phases: dict[str, dict] = {}
-    chunks: dict[str, dict] = {}
     for span in spans:
         if span.duration_s is None or not span.name.startswith("search."):
             continue
-        bucket = chunks if span.name.endswith(".chunk") else phases
-        rec = bucket.setdefault(span.name, {"seconds": 0.0, "count": 0})
+        rec = phases.setdefault(span.name, {"seconds": 0.0, "count": 0})
         rec["seconds"] += span.duration_s
         rec["count"] += 1
     attributed = sum(rec["seconds"] for rec in phases.values())
     return {
         "phases": phases,
-        "chunk_spans": chunks,
         "attributed_seconds": attributed,
         "unattributed_seconds": max(0.0, wall_seconds - attributed),
     }
@@ -135,8 +128,6 @@ def run_bench(
     nmax: int = 200,
     batch_size: int = 10,
     end_to_end: bool = True,
-    search_workers: int = 1,
-    stages: bool = True,
 ) -> dict:
     """Time every search-core stage at one pool size."""
     space = bench_space()
@@ -146,10 +137,7 @@ def run_bench(
     pool = SpacePool(space, ids)
     n = len(pool)
     result: dict = {"configs": n, "space": space.size(), "nmax": nmax,
-                    "batch_size": batch_size, "search_workers": search_workers}
-    if not stages:
-        return _bench_end_to_end(result, pool, nmax, batch_size, seed,
-                                 search_workers)
+                    "batch_size": batch_size}
 
     # --- encode: direct codes against matrix + rank coding -----------
     codes, result["encode_seconds"] = _best_of(
@@ -187,12 +175,9 @@ def run_bench(
     result["predict_seconds"] = time.perf_counter() - t0
 
     # --- partition against table descent, same router and rows -------
-    tables, cflat = router.tables, router.pool.flat
-    for name, predictor in (("table", tables.descend),
-                            ("partition", tables.partition)):
-        out, result[f"{name}_seconds"] = _best_of(
-            lambda: predictor(cflat, alive_ids)
-        )
+    for name, predictor in (("table", router.descend),
+                            ("partition", router.partition)):
+        out, result[f"{name}_seconds"] = _best_of(lambda: predictor(alive_ids))
         result[f"{name}_matches_predict"] = bool(np.array_equal(out, preds))
     result["partition_speedup"] = (
         result["table_seconds"] / result["partition_seconds"]
@@ -213,9 +198,7 @@ def run_bench(
 
     # --- end-to-end run ----------------------------------------------
     if end_to_end:
-        result = _bench_end_to_end(
-            result, pool, nmax, batch_size, seed, search_workers
-        )
+        result = _bench_end_to_end(result, pool, nmax, batch_size, seed)
     return result
 
 
@@ -243,8 +226,7 @@ def _same_codes(a, b) -> bool:
 
 
 def _bench_end_to_end(
-    result: dict, pool: SpacePool, nmax: int, batch_size: int, seed: int,
-    search_workers: int,
+    result: dict, pool: SpacePool, nmax: int, batch_size: int, seed: int
 ) -> dict:
     """One traced full SURF run; phase breakdown + history digest into
     ``result``, which is returned."""
@@ -254,16 +236,14 @@ def _bench_end_to_end(
     tracer = Tracer()
     t0 = time.perf_counter()
     with use_tracer(tracer):
-        run = SURFSearch(search_workers=search_workers, **surf_kwargs).search(
-            pool, synthetic_evaluate
-        )
+        run = SURFSearch(**surf_kwargs).search(pool, synthetic_evaluate)
     wall = time.perf_counter() - t0
     result["end_to_end_seconds"] = wall
     result["end_to_end_breakdown"] = _phase_breakdown(tracer.finished(), wall)
     ys = [y for _c, y in run.history]
     result["end_best_objective"] = run.best_objective
     # Champion + full history in one digest: two runs with equal digests
-    # walked the identical course (the parallel-parity check in main()).
+    # walked the identical course.
     result["history_digest"] = format(
         stable_hash("bench-run", run.best_objective, ys), "016x"
     )
@@ -271,10 +251,7 @@ def _bench_end_to_end(
 
 
 def _fmt(result: dict) -> str:
-    lines = [
-        f"pool {result['configs']} (space {result['space']}, "
-        f"search_workers {result['search_workers']}):"
-    ]
+    lines = [f"pool {result['configs']} (space {result['space']}):"]
     for stage in ("encode", "matrix", "fit", "predict", "select", "table",
                   "partition"):
         if f"{stage}_seconds" not in result:
@@ -295,13 +272,9 @@ def _fmt(result: dict) -> str:
             f"[{'bitwise' if same else 'DIVERGED'}]"
         )
     if "end_to_end_seconds" in result:
-        line = f"  full run {result['end_to_end_seconds'] * 1e3:9.1f} ms"
-        if "matches_serial" in result:
-            line += (
-                f"  [vs serial: "
-                f"{'bitwise' if result['matches_serial'] else 'DIVERGED'}]"
-            )
-        lines.append(line)
+        lines.append(
+            f"  full run {result['end_to_end_seconds'] * 1e3:9.1f} ms"
+        )
         breakdown = result.get("end_to_end_breakdown")
         if breakdown:
             for name, rec in sorted(
@@ -329,16 +302,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nmax", type=int, default=200)
     parser.add_argument("--batch-size", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--search-workers", default="1",
-                        help="comma-separated search-core worker counts; "
-                        "counts > 1 add parallel end-to-end records whose "
-                        "champion/history must match the serial record "
-                        "bitwise")
     parser.add_argument("--no-end-to-end", action="store_true",
                         help="stage timings only (skip the full SURF runs)")
     parser.add_argument("--max-end-to-end-seconds", type=float, default=None,
-                        help="fail (exit 1) if a multi-worker end-to-end "
-                        "run exceeds this wall time")
+                        help="fail (exit 1) if an end-to-end run exceeds "
+                        "this wall time")
     parser.add_argument("--min-partition-speedup", type=float, default=None,
                         help="fail (exit 1) if the partition predictor is "
                         "less than this many times faster than the table "
@@ -351,43 +319,14 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the result records as JSON to PATH")
     args = parser.parse_args(argv)
 
-    worker_counts = sorted({int(s) for s in args.search_workers.split(",")})
     records = []
-    diverged = []
     for size in (int(s) for s in args.pool_sizes.split(",")):
-        # The serial record doubles as the stage microbench and the
-        # parallel-parity reference, so it always runs.
-        serial = run_bench(
+        record = run_bench(
             size, seed=args.seed, nmax=args.nmax, batch_size=args.batch_size,
             end_to_end=not args.no_end_to_end,
         )
-        records.append(serial)
-        print(_fmt(serial))
-        for workers in worker_counts:
-            if workers <= 1 or args.no_end_to_end:
-                continue
-            record = run_bench(
-                size, seed=args.seed, nmax=args.nmax,
-                batch_size=args.batch_size,
-                end_to_end=True, search_workers=workers, stages=False,
-            )
-            record["matches_serial"] = (
-                record["history_digest"] == serial.get("history_digest")
-                and record["end_best_objective"]
-                == serial.get("end_best_objective")
-            )
-            if "end_to_end_seconds" in serial:
-                record["serial_end_to_end_seconds"] = serial[
-                    "end_to_end_seconds"
-                ]
-                record["parallel_speedup"] = (
-                    serial["end_to_end_seconds"]
-                    / record["end_to_end_seconds"]
-                )
-            if not record["matches_serial"]:
-                diverged.append(record)
-            records.append(record)
-            print(_fmt(record))
+        records.append(record)
+        print(_fmt(record))
 
     payload = {"suite": "search_throughput", "records": records}
     if args.json:
@@ -395,13 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    if diverged:
-        print(
-            f"FAIL: search_workers={diverged[0]['search_workers']} run "
-            f"diverged from serial at pool {diverged[0]['configs']}",
-            file=sys.stderr,
-        )
-        return 1
     for record in records:
         if "encode_speedup" not in record:
             continue
@@ -444,13 +376,11 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     if args.max_end_to_end_seconds is not None:
         over = [r for r in records
-                if r.get("search_workers", 1) > 1
-                and r.get("end_to_end_seconds", 0.0)
+                if r.get("end_to_end_seconds", 0.0)
                 > args.max_end_to_end_seconds]
         if over:
             print(
-                f"FAIL: {over[0]['search_workers']}-worker end-to-end at "
-                f"pool {over[0]['configs']} took "
+                f"FAIL: end-to-end run at pool {over[0]['configs']} took "
                 f"{over[0]['end_to_end_seconds']:.1f}s "
                 f"(target {args.max_end_to_end_seconds:.1f}s)",
                 file=sys.stderr,

@@ -12,9 +12,8 @@ variable (only the result-store path keeps one), and exactly one
     checkpoint fingerprint.  ``searcher`` and ``seed`` are keyed too; the
     manifest holds them as fields of its own.
 ``recorded``
-    Bitwise-invisible in every result (the parallel search core replays
-    the serial bits; timing tables reproduce the scalar model exactly).
-    Written to the manifest as provenance only.
+    Bitwise-invisible in every result (timing tables reproduce the
+    scalar model exactly).  Written to the manifest as provenance only.
 ``runtime``
     Where state lives and how the run is observed: checkpoints, trace and
     result store.  Enters neither.
@@ -86,10 +85,6 @@ class TuneSettings:
 
     Recorded
     --------
-    search_workers:
-        Fan the full-pool predict passes over this many processes, which
-        attach the pool's rank codes from shared memory
-        (:mod:`repro.surf.shared`); the encode runs once, in-process.
     fast_model:
         Score configurations by precomputed timing-table lookup instead of
         the scalar model per point.
@@ -123,7 +118,6 @@ class TuneSettings:
     faults: FaultSpec | str = _setting("", KEYED, encode=FaultSpec.describe)
     acquisition: str = _setting("mean", KEYED)
     backend: str = _setting("loopnest", KEYED)
-    search_workers: int = _setting(1, RECORDED)
     fast_model: bool = _setting(False, RECORDED)
     checkpoint_dir: str | Path | None = _setting(None, RUNTIME)
     resume: bool = _setting(False, RUNTIME)
@@ -142,7 +136,6 @@ class TuneSettings:
         normal.update(
             faults=faults,
             batch_parallelism=max(1, int(self.batch_parallelism)),
-            search_workers=max(1, int(self.search_workers)),
             fast_model=bool(self.fast_model),
         )
         for name in ("checkpoint_dir", "trace"):

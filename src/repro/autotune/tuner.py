@@ -99,7 +99,6 @@ def _make_searcher(
     batch_size: int,
     max_evaluations: int,
     seed: int,
-    search_workers: int = 1,
     acquisition: str = "mean",
 ):
     if kind == "surf":
@@ -107,7 +106,6 @@ def _make_searcher(
             batch_size=batch_size,
             max_evaluations=max_evaluations,
             seed=seed,
-            search_workers=search_workers,
             acquisition=acquisition,
         )
     if kind == "random":
@@ -438,8 +436,7 @@ class Autotuner:
             evaluator = self._build_evaluator(programs, tables=tables)
             searcher = _make_searcher(
                 settings.searcher, settings.batch_size, settings.max_evaluations,
-                settings.seed, search_workers=settings.search_workers,
-                acquisition=settings.acquisition,
+                settings.seed, acquisition=settings.acquisition,
             )
             checkpointer = self._checkpointer(
                 checkpoint_dir, name, pool, tuning_space.size(), evaluator

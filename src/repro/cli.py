@@ -69,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="autotune each OCTOPI variant separately (the paper's flow)",
     )
     tune.add_argument(
-        "--search-workers", type=int, default=1, metavar="N",
-        help="fan SURF's full-pool predict passes over N worker processes "
-        "that share the pool's rank codes; champion, history and "
-        "checkpoints are bitwise-identical to serial",
-    )
-    tune.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="dump per-batch search telemetry as JSON to PATH ('-' for stdout)",
     )
@@ -229,7 +223,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         pool_size=args.pool,
         seed=args.seed,
         per_variant=args.per_variant,
-        search_workers=args.search_workers,
         fast_model=args.fast_model,
         faults=args.faults,
         checkpoint_dir=args.checkpoint_dir,

@@ -80,26 +80,20 @@ class Span:
 class _SpanContext:
     """Context manager returned by :meth:`Tracer.span`."""
 
-    __slots__ = ("_tracer", "_name", "_category", "_attributes", "_parent", "span")
+    __slots__ = ("_tracer", "_name", "_category", "_attributes", "span")
 
     def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        category: str,
-        attributes: dict,
-        parent: "Span | int | None" = None,
+        self, tracer: "Tracer", name: str, category: str, attributes: dict
     ):
         self._tracer = tracer
         self._name = name
         self._category = category
         self._attributes = attributes
-        self._parent = parent
         self.span: Span | None = None
 
     def __enter__(self) -> Span:
         self.span = self._tracer._begin(
-            self._name, self._category, self._attributes, parent=self._parent
+            self._name, self._category, self._attributes
         )
         return self.span
 
@@ -138,37 +132,23 @@ class Tracer:
     def _now(self) -> float:
         return self._clock() - self._epoch
 
-    def _begin(
-        self,
-        name: str,
-        category: str,
-        attributes: dict,
-        parent: Span | int | None = None,
-    ) -> Span:
+    def _begin(self, name: str, category: str, attributes: dict) -> Span:
         stack = self._stack()
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
-        if parent is None:
-            parent_id = stack[-1].span_id if stack else None
-        else:
-            parent_id = parent.span_id if isinstance(parent, Span) else int(parent)
         span = Span(
             name=name,
             category=category,
             span_id=span_id,
-            parent_id=parent_id,
+            parent_id=stack[-1].span_id if stack else None,
             pid=os.getpid(),
             tid=threading.get_ident(),
             start_s=self._now(),
             duration_s=None,
             attributes=dict(attributes),
         )
-        if parent is None:
-            # Explicit-parent spans stay off the nesting stack: several may
-            # be open concurrently (one per worker chunk) and must neither
-            # nest under each other nor adopt later same-thread spans.
-            stack.append(span)
+        stack.append(span)
         return span
 
     def _end(self, span: Span, failed: bool = False) -> None:
@@ -184,21 +164,9 @@ class Tracer:
             self._finished.append(span)
 
     # ------------------------------------------------------------------
-    def span(
-        self,
-        name: str,
-        category: str = "",
-        parent: Span | int | None = None,
-        **attributes,
-    ) -> _SpanContext:
-        """Open a timed span: ``with tracer.span("search.run") as sp: ...``
-
-        ``parent`` overrides the thread-local nesting: pass the enclosing
-        :class:`Span` (or its id) to attach work that does not run inside
-        the parent's ``with`` block on this thread — e.g. per-worker chunk
-        spans recorded by the driver while futures resolve out of order.
-        """
-        return _SpanContext(self, name, category, attributes, parent=parent)
+    def span(self, name: str, category: str = "", **attributes) -> _SpanContext:
+        """Open a timed span: ``with tracer.span("search.run") as sp: ...``"""
+        return _SpanContext(self, name, category, attributes)
 
     def event(self, name: str, category: str = "", **attributes) -> Span:
         """Record an instant event under the current open span (if any)."""
@@ -262,9 +230,7 @@ class NullTracer:
 
     enabled = False
 
-    def span(
-        self, name: str, category: str = "", parent=None, **attributes
-    ) -> _NullSpan:
+    def span(self, name: str, category: str = "", **attributes) -> _NullSpan:
         return _NULL_SPAN
 
     def event(self, name: str, category: str = "", **attributes) -> None:

@@ -32,10 +32,8 @@ space, searcher, budget, …) resume is *not* bitwise-safe and
 diverging.
 
 The fingerprint's settings are the ``keyed`` ones of
-:class:`~repro.autotune.settings.TuneSettings`.  ``search_workers`` is
-``recorded``, so **outside** it: it is bitwise-identical to serial, and a
-run checkpointed under one worker count may be resumed under any other
-(including serial) and still finishes bitwise-identical.
+:class:`~repro.autotune.settings.TuneSettings`; the ``recorded`` and
+``runtime`` ones stay outside it.
 """
 
 from __future__ import annotations

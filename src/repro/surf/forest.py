@@ -31,27 +31,22 @@ once, at build time (~ms).  Descent then costs two gathers per level —
 no float loads, no comparisons — and stays bitwise-identical to
 :meth:`predict` because ``x <= t``  ⟺  ``rank(x) < searchsorted(vocab,
 t, 'right')`` exactly.  Large passes split row sets down the trees
-instead (:meth:`RouterTables.partition`), one test per node and each
+instead (:meth:`PoolRouter.partition`), one test per node and each
 shared split once, with the same addends in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import SearchError
-from repro.surf.shared import attach_shared, chunk_ranges
 from repro.util.rng import spawn_rng
 
 __all__ = [
     "ExtraTreesRegressor",
     "PoolCodes",
     "PoolRouter",
-    "RouterTables",
     "pool_codes",
-    "shared_router_predict",
 ]
 
 #: Columns with more distinct values than this fall back to float descent.
@@ -65,7 +60,7 @@ FIT_BLOCK_CELLS = 1 << 14
 #: working set L2-resident instead of streaming pool-sized temporaries.
 ROUTER_BLOCK_STATES = 1 << 16
 
-#: ``RouterTables.predict`` partitions a pass of at least this many rows
+#: ``PoolRouter.predict`` partitions a pass of at least this many rows
 #: per forest node; below it, per-node Python overhead loses to the table
 #: descent.
 PARTITION_ROWS_PER_NODE = 2
@@ -85,9 +80,6 @@ class PoolCodes:
         self.flat = self.codes.reshape(-1)
         self.columns = columns
         self.d, self.n = codes.shape
-        #: Shared-memory spec of ``codes`` when the matrix lives in a
-        #: :class:`~repro.surf.shared.SharedArray` (see :meth:`shared`).
-        self.spec: tuple | None = None
         # ``columns`` padded into one (d, max card) table for ``rows``.
         self._vocab = np.zeros((self.d, max((c.size for c in columns), default=1)))
         for j, vals in enumerate(columns):
@@ -97,14 +89,6 @@ class PoolCodes:
         """Design-matrix rows ``X[ids]``, rebuilt bitwise from the codes."""
         ids = np.asarray(ids, dtype=np.int64)
         return self._vocab[np.arange(self.d), self.codes[:, ids].T]
-
-    def shared(self, ctx) -> "PoolCodes":
-        """These codes in a segment that the worker context ``ctx`` owns,
-        with ``spec`` set, so predict workers attach them by name."""
-        segment = ctx.share(self.codes)
-        out = PoolCodes(segment.array, self.columns)
-        out.spec = segment.spec
-        return out
 
 
 def pool_codes(X: np.ndarray, max_card: int = MAX_ROUTER_CARD) -> PoolCodes | None:
@@ -123,291 +107,18 @@ def pool_codes(X: np.ndarray, max_card: int = MAX_ROUTER_CARD) -> PoolCodes | No
     return PoolCodes(codes, columns)
 
 
-@dataclass
-class RouterTables:
-    """The detachable half of a :class:`PoolRouter`: every array the coded
-    predictors need *except* the pool itself.
-
-    Small (next-state table, per-node split arrays, leaf values, per-tree
-    roots/order — hundreds of KB at paper-scale budgets), so it travels
-    to predict workers by pickle while the pool-sized code matrix travels
-    by shared memory.  ``cflat`` is the flat column-major code matrix:
-    row ``i`` of column ``j`` is ``cflat[j * n + i]``.  All predictors are
-    bitwise chunk-invariant: each row's walk is independent, and the
-    cross-tree mean/std reduce per row in fixed tree order, so any row
-    partition concatenates to the serial answer.
-    """
-
-    table: np.ndarray
-    value: np.ndarray
-    roots: np.ndarray
-    order: np.ndarray
-    active: np.ndarray
-    depth: int
-    shift: int
-    fbits: int
-    fmask: int
-    nt: int
-    d: int
-    n: int
-    dtype: np.dtype
-    #: Per node: split column (-1 for a leaf), code cut (a row goes right
-    #: when its code is ``>= cut``), and child node ids.
-    column: np.ndarray
-    cut: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-    def _descend(self, cflat: np.ndarray, ids: np.ndarray):
-        """Yield ``(start, stop, seed_values)`` leaf-value blocks, with
-        trees back in seed order — the shared core of the table descent."""
-        ids = np.asarray(ids, dtype=np.int64)
-        m = ids.size
-        nt, n = self.nt, self.n
-        table = self.table
-        fmask, fbits, shift = self.fmask, self.fbits, self.shift
-        block = max(1, ROUTER_BLOCK_STATES // max(nt, 1))
-        for s in range(0, m, block):
-            e = min(s + block, m)
-            blk = e - s
-            st = np.repeat(self.roots, blk).reshape(nt, blk)
-            row = ids[s:e].astype(self.dtype)[None, :]
-            for lvl in range(self.depth):
-                a = int(self.active[lvl])
-                part = st[:a]
-                at = part & fmask
-                at *= n
-                at += row
-                st[:a] = table[((part >> fbits) << shift) + cflat[at]]
-            values = self.value[st >> fbits]
-            seed_values = np.empty_like(values)
-            seed_values[self.order] = values  # back to seed tree order
-            yield s, e, seed_values
-
-    def leaf_values(self, cflat: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Per-tree leaf predictions for pool rows ``ids`` — (nt, m)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty((self.nt, ids.size))
-        for s, e, seed_values in self._descend(cflat, ids):
-            out[:, s:e] = seed_values
-        return out
-
-    def predict(
-        self, cflat: np.ndarray, ids: np.ndarray, stats: dict | None = None
-    ) -> np.ndarray:
-        """Ensemble mean — bitwise equal to ``forest.predict(X[ids])``.
-
-        Passes of at least ``PARTITION_ROWS_PER_NODE`` rows per forest
-        node take :meth:`partition`, smaller ones :meth:`descend`.
-        ``stats``, when given, is filled with the ``path`` taken (and the
-        partition's split counts)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size >= PARTITION_ROWS_PER_NODE * self.column.size:
-            return self.partition(cflat, ids, stats)
-        if stats is not None:
-            stats["path"] = "table"
-        return self.descend(cflat, ids)
-
-    def descend(self, cflat: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Ensemble mean by next-state table descent.
-
-        Fused with the descent: each block accumulates its own mean in
-        seed tree order instead of materializing the (nt, m) leaf matrix
-        twice (per-row sums see the same addends in the same order, so
-        block width cannot change a bit)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        acc = np.zeros(ids.size)
-        for s, e, seed_values in self._descend(cflat, ids):
-            sub = acc[s:e]
-            for row in seed_values:  # seed accumulation order: tree 0, 1, ...
-                sub += row
-        return acc / self.nt
-
-    def split_users(self) -> tuple[np.ndarray, np.ndarray]:
-        """The structural pass of :meth:`partition`: a split id per node
-        (-1 for a leaf) and the number of nodes that use each split.
-
-        Nodes share a split when they test the same column at the same
-        cut on the same parent path, so they send the same rows the same
-        way.  A path is the split above plus the side taken; the roots
-        share the empty path.  Level by level, over all trees at once."""
-        column, cut, left, right = self.column, self.cut, self.left, self.right
-        split = np.full(column.size, -1, dtype=np.int64)
-        path = np.zeros(column.size, dtype=np.int64)
-        users = []
-        frontier = self.roots >> self.fbits
-        n_splits = 0
-        while frontier.size:
-            inner = frontier[column[frontier] >= 0]
-            # One int per (path, column, cut); a cut is at most 256, since
-            # codes are uint8.
-            key = (path[inner] * self.d + column[inner]) * 257 + cut[inner]
-            _, inverse, count = np.unique(
-                key, return_inverse=True, return_counts=True
-            )
-            sid = n_splits + inverse
-            split[inner] = sid
-            path[left[inner]] = 2 * sid + 1
-            path[right[inner]] = 2 * sid + 2
-            users.append(count)
-            n_splits += count.size
-            frontier = np.concatenate((left[inner], right[inner]))
-        return split, np.concatenate(users)
-
-    def partition(
-        self, cflat: np.ndarray, ids: np.ndarray, stats: dict | None = None
-    ) -> np.ndarray:
-        """Ensemble mean by splitting row sets down the trees — bitwise
-        equal to :meth:`descend`.
-
-        Each tree, in seed order, splits the rows down its nodes with one
-        test per node on one contiguous code column; its leaves write
-        their values into a pool-sized buffer, which is added to the sum
-        after the tree, so each row gets the same addends in the same
-        order as the table descent.  A split is computed once per
-        distinct (parent path, column, cut), handed to every later tree
-        that reaches it, and dropped after its last user
-        (:meth:`split_users`).  ``stats`` gets the distinct ``splits``
-        computed, the ``split_rows`` they split, and the splits still
-        ``held`` at the end (0: every user came)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        split, users = self.split_users()
-        waiting = users.tolist()
-        column = self.column.tolist()
-        cut = self.cut.tolist()
-        left = self.left.tolist()
-        right = self.right.tolist()
-        value = self.value.tolist()
-        sid = split.tolist()
-        n = self.n
-        codes = [cflat[j * n:(j + 1) * n] for j in range(self.d)]
-        seed_roots = np.empty(self.nt, dtype=np.int64)
-        seed_roots[self.order] = self.roots >> self.fbits
-        held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        splits = split_rows = 0
-        acc = np.zeros(n)
-        buf = np.zeros(n)
-        for root in seed_roots.tolist():
-            stack = [(root, ids)] if ids.size else []
-            while stack:
-                node, rows = stack.pop()
-                j = column[node]
-                if j < 0:
-                    buf[rows] = value[node]
-                    continue
-                s = sid[node]
-                sides = held.get(s)
-                if sides is None:
-                    go_right = codes[j][rows] >= cut[node]
-                    sides = rows[~go_right], rows[go_right]
-                    splits += 1
-                    split_rows += rows.size
-                waiting[s] -= 1
-                if waiting[s]:
-                    held[s] = sides
-                else:
-                    held.pop(s, None)
-                lo, hi = sides
-                if hi.size:
-                    stack.append((right[node], hi))
-                if lo.size:
-                    stack.append((left[node], lo))
-            acc += buf
-        if stats is not None:
-            stats.update(
-                path="partition", splits=splits, split_rows=split_rows,
-                held=len(held),
-            )
-        return acc[ids] / self.nt
-
-    def predict_mean_std(
-        self, cflat: np.ndarray, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both ensemble moments from a single table descent.
-
-        ``predict`` + ``predict_std`` walk every tree twice for the same
-        ids; acquisition rules that need uncertainty (e.g. a lower
-        confidence bound) get both here for one descent, each bitwise
-        equal to its separate counterpart."""
-        ids = np.asarray(ids, dtype=np.int64)
-        mean = np.zeros(ids.size)
-        std = np.empty(ids.size)
-        for s, e, seed_values in self._descend(cflat, ids):
-            sub = mean[s:e]
-            for row in seed_values:
-                sub += row
-            std[s:e] = seed_values.std(axis=0)
-        return mean / self.nt, std
-
-
-def _predict_task(tables: RouterTables, codes_spec, ids, mode):
-    """Worker: run one chunk of a router predict pass over shared codes."""
-    import os
-    import time
-
-    start = time.perf_counter()
-    cflat = attach_shared(codes_spec).reshape(-1)
-    stats: dict = {}
-    if mode == "mean":
-        out = tables.predict(cflat, ids, stats)
-    elif mode == "mean_std":
-        out = np.stack(tables.predict_mean_std(cflat, ids))
-    else:
-        out = tables.leaf_values(cflat, ids)
-    meta = {"seconds": time.perf_counter() - start,
-            "worker_pid": os.getpid(), "rows": int(np.asarray(ids).size),
-            **stats}
-    return (out, stats), meta
-
-
-def shared_router_predict(ctx, router: "PoolRouter", ids: np.ndarray,
-                          mode: str = "mean", parent=None,
-                          stats: dict | None = None):
-    """Fan one predict pass out over the worker pool, chunked by rows.
-
-    Requires the router's pool codes to live in shared memory
-    (``router.pool.spec`` set).  Returns what the serial method of the
-    same ``mode`` returns, bitwise: per-row predictions are independent
-    and chunks are concatenated in row order.  Each ``"mean"`` chunk
-    picks its own path by its size; ``stats`` gets the paths taken
-    (``"/"``-joined when chunks differ) and the chunks' summed counts.
-    """
-    spec = router.pool.spec
-    if spec is None:
-        raise SearchError("router pool codes are not in shared memory")
-    ids = np.asarray(ids, dtype=np.int64)
-    ranges = chunk_ranges(ids.size, ctx.workers)
-    payloads = [
-        (router.tables, spec, ids[s:e], mode) for s, e in ranges
-    ]
-    results = ctx.run_chunks(
-        _predict_task, payloads, span_name="search.predict.chunk",
-        parent=parent,
-    )
-    parts = [out for out, _stats in results]
-    if mode == "mean":
-        if stats is not None:
-            chunks = [chunk for _out, chunk in results]
-            stats["path"] = "/".join(sorted({c["path"] for c in chunks}))
-            for key in ("splits", "split_rows", "held"):
-                if any(key in c for c in chunks):
-                    stats[key] = sum(c.get(key, 0) for c in chunks)
-        return np.concatenate(parts)
-    out = np.concatenate(parts, axis=1)
-    if mode == "mean_std":
-        return out[0], out[1]
-    return out
-
-
 class PoolRouter:
     """Per-fit routing tables for one forest over one coded pool.
 
     Each state packs ``(node << fbits) | feature``; one descent level is
-    ``code = Cflat[(state & fmask) * n + row]`` followed by
-    ``state = table[((state >> fbits) << shift) + code]``.  Leaves
+    ``code = flat[(state & fmask) * n + row]`` followed by
+    ``state = table[((state >> fbits) << shift) + code]``, where ``flat``
+    is the pool's flat column-major code matrix (``pool.flat``).  Leaves
     self-loop, so running the loop for the ensemble's max depth lands
     every (tree, sample) pair on its leaf.  The same cuts, per node,
-    drive the partition predictor (:meth:`RouterTables.partition`).
+    drive the partition predictor (:meth:`partition`).  Every predictor
+    reduces each row in fixed tree order, so it is bitwise equal to the
+    float descent of :class:`ExtraTreesRegressor` on the same rows.
     """
 
     def __init__(self, forest: "ExtraTreesRegressor", pool: PoolCodes) -> None:
@@ -447,49 +158,196 @@ class PoolRouter:
                 packed[forest._right[internal], None],
             )
         self.pool = pool
+        self.table = table.reshape(-1)
+        self.value = forest._value
         # Trees sorted deepest-first: at level L only the prefix of trees
         # deeper than L still routes, so each tree costs exactly its own
         # depth instead of the ensemble max.
-        order = np.argsort(-forest._tree_depths, kind="stable")
-        depth = forest._max_depth
-        self.tables = RouterTables(
-            table=table.reshape(-1),
-            value=forest._value,
-            roots=packed[forest._roots][order],
-            order=order,
-            active=np.searchsorted(
-                -forest._tree_depths[order], -np.arange(max(depth, 1)),
-                side="left",
-            ),
-            depth=depth,
-            shift=shift,
-            fbits=fbits,
-            fmask=(1 << fbits) - 1,
-            nt=forest._roots.size,
-            d=d,
-            n=pool.n,
-            dtype=np.dtype(dtype),
-            column=feat,
-            cut=node_cut,
-            left=forest._left,
-            right=forest._right,
+        self.order = np.argsort(-forest._tree_depths, kind="stable")
+        self.roots = packed[forest._roots][self.order]
+        self.depth = forest._max_depth
+        self.active = np.searchsorted(
+            -forest._tree_depths[self.order], -np.arange(max(self.depth, 1)),
+            side="left",
         )
+        self.shift = shift
+        self.fbits = fbits
+        self.fmask = (1 << fbits) - 1
+        self.nt = forest._roots.size
+        self.dtype = np.dtype(dtype)
+        #: Per node: split column (-1 for a leaf), code cut (a row goes
+        #: right when its code is ``>= cut``), and child node ids.
+        self.column = feat
+        self.cut = node_cut
+        self.left = forest._left
+        self.right = forest._right
 
-    def leaf_values(self, ids: np.ndarray) -> np.ndarray:
-        """Per-tree leaf predictions for pool rows ``ids`` — (nt, m)."""
-        return self.tables.leaf_values(self.pool.flat, ids)
+    def _descend(self, ids: np.ndarray):
+        """Yield ``(start, stop, seed_values)`` leaf-value blocks, with
+        trees back in seed order — the shared core of the table descent."""
+        ids = np.asarray(ids, dtype=np.int64)
+        m = ids.size
+        nt, n = self.nt, self.pool.n
+        flat, table = self.pool.flat, self.table
+        fmask, fbits, shift = self.fmask, self.fbits, self.shift
+        block = max(1, ROUTER_BLOCK_STATES // max(nt, 1))
+        for s in range(0, m, block):
+            e = min(s + block, m)
+            blk = e - s
+            st = np.repeat(self.roots, blk).reshape(nt, blk)
+            row = ids[s:e].astype(self.dtype)[None, :]
+            for lvl in range(self.depth):
+                a = int(self.active[lvl])
+                part = st[:a]
+                at = part & fmask
+                at *= n
+                at += row
+                st[:a] = table[((part >> fbits) << shift) + flat[at]]
+            values = self.value[st >> fbits]
+            seed_values = np.empty_like(values)
+            seed_values[self.order] = values  # back to seed tree order
+            yield s, e, seed_values
 
     def predict(self, ids: np.ndarray, stats: dict | None = None) -> np.ndarray:
-        """Ensemble mean over pool rows — bitwise equal to ``predict(X[ids])``
-        (see :meth:`RouterTables.predict` for the path and ``stats``)."""
-        return self.tables.predict(self.pool.flat, ids, stats)
+        """Ensemble mean over pool rows — bitwise equal to
+        ``forest.predict(X[ids])``.
 
-    def predict_std(self, ids: np.ndarray) -> np.ndarray:
-        return self.tables.leaf_values(self.pool.flat, ids).std(axis=0)
+        Passes of at least ``PARTITION_ROWS_PER_NODE`` rows per forest
+        node take :meth:`partition`, smaller ones :meth:`descend`.
+        ``stats``, when given, is filled with the ``path`` taken (and the
+        partition's split counts)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size >= PARTITION_ROWS_PER_NODE * self.column.size:
+            return self.partition(ids, stats)
+        if stats is not None:
+            stats["path"] = "table"
+        return self.descend(ids)
+
+    def descend(self, ids: np.ndarray) -> np.ndarray:
+        """Ensemble mean by next-state table descent.
+
+        Fused with the descent: each block accumulates its own mean in
+        seed tree order instead of materializing the (nt, m) leaf matrix
+        twice (per-row sums see the same addends in the same order, so
+        block width cannot change a bit)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        acc = np.zeros(ids.size)
+        for s, e, seed_values in self._descend(ids):
+            sub = acc[s:e]
+            for row in seed_values:  # seed accumulation order: tree 0, 1, ...
+                sub += row
+        return acc / self.nt
+
+    def split_users(self) -> tuple[np.ndarray, np.ndarray]:
+        """The structural pass of :meth:`partition`: a split id per node
+        (-1 for a leaf) and the number of nodes that use each split.
+
+        Nodes share a split when they test the same column at the same
+        cut on the same parent path, so they send the same rows the same
+        way.  A path is the split above plus the side taken; the roots
+        share the empty path.  Level by level, over all trees at once."""
+        column, cut, left, right = self.column, self.cut, self.left, self.right
+        split = np.full(column.size, -1, dtype=np.int64)
+        path = np.zeros(column.size, dtype=np.int64)
+        users = []
+        frontier = self.roots >> self.fbits
+        n_splits = 0
+        while frontier.size:
+            inner = frontier[column[frontier] >= 0]
+            # One int per (path, column, cut); a cut is at most 256, since
+            # codes are uint8.
+            key = (path[inner] * self.pool.d + column[inner]) * 257 + cut[inner]
+            _, inverse, count = np.unique(
+                key, return_inverse=True, return_counts=True
+            )
+            sid = n_splits + inverse
+            split[inner] = sid
+            path[left[inner]] = 2 * sid + 1
+            path[right[inner]] = 2 * sid + 2
+            users.append(count)
+            n_splits += count.size
+            frontier = np.concatenate((left[inner], right[inner]))
+        return split, np.concatenate(users)
+
+    def partition(self, ids: np.ndarray, stats: dict | None = None) -> np.ndarray:
+        """Ensemble mean by splitting row sets down the trees — bitwise
+        equal to :meth:`descend`.
+
+        Each tree, in seed order, splits the rows down its nodes with one
+        test per node on one contiguous code column; its leaves write
+        their values into a pool-sized buffer, which is added to the sum
+        after the tree, so each row gets the same addends in the same
+        order as the table descent.  A split is computed once per
+        distinct (parent path, column, cut), handed to every later tree
+        that reaches it, and dropped after its last user
+        (:meth:`split_users`).  ``stats`` gets the distinct ``splits``
+        computed, the ``split_rows`` they split, and the splits still
+        ``held`` at the end (0: every user came)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        split, users = self.split_users()
+        waiting = users.tolist()
+        column = self.column.tolist()
+        cut = self.cut.tolist()
+        left = self.left.tolist()
+        right = self.right.tolist()
+        value = self.value.tolist()
+        sid = split.tolist()
+        codes = list(self.pool.codes)
+        n = self.pool.n
+        seed_roots = np.empty(self.nt, dtype=np.int64)
+        seed_roots[self.order] = self.roots >> self.fbits
+        held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        splits = split_rows = 0
+        acc = np.zeros(n)
+        buf = np.zeros(n)
+        for root in seed_roots.tolist():
+            stack = [(root, ids)] if ids.size else []
+            while stack:
+                node, rows = stack.pop()
+                j = column[node]
+                if j < 0:
+                    buf[rows] = value[node]
+                    continue
+                s = sid[node]
+                sides = held.get(s)
+                if sides is None:
+                    go_right = codes[j][rows] >= cut[node]
+                    sides = rows[~go_right], rows[go_right]
+                    splits += 1
+                    split_rows += rows.size
+                waiting[s] -= 1
+                if waiting[s]:
+                    held[s] = sides
+                else:
+                    held.pop(s, None)
+                lo, hi = sides
+                if hi.size:
+                    stack.append((right[node], hi))
+                if lo.size:
+                    stack.append((left[node], lo))
+            acc += buf
+        if stats is not None:
+            stats.update(
+                path="partition", splits=splits, split_rows=split_rows,
+                held=len(held),
+            )
+        return acc[ids] / self.nt
 
     def predict_mean_std(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, std) from one descent — see :meth:`RouterTables.predict_mean_std`."""
-        return self.tables.predict_mean_std(self.pool.flat, ids)
+        """Both ensemble moments from a single table descent — bitwise
+        equal to ``forest.predict(X[ids])`` and ``forest.predict_std(X[ids])``.
+
+        Acquisition rules that need uncertainty (e.g. a lower confidence
+        bound) get both here for one descent."""
+        ids = np.asarray(ids, dtype=np.int64)
+        mean = np.zeros(ids.size)
+        std = np.empty(ids.size)
+        for s, e, seed_values in self._descend(ids):
+            sub = mean[s:e]
+            for row in seed_values:
+                sub += row
+            std[s:e] = seed_values.std(axis=0)
+        return mean / self.nt, std
 
 
 def _split_block(X, y, rows, counts, sums, rng):

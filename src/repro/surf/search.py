@@ -56,14 +56,8 @@ from repro.obs.tracer import get_tracer
 from repro.surf.binarize import FeatureBinarizer, OrdinalEncoder
 from repro.surf.checkpoint import SearchCheckpointer, rng_state, set_rng_state
 from repro.surf.evaluator import PENALTY_SECONDS
-from repro.surf.forest import (
-    ExtraTreesRegressor,
-    PoolCodes,
-    pool_codes,
-    shared_router_predict,
-)
+from repro.surf.forest import ExtraTreesRegressor, PoolCodes, pool_codes
 from repro.surf.pool import SMALL_POOL_LIMIT, GrowableArray, SpacePool, as_pool
-from repro.surf.shared import SearchWorkerContext, resolve_search_workers
 from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.space import ProgramConfig
 from repro.util.rng import spawn_rng
@@ -286,7 +280,6 @@ class SURFSearch:
         explore_fraction: float = 0.2,
         log_objective: bool = True,
         binarize: bool = True,
-        search_workers: int | None = None,
         acquisition: str = "mean",
     ) -> None:
         """``explore_fraction`` of each batch is drawn at random instead of
@@ -301,13 +294,6 @@ class SURFSearch:
         Equal predictions are ordered within a batch by a seeded
         permutation (``(prediction, permutation)`` lexsort), so ties are
         randomized at any prediction magnitude.
-
-        ``search_workers`` fans the full-pool predict passes out over
-        that many worker processes, which attach the pool's rank codes
-        from one shared-memory segment (see :mod:`repro.surf.shared`).
-        The encode runs once, in this process.  Results are
-        bitwise-identical for every worker count; ``None`` or 1 is the
-        serial path.
 
         ``acquisition`` ranks the not-yet-evaluated pool each iteration:
         ``"mean"`` (default, the paper's rule) by the ensemble-mean
@@ -327,7 +313,6 @@ class SURFSearch:
         self.explore_fraction = explore_fraction
         self.log_objective = log_objective
         self.binarize = binarize
-        self.search_workers = resolve_search_workers(search_workers)
         self.acquisition = acquisition
 
     def search(
@@ -344,37 +329,17 @@ class SURFSearch:
         every completed batch, and a prior state (same run fingerprint) is
         restored before the first — the continued run is bitwise identical
         to one that was never interrupted.
-
-        With ``search_workers > 1`` a per-run worker context (process pool
-        + the shared codes segment) lives for exactly this call and is
-        closed on every exit path; every value the search produces —
-        champion, history, rng stream, checkpoint states — is
-        bitwise-identical to the serial run, so the worker count is a
-        ``recorded`` setting, absent from run fingerprints and checkpoint
-        state (a run may resume under a different count).
         """
         hist = SearchHistory(
             self.name, pool, evaluate_batch, telemetry, checkpointer
         )
-        ctx = SearchWorkerContext.create(self.search_workers)
-        try:
-            return self._search(hist, wall_seconds, ctx)
-        finally:
-            if ctx is not None:
-                ctx.close()
-
-    def _search(self, hist: SearchHistory, wall_seconds, ctx) -> SearchResult:
         pool = hist.pool
         n = len(pool)
-        workers = ctx.workers if ctx is not None else 1
         rng = spawn_rng(self.seed, "surf-driver")
         encoder = FeatureBinarizer() if self.binarize else OrdinalEncoder()
         # Rank codes for the router, or the float matrix (and float
         # descent) when a column is too wide for them.
         codes, X_all = _encode_pool(pool, encoder)
-        if ctx is not None and codes is not None:
-            # Predict workers attach the codes by segment name.
-            codes = codes.shared(ctx)
 
         def train_rows() -> np.ndarray:
             ids = hist.ids.view
@@ -444,32 +409,19 @@ class SURFSearch:
             bs = min(self.batch_size, nmax - hist.useful, m)
             n_explore = min(int(round(bs * self.explore_fraction)), bs - 1)
             take = bs - n_explore
-            shared = (
-                ctx is not None and router is not None
-                and router.pool.spec is not None
-            )
             with get_tracer().span(
                 "search.predict", category="search", rows=m,
-                workers=workers, chunks=(workers if shared else 1),
                 acquisition=self.acquisition,
             ) as sp:
                 # Which predictor ran: "partition" or "table" on the
                 # coded pool, "float" without codes (+ partition counts).
                 info = {"path": "table" if router is not None else "float"}
                 if self.acquisition == "lcb":
-                    if shared:
-                        mean, std = shared_router_predict(
-                            ctx, router, alive_ids, "mean_std", parent=sp
-                        )
-                    elif router is not None:
+                    if router is not None:
                         mean, std = router.predict_mean_std(alive_ids)
                     else:
                         mean, std = model.predict_mean_std(X_all[alive_ids])
                     preds = mean - LCB_KAPPA * std
-                elif shared:
-                    preds = shared_router_predict(
-                        ctx, router, alive_ids, "mean", parent=sp, stats=info
-                    )
                 elif router is not None:
                     preds = router.predict(alive_ids, info)
                 else:

@@ -1,8 +1,24 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``src`` on its path."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=120,
+    )
 
 
 class TestParser:
@@ -128,3 +144,23 @@ class TestRoofline:
         assert code == 0
         out = capsys.readouterr().out
         assert "bound" in out and "roof" in out
+
+
+class TestFreshProcess:
+    """What a new ``python -m repro`` process refuses and never loads."""
+
+    def test_retired_search_workers_flag_exits_2(self):
+        run = _python("-m", "repro", "tune", "lg3", "--search-workers", "2")
+        assert run.returncode == 2
+        assert "--search-workers" in run.stderr
+
+    def test_import_loads_no_process_pool_or_shared_memory(self):
+        # The search runs in one process: importing the CLI pulls in no
+        # process-pool executor and no shared-memory module.
+        run = _python("-c", (
+            "import sys, repro.cli; print(sorted(m for m in ("
+            "'multiprocessing.shared_memory', 'concurrent.futures.process')"
+            " if m in sys.modules))"
+        ))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

@@ -121,6 +121,9 @@ class TestPhaseCoverage:
             # ~190 rows against hundreds of forest nodes: below the rule.
             assert span.attributes["path"] == "table"
             assert "splits" not in span.attributes
+            # The predict runs in this process: no worker or chunk counts.
+            assert "workers" not in span.attributes
+            assert "chunks" not in span.attributes
 
     def test_large_pool_predicts_by_partition(self):
         from repro.gpusim.arch import K20

@@ -128,19 +128,6 @@ def _killed_and_resumed(killed, resumed, pool, program, model, directory,
     return result, manager.load()["searcher"]
 
 
-def _run_pair(new_searcher, reference_searcher, pool, program, model,
-              tmp_path, make_evaluator=_plain_evaluator):
-    """Run both drivers with checkpointing; return both results + states."""
-    return [
-        _checkpointed_run(
-            searcher, pool, program, model, tmp_path / tag, make_evaluator
-        )
-        for tag, searcher in (
-            ("new", new_searcher), ("reference", reference_searcher)
-        )
-    ]
-
-
 def _assert_same_run(new, reference, *, state_keys):
     """Champion, full history, and checkpoint state must match bitwise."""
     new_result, new_state = new
@@ -210,6 +197,23 @@ class TestSURFParity:
             batch_size=7, max_evaluations=35, seed=9, acquisition="lcb"
         ).search(pool, _plain_evaluator(program, model).evaluate_batch)
         assert _run_digest(result) == GOLDEN_RUNS["lcb"]
+
+    def test_lcb_changes_the_course(self, setup):
+        # Sanity that the acquisition knob is actually live: lcb explores
+        # differently from the pure-mean rule on the same seed.
+        program, space, ids, _pool, model = setup
+        kwargs = dict(batch_size=7, max_evaluations=35, seed=9)
+        mean_run = SURFSearch(**kwargs).search(
+            SpacePool(space, ids),
+            _plain_evaluator(program, model).evaluate_batch,
+        )
+        lcb_run = SURFSearch(acquisition="lcb", **kwargs).search(
+            SpacePool(space, ids),
+            _plain_evaluator(program, model).evaluate_batch,
+        )
+        assert [c.describe() for c, _y in mean_run.history] != [
+            c.describe() for c, _y in lcb_run.history
+        ]
 
     def test_resume_mid_run_matches_uninterrupted_legacy(self, setup, tmp_path):
         # Once pinned against the seed driver; now the uninterrupted run of
@@ -293,6 +297,35 @@ class TestBaselineParity:
         run = self._run(setup, tmp_path, searcher, "plain")
         _assert_golden_baseline(run, searcher, "plain")
 
+    def test_env_var_is_inert_for_random_and_exhaustive(
+        self, setup, monkeypatch
+    ):
+        # The retired REPRO_SEARCH_WORKERS variable is read by nothing:
+        # setting it must not perturb the baselines (same history).
+        program, _space, _ids, pool, model = setup
+        reference_runs = [
+            RandomSearch(batch_size=9, max_evaluations=45, seed=2).search(
+                pool, _plain_evaluator(program, model).evaluate_batch
+            ),
+            ExhaustiveSearch(batch_size=13, limit=52).search(
+                pool, _plain_evaluator(program, model).evaluate_batch
+            ),
+        ]
+        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "3")
+        env_runs = [
+            RandomSearch(batch_size=9, max_evaluations=45, seed=2).search(
+                pool, _plain_evaluator(program, model).evaluate_batch
+            ),
+            ExhaustiveSearch(batch_size=13, limit=52).search(
+                pool, _plain_evaluator(program, model).evaluate_batch
+            ),
+        ]
+        for reference, env in zip(reference_runs, env_runs):
+            assert reference.best_objective == env.best_objective
+            assert [y for _c, y in reference.history] == [
+                y for _c, y in env.history
+            ]
+
     @pytest.mark.parametrize("evaluator", sorted(EVALUATORS))
     @pytest.mark.parametrize("searcher", sorted(BASELINES))
     def test_killed_and_resumed_run_is_golden(
@@ -350,9 +383,36 @@ class TestRouterParity:
         router = forest.make_router(codes)
         sub = rng.choice(X.shape[0], size=150, replace=False)
         assert np.array_equal(router.predict(sub), forest.predict(X[sub]))
-        assert np.array_equal(
-            router.predict_std(sub), forest.predict_std(X[sub])
-        )
+        mean, std = router.predict_mean_std(sub)
+        assert np.array_equal(mean, forest.predict(X[sub]))
+        assert np.array_equal(std, forest.predict_std(X[sub]))
+
+
+class TestPredictMeanStd:
+    """The fused single-descent moments equal the two-pass answers."""
+
+    def test_forest_fused_moments(self):
+        rng = spawn_rng(2, "fused")
+        X = rng.normal(size=(120, 8))
+        y = rng.normal(size=60)
+        forest = ExtraTreesRegressor(n_estimators=9, seed=1).fit(X[:60], y)
+        mean, std = forest.predict_mean_std(X)
+        assert np.array_equal(mean, forest.predict(X))
+        assert np.array_equal(std, forest.predict_std(X))
+
+    def test_router_fused_moments(self, setup):
+        _program, space, ids, _pool, _model = setup
+        X = SpacePool(space, ids).design_matrix(FeatureBinarizer())
+        rng = spawn_rng(3, "fused-router")
+        train = rng.choice(X.shape[0], size=60, replace=False)
+        y = rng.normal(size=train.size)
+        forest = ExtraTreesRegressor(n_estimators=8, seed=2).fit(X[train], y)
+        router = forest.make_router(pool_codes(X))
+        sub = rng.choice(X.shape[0], size=100, replace=False)
+        mean, std = router.predict_mean_std(sub)
+        assert np.array_equal(mean, router.predict(sub))
+        assert np.array_equal(mean, forest.predict(X[sub]))
+        assert np.array_equal(std, forest.predict_std(X[sub]))
 
 
 @pytest.fixture(scope="module")
@@ -386,9 +446,9 @@ def _assert_partition_exact(forest, router, X, ids) -> dict:
     """The partition, called directly, equals the float descent and the
     table descent bitwise, and holds no shared split after the pass."""
     stats: dict = {}
-    got = router.tables.partition(router.pool.flat, ids, stats)
+    got = router.partition(ids, stats)
     assert np.array_equal(got, forest.predict(X[ids]))
-    assert np.array_equal(got, router.tables.descend(router.pool.flat, ids))
+    assert np.array_equal(got, router.descend(ids))
     assert stats["path"] == "partition"
     assert stats["held"] == 0
     return stats
@@ -406,7 +466,7 @@ class TestPartitionParity:
             forest, router, X, np.arange(X.shape[0])
         )
         # Trees share splits: fewer are computed than internal nodes.
-        assert 0 < stats["splits"] < int((router.tables.column >= 0).sum())
+        assert 0 < stats["splits"] < int((router.column >= 0).sum())
         _assert_partition_exact(
             forest, router, X, np.sort(rng.choice(X.shape[0], 150, replace=False))
         )
@@ -442,20 +502,17 @@ class TestPartitionParity:
         forest, router, _rng = _router_case(X, seed=2)
         stats: dict = {}
         empty = np.zeros(0, dtype=np.int64)
-        got = router.tables.partition(router.pool.flat, empty, stats)
+        got = router.partition(empty, stats)
         assert got.shape == (0,)
-        assert np.array_equal(got, router.tables.descend(router.pool.flat, empty))
+        assert np.array_equal(got, router.descend(empty))
         assert stats["splits"] == 0 and stats["held"] == 0
 
     def test_row_chunks_concatenate_to_the_whole(self, lg3_pool):
         X = lg3_pool
         forest, router, _rng = _router_case(X, seed=4, trees=30, train_rows=100)
         rows = np.arange(X.shape[0])
-        whole = router.tables.partition(router.pool.flat, rows)
-        chunks = [
-            router.tables.partition(router.pool.flat, part)
-            for part in (rows[:611], rows[611:])
-        ]
+        whole = router.partition(rows)
+        chunks = [router.partition(part) for part in (rows[:611], rows[611:])]
         assert np.array_equal(np.concatenate(chunks), whole)
         _assert_partition_exact(forest, router, X, rows)
 
@@ -685,134 +742,6 @@ class TestLargePoolGolden:
             K20, seed=3, max_evaluations=40, batch_size=10, pool_size=20_000,
         ))
         assert _run_digest(result.search) == GOLDEN_LARGE_POOL
-
-
-class TestParallelParity:
-    """``search_workers > 1`` must be invisible in every result artifact:
-    champion, history, rng stream, and checkpoint state are pinned bitwise
-    against the serial driver (worker count is a throughput knob only)."""
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("binarize", [True, False])
-    def test_workers_match_serial(self, setup, tmp_path, workers, binarize):
-        program, space, ids, _pool, model = setup
-        kwargs = dict(
-            batch_size=7, max_evaluations=40, seed=11, binarize=binarize
-        )
-        new, serial = _run_pair(
-            SURFSearch(search_workers=workers, **kwargs),
-            SURFSearch(**kwargs),
-            SpacePool(space, ids), program, model, tmp_path,
-        )
-        _assert_same_run(new, serial, state_keys=SURF_STATE_KEYS)
-
-    def test_workers_match_serial_with_faults(self, setup, tmp_path):
-        program, space, ids, _pool, model = setup
-        kwargs = dict(batch_size=10, max_evaluations=50, seed=5)
-        new, serial = _run_pair(
-            SURFSearch(search_workers=2, **kwargs),
-            SURFSearch(**kwargs),
-            SpacePool(space, ids), program, model, tmp_path,
-            make_evaluator=_faulty_evaluator,
-        )
-        ys = [y for _c, y in new[0].history]
-        assert any(not np.isfinite(y) for y in ys)  # faults actually fire
-        _assert_same_run(new, serial, state_keys=SURF_STATE_KEYS)
-
-    def test_workers_match_serial_on_materialized_pool(self, setup, tmp_path):
-        # Config-list pools skip the shared encode but still fan out the
-        # predict passes (codes copied into shared memory post-encode).
-        program, _space, _ids, pool, model = setup
-        kwargs = dict(batch_size=7, max_evaluations=35, seed=4)
-        new, serial = _run_pair(
-            SURFSearch(search_workers=2, **kwargs),
-            SURFSearch(**kwargs),
-            pool, program, model, tmp_path,
-        )
-        _assert_same_run(new, serial, state_keys=SURF_STATE_KEYS)
-
-    def test_resume_under_different_worker_count(self, setup, tmp_path):
-        # A run checkpointed under one worker count resumes under another
-        # (parallel -> serial here) and finishes bitwise-identical to an
-        # uninterrupted serial run: search_workers is fingerprint-neutral.
-        program, space, ids, _pool, model = setup
-        kwargs = dict(batch_size=8, max_evaluations=48, seed=7)
-
-        reference = SURFSearch(**kwargs).search(
-            SpacePool(space, ids),
-            _plain_evaluator(program, model).evaluate_batch,
-        )
-        resumed, _state = _killed_and_resumed(
-            SURFSearch(search_workers=2, **kwargs),
-            SURFSearch(search_workers=3, **kwargs),
-            SpacePool(space, ids), program, model, tmp_path / "resume-parallel",
-        )
-        assert resumed.best_objective == reference.best_objective
-        assert [y for _c, y in resumed.history] == [
-            y for _c, y in reference.history
-        ]
-        assert [c.describe() for c, _y in resumed.history] == [
-            c.describe() for c, _y in reference.history
-        ]
-
-    def test_env_var_is_inert_for_random_and_exhaustive(
-        self, setup, tmp_path, monkeypatch
-    ):
-        # The baselines never consult the worker pool, and the retired
-        # REPRO_SEARCH_WORKERS variable is read by nothing: setting it must
-        # not perturb them (same history, same state).
-        program, _space, _ids, pool, model = setup
-        serial_runs = [
-            RandomSearch(batch_size=9, max_evaluations=45, seed=2).search(
-                pool, _plain_evaluator(program, model).evaluate_batch
-            ),
-            ExhaustiveSearch(batch_size=13, limit=52).search(
-                pool, _plain_evaluator(program, model).evaluate_batch
-            ),
-        ]
-        monkeypatch.setenv("REPRO_SEARCH_WORKERS", "3")
-        env_runs = [
-            RandomSearch(batch_size=9, max_evaluations=45, seed=2).search(
-                pool, _plain_evaluator(program, model).evaluate_batch
-            ),
-            ExhaustiveSearch(batch_size=13, limit=52).search(
-                pool, _plain_evaluator(program, model).evaluate_batch
-            ),
-        ]
-        for serial, env in zip(serial_runs, env_runs):
-            assert serial.best_objective == env.best_objective
-            assert [y for _c, y in serial.history] == [
-                y for _c, y in env.history
-            ]
-
-    def test_lcb_acquisition_parallel_matches_serial(self, setup, tmp_path):
-        program, space, ids, _pool, model = setup
-        kwargs = dict(
-            batch_size=7, max_evaluations=35, seed=9, acquisition="lcb"
-        )
-        new, serial = _run_pair(
-            SURFSearch(search_workers=2, **kwargs),
-            SURFSearch(**kwargs),
-            SpacePool(space, ids), program, model, tmp_path,
-        )
-        _assert_same_run(new, serial, state_keys=SURF_STATE_KEYS)
-
-    def test_lcb_changes_the_course(self, setup):
-        # Sanity that the acquisition knob is actually live: lcb explores
-        # differently from the pure-mean rule on the same seed.
-        program, space, ids, _pool, model = setup
-        kwargs = dict(batch_size=7, max_evaluations=35, seed=9)
-        mean_run = SURFSearch(**kwargs).search(
-            SpacePool(space, ids),
-            _plain_evaluator(program, model).evaluate_batch,
-        )
-        lcb_run = SURFSearch(acquisition="lcb", **kwargs).search(
-            SpacePool(space, ids),
-            _plain_evaluator(program, model).evaluate_batch,
-        )
-        assert [c.describe() for c, _y in mean_run.history] != [
-            c.describe() for c, _y in lcb_run.history
-        ]
 
 
 class TestTieBreak:

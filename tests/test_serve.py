@@ -54,11 +54,12 @@ class TestStoreKey:
     def test_from_manifest_ignores_result_neutral_settings(self, two_op_program):
         # Only keyed settings enter the key: recorded ones, and names the
         # declaration no longer has (a manifest written before "workers",
-        # "sweep_full" and "elastic" were deleted), leave the address alone.
+        # "sweep_full", "elastic" and "search_workers" were deleted), leave
+        # the address alone.
         manifest = Autotuner(GTX980, seed=0).run_manifest("m", [two_op_program])
         base = StoreKey.from_manifest(manifest)
         for extra in (
-            {"search_workers": 8}, {"fast_model": True}, {"elastic": 4},
+            {"fast_model": True}, {"elastic": 4}, {"search_workers": 8},
             {"workers": 4, "sweep_full": True},
         ):
             other = dataclasses.replace(

@@ -33,7 +33,6 @@ BASE = dict(max_evaluations=12, batch_size=4, pool_size=60, seed=3)
 
 #: A cheap non-default value for every setting that is not keyed.
 NOT_KEYED = {
-    "search_workers": lambda tmp: {"search_workers": 2},
     "fast_model": lambda tmp: {"fast_model": True},
     "checkpoint_dir": lambda tmp: {"checkpoint_dir": tmp / "ck"},
     "resume": lambda tmp: {"checkpoint_dir": tmp / "ck", "resume": True},
@@ -149,7 +148,7 @@ class TestDeclaration:
     ):
         root = tmp_path / "rs"
         written = Autotuner(
-            GTX980, **BASE, result_store=root, search_workers=2, fast_model=True,
+            GTX980, **BASE, result_store=root, fast_model=True,
             checkpoint_dir=tmp_path / "ck",
         ).tune_program(two_op_program)
         served = Autotuner(GTX980, **BASE, result_store=root).tune_program(
@@ -214,6 +213,7 @@ class TestKeywordsAndEnvironment:
             {"cache": True},
             {"resilient": True},
             {"max_retries": 3},
+            {"search_workers": 2},
         ],
     )
     def test_deleted_keywords_rejected(self, knob):
@@ -238,7 +238,7 @@ class TestKeywordsAndEnvironment:
         monkeypatch.setenv("REPRO_FAULTS", "0.5")
         monkeypatch.setenv("REPRO_SPOOL", "spool")
         settings = TuneSettings()
-        assert settings.search_workers == 1
+        assert not hasattr(settings, "search_workers")
         assert settings.fast_model is False
         assert not settings.faults.any()
         assert not hasattr(settings, "spool")
