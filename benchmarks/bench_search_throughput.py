@@ -8,10 +8,11 @@ Stages measured on one pool:
 
 ``encode`` / ``matrix``
     Pool ids -> rank codes, by the driver's path (:meth:`SpacePool.codes`:
-    vectorized id decode + ``transform_codes``, no float matrix) and by
-    the reference path (:meth:`SpacePool.design_matrix` + ``pool_codes``),
-    best of ``PREDICTOR_REPEATS`` each.  They must agree bitwise;
-    ``--min-encode-speedup`` gates their same-machine ratio.
+    vectorized id decode + ``transform_codes``, no float matrix).  With
+    ``--min-encode-speedup`` it races the reference path
+    (:meth:`SpacePool.design_matrix` + ``pool_codes``), best of
+    ``PREDICTOR_REPEATS`` each: they must agree bitwise, and the flag
+    gates their same-machine ratio.
 ``fit``
     Surrogate refit on a full history: ``nmax`` pool rows rebuilt from
     the codes (as the driver's refits do) with their K20
@@ -21,10 +22,11 @@ Stages measured on one pool:
     take the best batch, update the bookkeeping.  This is the loop body
     that dominates large-pool runs.
 ``partition`` / ``table``
-    The same predict pass by each of the router's two predictors, called
-    directly (best of ``PREDICTOR_REPEATS``): the row-set partition and
-    the next-state table descent.  They must agree bitwise;
-    ``--min-partition-speedup`` gates their same-machine ratio.
+    Only with ``--min-partition-speedup``: the same predict pass by each
+    of the router's two predictors, called directly (best of
+    ``PREDICTOR_REPEATS``): the row-set partition and the next-state
+    table descent.  They must agree bitwise, and the flag gates their
+    same-machine ratio.
 ``end_to_end``
     A whole SURF run (``nmax`` evaluations in batches of ``bs``) with a
     cheap deterministic evaluator.
@@ -128,8 +130,12 @@ def run_bench(
     nmax: int = 200,
     batch_size: int = 10,
     end_to_end: bool = True,
+    race_encode: bool = True,
+    race_predictors: bool = True,
 ) -> dict:
-    """Time every search-core stage at one pool size."""
+    """Time every search-core stage at one pool size; ``race_encode`` and
+    ``race_predictors`` also race the reference encode and the two router
+    predictors (the stages the speedup gates need)."""
     space = bench_space()
     if pool_size > space.size():
         raise ValueError(f"pool_size {pool_size} exceeds space {space.size()}")
@@ -139,17 +145,19 @@ def run_bench(
     result: dict = {"configs": n, "space": space.size(), "nmax": nmax,
                     "batch_size": batch_size}
 
-    # --- encode: direct codes against matrix + rank coding -----------
+    # --- encode: direct codes (against matrix + rank coding) ---------
     codes, result["encode_seconds"] = _best_of(
-        lambda: pool.codes(FeatureBinarizer())
+        lambda: pool.codes(FeatureBinarizer()),
+        PREDICTOR_REPEATS if race_encode else 1,
     )
-    reference, result["matrix_seconds"] = _best_of(
-        lambda: pool_codes(pool.design_matrix(FeatureBinarizer()))
-    )
-    result["encode_matches_matrix"] = _same_codes(codes, reference)
-    result["encode_speedup"] = (
-        result["matrix_seconds"] / result["encode_seconds"]
-    )
+    if race_encode:
+        reference, result["matrix_seconds"] = _best_of(
+            lambda: pool_codes(pool.design_matrix(FeatureBinarizer()))
+        )
+        result["encode_matches_matrix"] = _same_codes(codes, reference)
+        result["encode_speedup"] = (
+            result["matrix_seconds"] / result["encode_seconds"]
+        )
 
     # --- fit (full history of nmax observations) ---------------------
     hist_rng = spawn_rng(seed, "bench-history")
@@ -175,13 +183,16 @@ def run_bench(
     result["predict_seconds"] = time.perf_counter() - t0
 
     # --- partition against table descent, same router and rows -------
-    for name, predictor in (("table", router.descend),
-                            ("partition", router.partition)):
-        out, result[f"{name}_seconds"] = _best_of(lambda: predictor(alive_ids))
-        result[f"{name}_matches_predict"] = bool(np.array_equal(out, preds))
-    result["partition_speedup"] = (
-        result["table_seconds"] / result["partition_seconds"]
-    )
+    if race_predictors:
+        for name, predictor in (("table", router.descend),
+                                ("partition", router.partition)):
+            out, result[f"{name}_seconds"] = _best_of(
+                lambda: predictor(alive_ids)
+            )
+            result[f"{name}_matches_predict"] = bool(np.array_equal(out, preds))
+        result["partition_speedup"] = (
+            result["table_seconds"] / result["partition_seconds"]
+        )
 
     # --- select + bookkeeping (one loop iteration) -------------------
     perm = spawn_rng(seed, "bench-select").permutation(alive_ids.size)
@@ -202,11 +213,10 @@ def run_bench(
     return result
 
 
-def _best_of(fn):
-    """``fn()``'s result and its best wall time over ``PREDICTOR_REPEATS``
-    calls."""
+def _best_of(fn, repeats: int = PREDICTOR_REPEATS):
+    """``fn()``'s result and its best wall time over ``repeats`` calls."""
     best = float("inf")
-    for _ in range(PREDICTOR_REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         out = fn()
         best = min(best, time.perf_counter() - t0)
@@ -308,13 +318,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail (exit 1) if an end-to-end run exceeds "
                         "this wall time")
     parser.add_argument("--min-partition-speedup", type=float, default=None,
-                        help="fail (exit 1) if the partition predictor is "
-                        "less than this many times faster than the table "
-                        "descent on a pool's predict pass")
+                        help="race the partition predictor against the "
+                        "table descent on a pool's predict pass; fail (exit "
+                        "1) if they differ or the partition is less than "
+                        "this many times faster")
     parser.add_argument("--min-encode-speedup", type=float, default=None,
-                        help="fail (exit 1) if the direct encode is less "
-                        "than this many times faster than the design "
-                        "matrix plus rank coding on a pool")
+                        help="race the direct encode against the design "
+                        "matrix plus rank coding on a pool; fail (exit 1) "
+                        "if they differ or the direct encode is less than "
+                        "this many times faster")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the result records as JSON to PATH")
     args = parser.parse_args(argv)
@@ -324,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         record = run_bench(
             size, seed=args.seed, nmax=args.nmax, batch_size=args.batch_size,
             end_to_end=not args.no_end_to_end,
+            race_encode=args.min_encode_speedup is not None,
+            race_predictors=args.min_partition_speedup is not None,
         )
         records.append(record)
         print(_fmt(record))

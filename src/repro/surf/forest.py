@@ -11,7 +11,10 @@ one threshold uniformly between its node min and max, and the candidate
 with the largest variance reduction wins.  All trees grow together, one
 depth level per step, in batched numpy (:meth:`ExtraTreesRegressor.fit`);
 exact ties break uniformly at random, and each refit draws from its own
-substream, so fits are reproducible for a given seed.
+substream, so fits are reproducible for a given seed.  The trees draw no
+bootstrap, so their nodes share sample sets, and a two-valued column (as
+every one-hot column) splits a set the same way whatever its threshold:
+those columns are scored once per distinct set, not once per node.
 
 The fitted ensemble is one set of parallel node arrays (feature /
 threshold / left / right / value, node ids running level by level across
@@ -52,8 +55,10 @@ __all__ = [
 #: Columns with more distinct values than this fall back to float descent.
 MAX_ROUTER_CARD = 64
 
-#: (sample, feature) cells scored per fit block: bounds every temporary
-#: of a level to this (or one node's cells), however many nodes are open.
+#: Bound of every fit temporary, however many nodes are open: scoring
+#: takes blocks of sample sets or of nodes of at most this many (sample,
+#: feature) cells, plus one set's or node's, and a chunk of nodes holds at
+#: most this many (node, feature) cells, or one block's.
 FIT_BLOCK_CELLS = 1 << 14
 
 #: (tree, sample) states processed per descent block — sized to keep the
@@ -350,41 +355,203 @@ class PoolRouter:
         return mean / self.nt, std
 
 
-def _split_block(X, y, rows, counts, sums, rng):
-    """Best (feature, threshold) of each node in one block of open nodes.
+def _blocks(counts: np.ndarray, width: int) -> list[tuple[int, int]]:
+    """``[a, b)`` runs of consecutive entries of ``counts`` rows by
+    ``width`` columns whose first cells fall in one window of
+    ``FIT_BLOCK_CELLS``: the fit's block rule.  A run spans at most that
+    many cells plus its last entry's."""
+    if (int(counts.sum()) - int(counts[-1])) * width < FIT_BLOCK_CELLS:
+        return [(0, counts.size)]
+    block = (np.cumsum(counts) - counts) * width // FIT_BLOCK_CELLS
+    cut = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+    return list(zip([0, *cut], [*cut, counts.size]))
 
-    ``rows`` lists the block's samples node after node (``counts`` per
-    node, ``sums`` their target sums).  Every feature that is not
-    constant in a node draws one threshold uniformly in [node min, node
-    max), and the candidate with the largest variance reduction wins;
-    exact ties go to a uniform draw.  Returns ``(feature, threshold)``
-    per node, feature ``-1`` where no feature splits the node.
-    """
+
+def _chunks(blocks, width: int) -> list[list]:
+    """Whole blocks grouped, in order, into chunks of at most
+    ``FIT_BLOCK_CELLS`` (entry x ``width``) cells, or one larger block:
+    ``[a, b, sizes]`` per chunk, ``sizes`` its blocks' entry counts."""
+    chunks: list[list] = []
+    for a, b in blocks:
+        if chunks and (b - chunks[-1][0]) * width <= FIT_BLOCK_CELLS:
+            chunks[-1][1] = b
+            chunks[-1][2].append(b - a)
+        else:
+            chunks.append([a, b, [b - a]])
+    return chunks
+
+
+def _gather(rows, starts, counts, ids):
+    """The rows of sets ``ids``, concatenated."""
+    cnt = counts[ids]
+    offset = np.cumsum(cnt) - cnt
+    return rows[np.repeat(starts[ids] - offset, cnt) + np.arange(int(cnt.sum()))]
+
+
+def _score(usable, n_a, s_a, counts, sums):
+    """Variance reduction up to terms constant per node: sum of (side
+    sum)^2 / (side count).  Unusable features score ``-inf``; their
+    empty side divides by 1 instead (a floating-point error would cost
+    more than the whole score on a small level)."""
+    n_b = counts[:, None] - n_a
+    s_b = sums[:, None] - s_a
+    return np.where(
+        usable,
+        s_a * s_a / np.maximum(n_a, 1) + s_b * s_b / np.maximum(n_b, 1),
+        -np.inf,
+    )
+
+
+def _score_sets(high, y, rows, counts, sums):
+    """Two-valued columns on one block of sample sets (``rows`` set after
+    set, ``counts`` per set): the count ``c1`` of high values, the usable
+    mask and the score of each (set, column).
+
+    Any threshold of a two-valued column sends the low rows left and the
+    high rows right, so none of this depends on the draw.  The side sum
+    is taken as in :func:`_score_nodes`: over the side that holds the
+    set's first row, the set's other rows adding zeros in place, so a set
+    scores bitwise as each of its nodes would (and complementary twins
+    tie exactly)."""
+    starts = np.cumsum(counts) - counts
+    hb = high[rows]
+    c1 = np.add.reduceat(hb, starts, axis=0, dtype=np.int64)
+    first = hb[starts]
+    side = hb == np.repeat(first, counts, axis=0)
+    n_a = np.where(first, c1, counts[:, None] - c1)
+    s_a = np.add.reduceat(side * y[rows][:, None], starts, axis=0)
+    usable = (c1 > 0) & (c1 < counts[:, None])
+    return c1, usable, _score(usable, n_a, s_a, counts, sums)
+
+
+def _score_nodes(X, y, rows, counts, sums, draws):
+    """Columns of more than two values on one block of open nodes (``rows``
+    node after node): each column that is not constant in a node draws
+    one threshold uniformly in [node min, node max).  Returns the usable
+    mask, the thresholds, the left counts and the scores per (node,
+    column)."""
     starts = np.cumsum(counts) - counts
     owner = np.repeat(np.arange(counts.size), counts)
     Xb = X[rows]
     lo = np.minimum.reduceat(Xb, starts, axis=0)
     hi = np.maximum.reduceat(Xb, starts, axis=0)
     usable = hi > lo
-    thr = lo + rng.random(lo.shape) * (hi - lo)
+    thr = lo + draws * (hi - lo)
     thr = np.where(thr < hi, thr, lo)  # rounding may land on max
     # Sum the side that holds the node's first sample: complementary
-    # one-hot columns then add the same terms in the same order, so they
-    # score bitwise equal and the tie draw (not float noise) picks one.
-    side = (Xb <= thr[owner]) == (Xb[starts] <= thr)[owner]
+    # columns then add the same terms in the same order, so they score
+    # bitwise equal and the tie draw (not float noise) picks one.
+    first = Xb[starts] <= thr
+    side = (Xb <= thr[owner]) == first[owner]
     n_a = np.add.reduceat(side, starts, axis=0, dtype=np.int64)
     s_a = np.add.reduceat(side * y[rows][:, None], starts, axis=0)
-    n_b = counts[:, None] - n_a
-    s_b = sums[:, None] - s_a
-    # Variance reduction up to terms constant per node: sum of (side
-    # sum)^2 / (side count).  Unusable features have an empty side.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = np.where(usable, s_a * s_a / n_a + s_b * s_b / n_b, -np.inf)
-    tie = score == score.max(axis=1)[:, None]
-    pick = np.argmax(np.where(tie, rng.random(score.shape), -1.0), axis=1)
-    node = np.arange(counts.size)
-    feature = np.where(usable.any(axis=1), pick, -1)
-    return feature, thr[node, pick]
+    n_left = np.where(first, n_a, counts[:, None] - n_a)
+    return usable, thr, n_left, _score(usable, n_a, s_a, counts, sums)
+
+
+class _Columns:
+    """One fit's training columns.  Columns constant over the training set
+    can never split and are dropped; the rest are *two-valued* (exactly
+    two values, as every one-hot column) or *other* (more values)."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray) -> None:
+        self.y = y
+        self.cols = np.flatnonzero(X.max(axis=0) > X.min(axis=0))
+        self.X = Xs = np.ascontiguousarray(X[:, self.cols])
+        self.lo, self.hi = lo, hi = Xs.min(axis=0), Xs.max(axis=0)
+        self.two = two = ((Xs == lo) | (Xs == hi)).all(axis=0)
+        self.ti, self.oi = ti, oi = np.flatnonzero(two), np.flatnonzero(~two)
+        #: Two-valued columns: is the row's value the high one.
+        self.high = Xs[:, ti] == hi[ti]
+        self.other = np.ascontiguousarray(Xs[:, oi])
+        #: A column's index among the columns of its kind.
+        self.at = np.empty(self.cols.size, dtype=np.int64)
+        self.at[ti] = np.arange(ti.size)
+        self.at[oi] = np.arange(oi.size)
+
+
+def _split_level(data: _Columns, rng, rows, starts, set_counts, set_sums,
+                 varies, node_set, stats):
+    """Best (feature, threshold) and left count of every open node of one
+    level; feature ``-1`` where the node's set does not vary or no feature
+    splits it.
+
+    Two-valued columns are scored once per distinct varying set; other
+    columns per node, with the node's own threshold draw.  Then, chunk by
+    chunk, every varying node takes the best score (exact ties go to a
+    uniform draw), and the picked column's threshold and left count."""
+    ti, oi, C = data.ti, data.oi, data.cols.size
+    k = node_set.size
+    feature = np.full(k, -1)
+    threshold = np.zeros(k)
+    n_left = np.zeros(k, dtype=np.int64)
+    counts = set_counts[node_set]
+    split = np.flatnonzero(varies[node_set])
+    if not split.size:
+        return feature, threshold, n_left
+    vsets = np.flatnonzero(varies)
+    vcounts = set_counts[vsets]
+    vrows = rows[np.repeat(varies, set_counts)]
+    row_at = np.concatenate(([0], np.cumsum(vcounts)))
+    stats["sets"] += vsets.size
+    stats["set_rows"] += vrows.size
+    stats["node_rows"] += int(counts[split].sum())
+    # Per varying set, in column order (other columns left to the nodes).
+    slot = np.zeros(varies.size, dtype=np.int64)
+    slot[vsets] = np.arange(vsets.size)
+    set_score = np.empty((vsets.size, C))
+    set_c1 = np.zeros((vsets.size, C), dtype=np.int64)
+    set_usable = np.zeros(vsets.size, dtype=bool)
+    for a, b in _blocks(vcounts, ti.size) if ti.size else ():
+        c1, usable, score = _score_sets(
+            data.high, data.y, vrows[row_at[a]:row_at[b]], vcounts[a:b],
+            set_sums[vsets[a:b]],
+        )
+        set_c1[a:b, ti] = c1
+        set_score[a:b, ti] = score
+        set_usable[a:b] = usable.any(axis=1)
+    for a0, b0, sizes in _chunks(_blocks(counts[split], C), C):
+        nodes, kc = split[a0:b0], b0 - a0
+        draws = rng.random((2 * kc, C))
+        # Each block's threshold rows, then its tie rows.
+        if len(sizes) == 1:
+            thr_u, tie_u = draws[:kc], draws[kc:]
+        else:
+            row = np.arange(kc) + np.repeat(np.cumsum(sizes) - sizes, sizes)
+            thr_u, tie_u = draws[row], draws[row + np.repeat(sizes, sizes)]
+        sets = node_set[nodes]
+        ncounts = counts[nodes]
+        s = slot[sets]
+        score = set_score[s]
+        usable = set_usable[s]
+        thr_o = np.empty((kc, oi.size))
+        left_o = np.empty((kc, oi.size), dtype=np.int64)
+        for a, b in _blocks(ncounts, oi.size) if oi.size else ():
+            us, thr_o[a:b], left_o[a:b], score[a:b, oi] = _score_nodes(
+                data.other, data.y, _gather(rows, starts, set_counts, sets[a:b]),
+                ncounts[a:b], set_sums[sets[a:b]], thr_u[a:b, oi],
+            )
+            usable[a:b] |= us.any(axis=1)
+        tie = score == score.max(axis=1)[:, None]
+        pick = np.argmax(np.where(tie, tie_u, -1.0), axis=1)
+        feature[nodes] = np.where(usable, pick, -1)
+        # The picked column's threshold and left count.  A two-valued
+        # column's node min and max follow from c1, and it sends its
+        # low rows left.
+        c = set_c1[s, pick]
+        lo, hi = data.lo[pick], data.hi[pick]
+        lo, hi = np.where(c < ncounts, lo, hi), np.where(c > 0, hi, lo)
+        t = lo + thr_u[np.arange(kc), pick] * (hi - lo)
+        t = np.where(t < hi, t, lo)
+        nl = ncounts - c
+        if oi.size:
+            other = ~data.two[pick]
+            j = np.arange(kc), np.minimum(data.at[pick], oi.size - 1)
+            t = np.where(other, thr_o[j], t)
+            nl = np.where(other, left_o[j], nl)
+        threshold[nodes] = t
+        n_left[nodes] = nl
+    return feature, threshold, n_left
 
 
 class ExtraTreesRegressor:
@@ -413,16 +580,34 @@ class ExtraTreesRegressor:
         self._value: np.ndarray | None = None
         self._max_depth = 0
         self._tree_depths: np.ndarray | None = None
+        #: The last fit's sharing counts (see :meth:`fit`).
+        self.fit_stats: dict[str, int] = {}
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "ExtraTreesRegressor":
         """(Re)fit every tree; each refit draws from a fresh substream.
 
-        All trees grow together, one depth level per step: every open
-        node of every tree is split at once, in blocks of at most
-        ``FIT_BLOCK_CELLS`` (sample x feature) cells.  Trees grow fully: a
-        node is a leaf when its targets are all equal or no feature
-        splits it.  Node ids run level by level across the ensemble
-        (roots ``0 .. n_estimators - 1``)."""
+        All trees grow together, one depth level per step.  The trees draw
+        no bootstrap, so their open nodes share *sample sets*: each open
+        node holds a set id (the roots share set 0), and a set holds its
+        rows in ascending order.  Per level, each distinct set's target
+        sum, value and "targets vary" test are taken once, from its rows
+        in the order any node on the set would take them, so they are
+        bitwise the node's (:func:`_split_level` scores the columns).
+        Children get one partition per distinct (set, feature, left
+        count).  Trees grow fully: a node is a leaf when its targets are
+        all equal or no feature splits it.  Node ids run level by level
+        across the ensemble (roots ``0 .. n_estimators - 1``).
+
+        Draws follow blocks of consecutive varying nodes whose first
+        (sample x feature) cells fall in one ``FIT_BLOCK_CELLS`` window: a
+        block draws one threshold per (node, feature), then one tie key
+        per (node, feature).  Whole blocks are taken in chunks of at most
+        ``FIT_BLOCK_CELLS`` (node x feature) cells, one ``rng.random``
+        call per chunk, so the stream is the same as one call per block.
+
+        ``fit_stats`` counts the distinct varying ``sets`` scored, the
+        ``set_rows`` they hold and the ``node_rows`` of the varying nodes
+        (what per-node scoring would touch), summed over levels."""
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -432,42 +617,29 @@ class ExtraTreesRegressor:
             raise SearchError("cannot fit a forest on zero samples")
         rng = spawn_rng(self.seed, "forest", self._fit_count)
         self._fit_count += 1
-        # Columns constant over the training set can never split.
-        cols = np.flatnonzero(X.max(axis=0) > X.min(axis=0))
-        Xs = np.ascontiguousarray(X[:, cols])
+        data = _Columns(X, y)
+        C = data.cols.size
         nt = self.n_estimators
-        rows = np.tile(np.arange(n), nt)  # open nodes' samples, node by node
-        counts = np.full(nt, n)
+        rows = np.arange(n)  # the level's sample sets, set after set
+        set_counts = np.array([n])
+        node_set = np.zeros(nt, dtype=np.int64)
         tree = np.arange(nt)
         depths = np.zeros(nt, dtype=np.int64)
+        stats = {"sets": 0, "set_rows": 0, "node_rows": 0}
         levels = []
         next_id = nt
         level = 0
         while True:
-            starts = np.cumsum(counts) - counts
+            starts = np.cumsum(set_counts) - set_counts
             yr = y[rows]
-            sums = np.add.reduceat(yr, starts)
-            k = counts.size
-            feature = np.full(k, -1)
-            threshold = np.zeros(k)
+            set_sums = np.add.reduceat(yr, starts)
             varies = (np.minimum.reduceat(yr, starts)
-                      < np.maximum.reduceat(yr, starts)) & (cols.size > 0)
-            split = np.flatnonzero(varies)
-            if split.size:
-                sub_rows = rows[np.repeat(varies, counts)]
-                sub_counts = counts[split]
-                row_at = np.concatenate(([0], np.cumsum(sub_counts)))
-                # Blocks of consecutive nodes, each starting within the
-                # next FIT_BLOCK_CELLS cells.
-                block = row_at[:-1] * cols.size // FIT_BLOCK_CELLS
-                bounds = (np.flatnonzero(np.diff(block)) + 1).tolist()
-                for a, b in zip([0, *bounds], [*bounds, split.size]):
-                    f, t = _split_block(
-                        Xs, y, sub_rows[row_at[a]:row_at[b]],
-                        sub_counts[a:b], sums[split[a:b]], rng,
-                    )
-                    feature[split[a:b]] = f
-                    threshold[split[a:b]] = t
+                      < np.maximum.reduceat(yr, starts)) & (C > 0)
+            feature, threshold, n_left = _split_level(
+                data, rng, rows, starts, set_counts, set_sums, varies,
+                node_set, stats,
+            )
+            k = node_set.size
             inner = np.flatnonzero(feature >= 0)
             left = np.full(k, -1)
             right = np.full(k, -1)
@@ -475,20 +647,32 @@ class ExtraTreesRegressor:
             right[inner] = left[inner] + 1
             next_id += 2 * inner.size
             column = np.full(k, -1)
-            column[inner] = cols[feature[inner]]
-            levels.append((column, threshold, left, right, sums / counts))
+            column[inner] = data.cols[feature[inner]]
+            levels.append(
+                (column, threshold, left, right, (set_sums / set_counts)[node_set])
+            )
             if inner.size == 0:
                 break
             level += 1
             depths[tree[inner]] = level
-            # Children: each split node's samples, left side then right.
-            owner = np.repeat(np.arange(k), counts)
-            keep = feature[owner] >= 0
-            rows, owner = rows[keep], owner[keep]
-            go_right = Xs[rows, feature[owner]] > threshold[owner]
-            rows = rows[np.argsort(2 * owner + go_right, kind="stable")]
-            n_right = np.bincount(owner[go_right], minlength=k)[inner]
-            counts = np.stack((counts[inner] - n_right, n_right), axis=1).ravel()
+            # Children: one partition per distinct (set, feature, left
+            # count).  On one set and one column, thresholds that send as
+            # many rows left send the same rows.
+            key = (node_set[inner] * C + feature[inner]) * (n + 1) + n_left[inner]
+            _, rep, child = np.unique(key, return_index=True, return_inverse=True)
+            rep = inner[rep]
+            part_rows = _gather(rows, starts, set_counts, node_set[rep])
+            part_counts = set_counts[node_set[rep]]
+            owner = np.repeat(np.arange(rep.size), part_counts)
+            go_right = (data.X[part_rows, feature[rep][owner]]
+                        > threshold[rep][owner])
+            rows = part_rows[np.argsort(2 * owner + go_right, kind="stable")]
+            set_counts = np.empty(2 * rep.size, dtype=np.int64)
+            set_counts[0::2] = n_left[rep]
+            set_counts[1::2] = part_counts - n_left[rep]
+            node_set = np.empty(2 * inner.size, dtype=np.int64)
+            node_set[0::2] = 2 * child
+            node_set[1::2] = 2 * child + 1
             tree = np.repeat(tree[inner], 2)
         self._feature, self._threshold, self._left, self._right, self._value = (
             np.concatenate(parts) for parts in zip(*levels)
@@ -496,6 +680,7 @@ class ExtraTreesRegressor:
         self._roots = np.arange(nt)
         self._tree_depths = depths
         self._max_depth = level
+        self.fit_stats = stats
         return self
 
     @property

@@ -361,7 +361,7 @@ class SURFSearch:
             ) as sp:
                 start = time.perf_counter()
                 model.fit(train_rows(), targets())
-                sp.set(nodes=model.node_count, depth=model.depth)
+                sp.set(nodes=model.node_count, depth=model.depth, **model.fit_stats)
                 router = model.make_router(codes)
                 return time.perf_counter() - start
 

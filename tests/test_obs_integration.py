@@ -111,6 +111,28 @@ class TestPhaseCoverage:
             assert attrs["depth"] >= 1
         assert [s.attributes["observations"] for s in fits] == [5, 10, 15, 20]
 
+    def test_fit_spans_count_the_shared_sample_sets(self, mttkrp):
+        def fit_counts():
+            tracer = Tracer()
+            with use_tracer(tracer):
+                _tuner().tune_contraction(mttkrp)
+            return [
+                {key: s.attributes[key] for key in ("sets", "set_rows", "node_rows")}
+                for s in tracer.finished() if s.name == "search.fit"
+            ]
+
+        counts = fit_counts()
+        assert counts == fit_counts()  # the counts repeat exactly
+        for c in counts:
+            # Distinct varying sets, the rows they hold, and the rows
+            # per-node scoring would touch: at the roots alone, 30 trees
+            # hold one set.
+            assert 1 <= c["sets"] <= c["set_rows"] <= c["node_rows"]
+            assert c["node_rows"] >= 30 * 5
+        # The trees draw no bootstrap, so they share most sample sets.
+        set_rows = sum(c["set_rows"] for c in counts)
+        assert set_rows < 0.5 * sum(c["node_rows"] for c in counts)
+
     def test_small_pool_predicts_by_table_descent(self, mttkrp):
         tracer = Tracer()
         with use_tracer(tracer):

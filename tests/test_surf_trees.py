@@ -1,7 +1,11 @@
 """Tests for the from-scratch extremely randomized trees.
 
 A one-tree forest stands for a single tree wherever a test is about one.
+``TestGoldenForest`` pins the fitted node arrays themselves, over every
+refit of a few default ``tune`` calls and a handful of edge cases.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -206,3 +210,110 @@ class TestForest:
     def test_unfit_rejected(self):
         with pytest.raises(SearchError, match="not been fit"):
             ExtraTreesRegressor().predict(np.zeros((1, 2)))
+
+
+def duplicate_rows(seed=0):
+    """Rows repeated with different targets (nodes whose targets vary but
+    that no feature splits), beside a five-valued column."""
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 2, size=(16, 4)).astype(float)
+    base[:, 3] = rng.integers(0, 5, size=16)
+    X = np.vstack((base, base[:8], base[:4]))
+    return X, rng.normal(size=X.shape[0])
+
+
+def forest_digest(forests) -> str:
+    """sha256 (16 hex digits) of every node array of ``forests``, in order:
+    what the search reads, plus the leaves' stored thresholds and the
+    node order, which no search digest sees."""
+    h = hashlib.sha256()
+    for arrays in forests:
+        for a in arrays:
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def node_arrays(forest):
+    return tuple(
+        np.copy(a) for a in (
+            forest._feature, forest._threshold, forest._left, forest._right,
+            forest._value, forest._tree_depths,
+        )
+    )
+
+
+@pytest.fixture
+def fit_log(monkeypatch):
+    """Node arrays of every forest fit while the fixture is active."""
+    log = []
+    fit = ExtraTreesRegressor.fit
+
+    def logged(self, X, y):
+        fit(self, X, y)
+        log.append(node_arrays(self))
+        return self
+
+    monkeypatch.setattr(ExtraTreesRegressor, "fit", logged)
+    return log
+
+
+def _tune(workload, arch):
+    from repro.autotune import Autotuner
+    from repro.gpusim.arch import gpu_by_name
+    from repro.workloads import get_workload
+
+    # The tune CLI defaults: 100 evaluations in batches of 10, pool 2500.
+    tuner = Autotuner(gpu_by_name(arch), seed=1, pool_size=2500)
+    get_workload(workload).tune(tuner)
+
+
+#: Digests of the fitted node arrays (feature, threshold, left, right,
+#: value, tree depths) over each case's fits, and the number of fits.
+#: Captured from the per-node fit; a change that moves one must say why
+#: in CHANGES.md.
+GOLDEN_FORESTS = {
+    "lg3@K20": (10, "47b94b79271cb88c"),
+    "eqn1@GTX980": (10, "9ce6cce9d44a1ba6"),
+    "lg3@K20/ordinal": (10, "b3a7a6f7917a3c15"),
+    "edge cases": (6, "4cafde04e642a928"),
+}
+
+
+class TestGoldenForest:
+    """The fit's node arrays, bitwise, refit by refit."""
+
+    @pytest.mark.parametrize("case", ["lg3@K20", "eqn1@GTX980"])
+    def test_default_tune_refits(self, fit_log, case):
+        _tune(*case.split("@"))
+        assert (len(fit_log), forest_digest(fit_log)) == GOLDEN_FORESTS[case]
+
+    def test_ordinal_refits(self, fit_log, monkeypatch):
+        from repro.autotune import tuner
+        from repro.surf import SURFSearch
+
+        class Ordinal(SURFSearch):
+            def __init__(self, **kw):
+                super().__init__(binarize=False, **kw)
+
+        monkeypatch.setattr(tuner, "SURFSearch", Ordinal)
+        _tune("lg3", "K20")
+        assert (len(fit_log), forest_digest(fit_log)) == GOLDEN_FORESTS[
+            "lg3@K20/ordinal"
+        ]
+
+    def test_edge_cases(self, fit_log):
+        X, y = duplicate_rows()
+        cases = [
+            (toy_data(), 30, 0),
+            (complementary_pair(), 30, 1),
+            ((X, y), 30, 2),
+            ((X, np.full(y.size, 0.5)), 30, 3),  # constant target
+            ((np.vstack((X, X)), np.concatenate((y, y))), 7, 4),
+            ((X[:1], y[:1]), 3, 5),  # one sample
+        ]
+        for (Xc, yc), trees, seed in cases:
+            ExtraTreesRegressor(n_estimators=trees, seed=seed).fit(Xc, yc)
+        assert (len(fit_log), forest_digest(fit_log)) == GOLDEN_FORESTS[
+            "edge cases"
+        ]
