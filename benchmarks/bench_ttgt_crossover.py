@@ -12,10 +12,10 @@ transpose-aware decision layer (:mod:`repro.tcr.ttgt`,
   choice compares full-space table minima, so it can never lose to a
   fixed backend under the sweep searcher.
 * **Table parity/throughput** (the ``ttgt`` entry of the regression
-  gate's ``tables`` suite): scoring a pool through
+  gate's ``tables`` suite): every entry of
   :meth:`KernelTimingTable.build_ttgt` must reproduce the scalar
-  :meth:`GPUPerformanceModel.ttgt_kernel_timing` values exactly and beat
-  the scalar loop on throughput, table construction included.
+  :meth:`GPUPerformanceModel.ttgt_kernel_timing` value exactly, and one
+  table build must beat scoring the same configurations one at a time.
 
 The swept operation is a batched contraction whose ``A`` operand carries
 the batch index in the middle (``A[i,b,k]`` with batch ``b``): no legal
@@ -208,8 +208,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="sweep only one small and one large extent "
                         "(CI smoke; the acceptance checks still run)")
     parser.add_argument("--configs", type=int, default=2000,
-                        help="pool size for the scalar-vs-table record")
-    parser.add_argument("--seed", type=int, default=1)
+                        help="kernel configurations each side scores for "
+                        "the scalar-vs-table record")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write sweep + bench records as JSON to PATH")
     args = parser.parse_args(argv)
@@ -226,17 +226,18 @@ def main(argv: list[str] | None = None) -> int:
         )
     failures = check_crossover(records)
 
-    bench = run_bench(*ttgt_case(), args.configs, seed=args.seed)
+    bench = run_bench(*ttgt_case(), args.configs)
     print(
-        f"{bench['configs']} TTGT configs on {bench['workload']}/{bench['arch']}: "
-        f"scalar {bench['scalar_seconds'] * 1e3:.1f} ms, "
-        f"table {bench['table_seconds'] * 1e3:.1f} ms "
+        f"{bench['kernel_table_entries']} TTGT configs on "
+        f"{bench['workload']}/{bench['arch']}, best of {bench['rounds']} "
+        f"rounds: scalar {bench['scalar_seconds'] * 1e3:.1f} ms, "
+        f"table build {bench['table_build_seconds'] * 1e3:.1f} ms "
         f"-> {bench['speedup']:.1f}x, "
         f"exact={'yes' if bench['exact_match'] else 'NO'}"
     )
     if not bench["exact_match"]:
         failures.append(
-            f"table values diverge from the scalar TTGT model "
+            f"table entries diverge from the scalar TTGT model "
             f"({bench['mismatches']} mismatches)"
         )
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.autotune.tuner import Autotuner, TuneResult
+from repro.autotune.tuner import Autotuner, TuneResult, _make_searcher
 from repro.errors import TCRError
-from repro.surf.evaluator import ConfigurationEvaluator
+from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.decision import decide_search_space
 from repro.tcr.program import TCRProgram
 from repro.tcr.pruning import model_pruned_pool
@@ -76,7 +76,8 @@ def tune_jointly(
 
     With ``prune=True`` the sampled pool is filtered by the static
     plausibility rules before SURF sees it (the conclusion's "pruning …
-    will be essential to feasibility").
+    will be essential to feasibility").  The pruned search runs on the
+    tuner's own rig (lanes, faults) with its searcher and acquisition.
     """
     merged = concatenate_programs(name, programs)
     if not prune:
@@ -89,23 +90,16 @@ def tune_jointly(
     pool = model_pruned_pool(
         merged, pool, tuner.arch, min_parallelism=min_parallelism
     )
-    evaluator = ConfigurationEvaluator(
-        [merged],
-        tuner.model,
-        seed=settings.seed,
-        noisy=settings.noisy,
-        include_transfer=settings.include_transfer,
-    )
-    from repro.autotune.tuner import _make_searcher
-
+    evaluator = tuner._build_evaluator([merged])
     searcher = _make_searcher(
         settings.searcher, settings.batch_size, settings.max_evaluations,
-        settings.seed,
+        settings.seed, acquisition=settings.acquisition,
     )
     result = searcher.search(
         pool,
         evaluator.evaluate_batch,
         wall_seconds=lambda: evaluator.simulated_wall_seconds,
+        telemetry=SearchTelemetry(counters=evaluator.counters),
     )
     best = result.best_config
     timing = tuner.model.program_timing(merged, best)

@@ -1,8 +1,8 @@
 """Every :class:`~repro.autotune.tuner.Autotuner` setting, declared once.
 
 Each field of :class:`TuneSettings` carries its default, its environment
-variable (only the result-store path keeps one), and exactly one
-**role** — the single place that decides what a setting changes:
+variable (only the result-store path keeps one), and exactly one of two
+**roles** — the single place that decides what a setting changes:
 
 ``keyed``
     Changes the tuned result or its accounting (champion, history, best
@@ -11,9 +11,6 @@ variable (only the result-store path keeps one), and exactly one
     (:meth:`repro.serve.store.StoreKey.from_manifest`) — and the
     checkpoint fingerprint.  ``searcher`` and ``seed`` are keyed too; the
     manifest holds them as fields of its own.
-``recorded``
-    Bitwise-invisible in every result (timing tables reproduce the
-    scalar model exactly).  Written to the manifest as provenance only.
 ``runtime``
     Where state lives and how the run is observed: checkpoints, trace and
     result store.  Enters neither.
@@ -30,10 +27,9 @@ from repro.errors import ConfigurationError
 from repro.surf.faults import FaultSpec
 from repro.tcr.decision import BACKENDS
 
-__all__ = ["TuneSettings", "KEYED", "RECORDED", "RUNTIME", "KEYED_SETTINGS"]
+__all__ = ["TuneSettings", "KEYED", "RUNTIME", "KEYED_SETTINGS"]
 
 KEYED = "keyed"
-RECORDED = "recorded"
 RUNTIME = "runtime"
 
 #: Keyed settings the run manifest records as fields of its own.
@@ -83,12 +79,6 @@ class TuneSettings:
         Kernel lowering per operation: ``"loopnest"`` (default),
         ``"ttgt"`` or ``"auto"``.
 
-    Recorded
-    --------
-    fast_model:
-        Score configurations by precomputed timing-table lookup instead of
-        the scalar model per point.
-
     Runtime
     -------
     checkpoint_dir / resume:
@@ -118,7 +108,6 @@ class TuneSettings:
     faults: FaultSpec | str = _setting("", KEYED, encode=FaultSpec.describe)
     acquisition: str = _setting("mean", KEYED)
     backend: str = _setting("loopnest", KEYED)
-    fast_model: bool = _setting(False, RECORDED)
     checkpoint_dir: str | Path | None = _setting(None, RUNTIME)
     resume: bool = _setting(False, RUNTIME)
     trace: str | Path | None = _setting(None, RUNTIME)
@@ -136,7 +125,6 @@ class TuneSettings:
         normal.update(
             faults=faults,
             batch_parallelism=max(1, int(self.batch_parallelism)),
-            fast_model=bool(self.fast_model),
         )
         for name in ("checkpoint_dir", "trace"):
             value = getattr(self, name)
@@ -158,28 +146,20 @@ class TuneSettings:
 
     @cached_property
     def manifest_settings(self) -> dict:
-        """The manifest's ``settings``: keyed (bar its own fields) and recorded."""
+        """The manifest's ``settings``: every keyed setting bar its own fields."""
         return self._values(_MANIFEST)
 
 
-def _entries(role: str) -> tuple:
-    """``(name, encode)`` of each setting of ``role``."""
-    return tuple(
-        (f.name, f.metadata["encode"])
-        for f in fields(TuneSettings)
-        if f.metadata["role"] == role
-    )
-
-
-_KEYED = _entries(KEYED)
-_MANIFEST = tuple(e for e in _KEYED if e[0] not in MANIFEST_FIELDS) + _entries(
-    RECORDED
+#: ``(name, encode)`` of each keyed setting.
+_KEYED = tuple(
+    (f.name, f.metadata["encode"])
+    for f in fields(TuneSettings)
+    if f.metadata["role"] == KEYED
 )
+_MANIFEST = tuple(e for e in _KEYED if e[0] not in MANIFEST_FIELDS)
 
 #: Names of the keyed settings a manifest's ``settings`` may carry.
-KEYED_SETTINGS = frozenset(
-    name for name, *_ in _KEYED if name not in MANIFEST_FIELDS
-)
+KEYED_SETTINGS = frozenset(name for name, _ in _MANIFEST)
 
 _ENV_SETTINGS = tuple(
     (f.name, f.metadata["env"]) for f in fields(TuneSettings) if f.metadata["env"]

@@ -169,11 +169,7 @@ class Autotuner:
         return self._result_store_obj
 
     # ------------------------------------------------------------------
-    def _build_evaluator(
-        self,
-        programs: list[TCRProgram],
-        tables: list[ProgramTimingTable] | None = None,
-    ) -> ConfigurationEvaluator:
+    def _build_evaluator(self, programs: list[TCRProgram]) -> ConfigurationEvaluator:
         """The simulated rig of one search: a fresh evaluator per search, so
         no call's accounting depends on what an earlier call evaluated."""
         settings = self.settings
@@ -184,7 +180,6 @@ class Autotuner:
             noisy=settings.noisy,
             include_transfer=settings.include_transfer,
             batch_parallelism=settings.batch_parallelism,
-            tables=tables,
             faults=settings.faults,
         )
 
@@ -390,17 +385,15 @@ class Autotuner:
             for i, p in enumerate(programs)
         ]
         tuning_space = TuningSpace(spaces)
-        tables = None
-        if settings.fast_model or settings.searcher == "sweep":
+        if settings.searcher == "sweep":
+            # The separable sweep reads the tables directly — no pool, no
+            # evaluator; it optimizes the noise-free modeled time.
             tables = []
             for p, s in zip(programs, spaces):
                 with tracer.span(
                     "table.build", category="table", program=p.name
                 ):
                     tables.append(ProgramTimingTable.build(self.model, p, s))
-        if settings.searcher == "sweep":
-            # The separable sweep reads the tables directly — no pool, no
-            # evaluator; it optimizes the noise-free modeled time.
             searcher = SeparableExhaustiveSearch(
                 tables,
                 include_transfer=settings.include_transfer,
@@ -433,7 +426,7 @@ class Autotuner:
             # (batch_parallelism=1): the paper's ~4 s/variant search times
             # for Lg3t imply one rig timing one variant at a time, with
             # batching used for model refresh cadence.
-            evaluator = self._build_evaluator(programs, tables=tables)
+            evaluator = self._build_evaluator(programs)
             searcher = _make_searcher(
                 settings.searcher, settings.batch_size, settings.max_evaluations,
                 settings.seed, acquisition=settings.acquisition,

@@ -60,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ineligible operations fall back to loop nests)",
     )
     tune.add_argument(
-        "--fast-model", action="store_true",
-        help="score configurations by precomputed timing-table lookup "
-        "(bitwise identical to the scalar model)",
-    )
-    tune.add_argument(
         "--per-variant", action="store_true",
         help="autotune each OCTOPI variant separately (the paper's flow)",
     )
@@ -223,7 +218,6 @@ def _run_tune(args: argparse.Namespace) -> int:
         pool_size=args.pool,
         seed=args.seed,
         per_variant=args.per_variant,
-        fast_model=args.fast_model,
         faults=args.faults,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,

@@ -364,15 +364,6 @@ class GPUPerformanceModel:
             h2d_s=h2d, d2h_s=d2h, kernels=tuple(kernels), flops=program.flops()
         )
 
-    def noisy_measurement(self, t: float, rng: np.random.Generator) -> float:
-        """Apply one draw of measurement noise to a modeled time.
-
-        Shared by the timing and the table-lookup paths so both perturb a
-        given time identically (same formula, same rng stream position).
-        """
-        sigma = self.cal.measurement_noise / math.sqrt(self.cal.repetitions)
-        return t * max(0.1, 1.0 + sigma * rng.standard_normal())
-
     def value_from_timing(
         self,
         timing: ProgramTiming,
@@ -383,11 +374,13 @@ class GPUPerformanceModel:
 
         Evaluator paths that need both the objective and the wall cost can
         compute the timing once and derive both, instead of running the
-        model twice per configuration.
+        model twice per configuration.  With ``rng``, one draw of
+        measurement noise perturbs the modeled time.
         """
         t = timing.total_s if include_transfer else timing.kernel_s
         if rng is not None:
-            t = self.noisy_measurement(t, rng)
+            sigma = self.cal.measurement_noise / math.sqrt(self.cal.repetitions)
+            t = t * max(0.1, 1.0 + sigma * rng.standard_normal())
         return t
 
     def wall_from_timing(self, timing: ProgramTiming) -> float:

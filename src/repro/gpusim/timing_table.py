@@ -21,30 +21,29 @@ distinct kernel timings.  This module exploits that separability:
     ``+inf``.
 ``ProgramTimingTable``
     Per-kernel tables composed with the config-independent H2D/D2H costs:
-    O(1) lookup of a whole program configuration, per-kernel ``argmin`` in
-    O(sum |Ki|), and a broadcast-summed sweep of the *entire* product
-    space.
+    the per-kernel ``argmin`` in O(sum |Ki|) that the separable sweep
+    (:mod:`repro.surf.separable`) reads the exact optimum from.  It
+    serves only the sweep; the evaluator scores every point on the scalar
+    model.
 
 The deterministic wobble (``stable_uniform`` keyed on the configuration)
 is inherently scalar — one BLAKE2b hash per configuration — so it is
 precomputed once per table entry during the gather pass instead of being
 re-hashed on every model call.
 
-What the tables do *not* model: measurement noise (applied per whole
-program, on top of the table value, by the evaluator) and the
-``scalar_replacement=False`` / ``efficiency_factor`` handicaps of the
-OpenACC strategy models (those paths stay on the scalar model).
+What the tables do *not* model: measurement noise (the sweep optimizes
+the noise-free modeled time) and the ``scalar_replacement=False`` /
+``efficiency_factor`` handicaps of the OpenACC strategy models (those
+paths stay on the scalar model).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.gpusim.calibration import GPUCalibration
 from repro.gpusim.gemm import combine_busy, gemm_calibration, gemm_features, gemm_times
 from repro.gpusim.perfmodel import GPUPerformanceModel
@@ -78,7 +77,7 @@ class KernelTimingTable:
     ``model.kernel_timing(build_launch(operation, configs[i], dims)).total_s``
     when configuration ``i`` is buildable, and ``+inf`` (with
     ``valid[i] == False``) when the scalar path would raise
-    :class:`ConfigurationError`.
+    :class:`~repro.errors.ConfigurationError`.
     """
 
     operation: TCROperation
@@ -93,27 +92,6 @@ class KernelTimingTable:
 
     def __len__(self) -> int:
         return len(self.configs)
-
-    def __getstate__(self):
-        # Drop lazily-cached derived state; rebuilt on demand after unpickling.
-        return {
-            k: v
-            for k, v in self.__dict__.items()
-            if k not in ("totals_list", "valid_list")
-        }
-
-    @cached_property
-    def totals_list(self) -> list[float]:
-        """``totals`` as Python floats — faster for one-at-a-time lookups.
-
-        ``ndarray.tolist()`` is exact for float64, so scalar sums over
-        these stay bitwise equal to the scalar model.
-        """
-        return self.totals.tolist()
-
-    @cached_property
-    def valid_list(self) -> list[bool]:
-        return self.valid.tolist()
 
     @classmethod
     def build(
@@ -440,10 +418,10 @@ class KernelTimingTable:
 class ProgramTimingTable:
     """Per-kernel timing tables composed with the transfer costs.
 
-    Kernel indices address the owning :class:`ProgramSpace`'s kernel
-    spaces; ``lookup`` maps a :class:`ProgramConfig` onto them.  All times
-    reproduce ``GPUPerformanceModel.program_timing`` bitwise (same
-    left-to-right summation order as ``ProgramTiming``).
+    Kernel indices are positions in the owning :class:`ProgramSpace`'s
+    kernel spaces.  All times reproduce
+    ``GPUPerformanceModel.program_timing`` bitwise (same left-to-right
+    summation order as ``ProgramTiming``).
     """
 
     program: TCRProgram
@@ -483,69 +461,15 @@ class ProgramTimingTable:
 
     # ------------------------------------------------------------------
     @property
-    def variant_index(self) -> int:
-        return self.space.variant_index
-
-    def size(self) -> int:
-        """Size of the full product space this table can sweep."""
-        return self.space.size()
-
-    @property
     def kernel_evaluations(self) -> int:
         """Distinct kernel timings held — sum, not product, of space sizes."""
         return sum(len(t) for t in self.kernels)
-
-    def __getstate__(self):
-        # The identity maps key on object addresses of THIS process — they
-        # must never cross a pickle boundary (a worker's objects live at
-        # different addresses, so stale keys could silently mis-resolve).
-        return {
-            k: v for k, v in self.__dict__.items() if k != "_identity_maps"
-        }
-
-    # ------------------------------------------------------------------
-    @cached_property
-    def _identity_maps(self) -> tuple[dict[int, int], ...]:
-        """Per-kernel ``id(config) -> index`` maps for the space's objects.
-
-        Configurations decoded from the space (``config_at``,
-        ``enumerate_all``) reference the kernel spaces' own materialized
-        objects, so an identity probe resolves them without hashing the
-        config; equal-but-distinct objects fall back to ``index_of``.
-        Sound because the space keeps every keyed object alive — a live
-        foreign object can never share its id.
-        """
-        return tuple(
-            {id(c): i for i, c in enumerate(ks)}
-            for ks in self.space.kernel_spaces
-        )
-
-    def lookup(self, config: ProgramConfig) -> tuple[int, ...]:
-        """Per-kernel table indices of ``config`` (raises if not in space)."""
-        if len(config.kernels) != len(self.kernels):
-            raise ConfigurationError(
-                f"configuration has {len(config.kernels)} kernels for a "
-                f"{len(self.kernels)}-kernel table"
-            )
-        ids = []
-        for imap, ks, kc in zip(
-            self._identity_maps, self.space.kernel_spaces, config.kernels
-        ):
-            i = imap.get(id(kc))
-            ids.append(ks.index_of(kc) if i is None else i)
-        return tuple(ids)
-
-    def valid_at(self, ids: Sequence[int]) -> bool:
-        for t, i in zip(self.kernels, ids):
-            if not t.valid_list[i]:
-                return False
-        return True
 
     def kernel_seconds(self, ids: Sequence[int]) -> float:
         """Sum of kernel times (``ProgramTiming.kernel_s``); inf if invalid."""
         total = 0.0
         for t, i in zip(self.kernels, ids):
-            total = total + t.totals_list[i]
+            total = total + float(t.totals[i])
         return total
 
     def total_seconds(self, ids: Sequence[int], include_transfer: bool = True) -> float:
@@ -577,22 +501,6 @@ class ProgramTimingTable:
         return index
 
     # ------------------------------------------------------------------
-    def full_totals(self, include_transfer: bool = True) -> np.ndarray:
-        """Broadcast-summed totals of the *entire* product space.
-
-        Entry ``g`` equals ``total_seconds`` of the configuration
-        ``space.config_at(g)`` (mixed-radix order, last kernel fastest);
-        configurations containing an invalid kernel config are ``+inf``.
-        Allocates O(product) floats — guard with :meth:`size` first.
-        """
-        acc = self.kernels[0].totals
-        for t in self.kernels[1:]:
-            acc = acc[..., None] + t.totals
-        out = acc.reshape(-1)
-        if include_transfer:
-            out = (self.h2d_s + out) + self.d2h_s
-        return out
-
     def argmin(
         self, include_transfer: bool = True
     ) -> tuple[tuple[int, ...], float] | None:

@@ -4,9 +4,8 @@ A :class:`RunManifest` captures everything needed to attribute and replay
 a tuning run — package version, workload name, architecture and
 calibration fingerprints (stable hashes over their dataclass fields), a
 DSL hash over the tuned TCR programs, the searcher and master seed, and
-the ``keyed`` and ``recorded`` settings of
-:class:`~repro.autotune.settings.TuneSettings` (the keyed ones alone
-form the result-store key).  Kernel Tuner persists the same kind of
+the ``keyed`` settings of :class:`~repro.autotune.settings.TuneSettings`
+(which form the result-store key).  Kernel Tuner persists the same kind of
 header atop its cache files; here it is a standalone JSON document so
 checkpoints and traces stay self-describing.
 

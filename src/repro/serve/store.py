@@ -16,8 +16,9 @@ records, so the provenance layer doubles as the cache key: two requests
 with identical manifests would run bitwise-identical searches, which is
 what makes serving the stored result safe.  Only the manifest settings
 :class:`~repro.autotune.settings.TuneSettings` declares ``keyed`` enter
-the key; the ``recorded`` ones are bitwise-invisible and would only
-shatter the hit rate.
+the key; a name an older manifest carries that is no longer keyed (or no
+longer declared) is ignored, so retiring a setting keeps every stored
+result reachable.
 
 On disk the store is a directory of **sharded append-only JSONL files**
 (``shard-NNN.jsonl``, shard chosen by key digest), each starting with a

@@ -32,8 +32,8 @@ space, searcher, budget, …) resume is *not* bitwise-safe and
 diverging.
 
 The fingerprint's settings are the ``keyed`` ones of
-:class:`~repro.autotune.settings.TuneSettings`; the ``recorded`` and
-``runtime`` ones stay outside it.
+:class:`~repro.autotune.settings.TuneSettings`; the ``runtime`` ones stay
+outside it.
 """
 
 from __future__ import annotations

@@ -9,12 +9,11 @@ the books the paper reports: how many evaluations were spent and how much
 (Table II's "Search" column).
 
 The evaluation engine is one class, :class:`ConfigurationEvaluator`: the
-whole simulated rig.  It scores one point on the performance model — or,
-when per-variant :class:`~repro.gpusim.timing_table.ProgramTimingTable`\\ s
-are supplied, by table lookup (bitwise identical to the model; the scalar
-path remains the fallback for configurations outside the tables).  When
-its :class:`~repro.surf.faults.FaultSpec` can fire, every attempt first
-asks the spec for a hazard verdict: transient failures are retried with
+whole simulated rig.  It scores every point with the model's
+``program_timing`` (the timing tables serve only the separable sweep,
+:mod:`repro.surf.separable`).  When its
+:class:`~repro.surf.faults.FaultSpec` can fire, every attempt first asks
+the spec for a hazard verdict: transient failures are retried with
 capped backoff, permanent ones are scored ``+inf``.  The
 :class:`BatchEvaluator` base does the per-batch bookkeeping
 (``evaluate_one`` is pure; counters move once per batch, on the driver).
@@ -35,7 +34,6 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
 from repro.gpusim.perfmodel import GPUPerformanceModel
-from repro.gpusim.timing_table import ProgramTimingTable
 from repro.obs.tracer import get_tracer
 from repro.surf.faults import HAZARDS, FaultSpec, backoff_seconds
 from repro.tcr.program import TCRProgram
@@ -69,10 +67,6 @@ FAILURE_VALUE = float("inf")
 #: the rig can never evaluate this point (compile/launch failure).  The
 #: last two score ``+inf`` and are clamped out of surrogate training.
 EVAL_STATUSES = ("ok", "invalid", "transient", "permanent")
-
-#: ``EvalOutcome.detail`` value marking a table-miss that fell back to the
-#: scalar model (counted in telemetry; the measurement itself is ``ok``).
-TABLE_FALLBACK = "table-fallback"
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,6 @@ class BatchEvaluator:
     transient_count: int = 0
     permanent_count: int = 0
     retry_count: int = 0
-    table_fallback_count: int = 0
 
     @property
     def batch_lanes(self) -> int:
@@ -143,9 +136,6 @@ class BatchEvaluator:
                     transient=sum(1 for o in outcomes if o.status == "transient"),
                     permanent=sum(1 for o in outcomes if o.status == "permanent"),
                     retries=sum(max(0, o.attempts - 1) for o in outcomes),
-                    table_fallbacks=sum(
-                        1 for o in outcomes if o.detail == TABLE_FALLBACK
-                    ),
                     simulated_wall_seconds=self.simulated_wall_seconds,
                 )
         return [o.value for o in outcomes]
@@ -165,8 +155,6 @@ class BatchEvaluator:
                 self.transient_count += 1
             elif o.status == "permanent":
                 self.permanent_count += 1
-            if o.detail == TABLE_FALLBACK:
-                self.table_fallback_count += 1
             self.retry_count += max(0, o.attempts - 1)
         lanes = [0.0] * min(self.batch_lanes, len(outcomes))
         for o in outcomes:
@@ -183,7 +171,6 @@ class BatchEvaluator:
             "transient": self.transient_count,
             "permanent": self.permanent_count,
             "retries": self.retry_count,
-            "table_fallbacks": self.table_fallback_count,
         }
 
     def restore_counters(self, saved: dict[str, float]) -> None:
@@ -194,7 +181,6 @@ class BatchEvaluator:
         self.transient_count = int(saved.get("transient", 0))
         self.permanent_count = int(saved.get("permanent", 0))
         self.retry_count = int(saved.get("retries", 0))
-        self.table_fallback_count = int(saved.get("table_fallbacks", 0))
 
 
 class ConfigurationEvaluator(BatchEvaluator):
@@ -217,14 +203,6 @@ class ConfigurationEvaluator(BatchEvaluator):
         How many concurrent empirical evaluations the rig supports (the
         paper evaluates each SURF batch "in parallel"); affects only the
         simulated wall-clock accounting, not the results.
-    tables:
-        Optional per-variant timing tables (indexed like ``programs`` by
-        ``config.variant_index``; entries may be None).  When a table
-        covers a configuration it is scored by O(#kernels) lookup instead
-        of re-running the model — results are identical by construction
-        (the tables reproduce ``program_timing`` bitwise, and noise is
-        applied on top from the same per-configuration rng substream).
-        Configurations a table cannot index fall back to the scalar path.
     faults:
         The rig's hazard mix and retry budget (:mod:`repro.surf.faults`);
         fault-free by default.
@@ -238,7 +216,6 @@ class ConfigurationEvaluator(BatchEvaluator):
         noisy: bool = True,
         include_transfer: bool = True,
         batch_parallelism: int = 1,
-        tables: Sequence[ProgramTimingTable | None] | None = None,
         faults: FaultSpec | None = None,
     ) -> None:
         self.programs = list(programs)
@@ -247,7 +224,6 @@ class ConfigurationEvaluator(BatchEvaluator):
         self.noisy = noisy
         self.include_transfer = include_transfer
         self.batch_parallelism = max(1, batch_parallelism)
-        self.tables = list(tables) if tables is not None else None
         self.faults = faults if faults is not None else FaultSpec()
         self.evaluation_count = 0
         self.simulated_wall_seconds = 0.0
@@ -258,13 +234,6 @@ class ConfigurationEvaluator(BatchEvaluator):
 
     def program_for(self, config: ProgramConfig) -> TCRProgram:
         return self.programs[config.variant_index]
-
-    def _table_for(self, config: ProgramConfig) -> ProgramTimingTable | None:
-        if self.tables is None:
-            return None
-        if not 0 <= config.variant_index < len(self.tables):
-            return None
-        return self.tables[config.variant_index]
 
     def _measure_rng(self, config: ProgramConfig):
         return spawn_rng(
@@ -311,41 +280,7 @@ class ConfigurationEvaluator(BatchEvaluator):
         )
 
     def _measure(self, config: ProgramConfig) -> EvalOutcome:
-        """One successful dispatch: the model's (or table's) outcome."""
-        table = self._table_for(config)
-        fallback = False
-        if table is not None:
-            try:
-                ids = table.lookup(config)
-            except ConfigurationError:
-                # Not covered by the table: scalar fallback below.  Counted
-                # (``table_fallbacks``) so coverage gaps are visible instead
-                # of silently degrading to the slow path.
-                ids = None
-                fallback = True
-            if ids is not None:
-                kernel_s = table.kernel_seconds(ids)
-                if kernel_s == float("inf"):
-                    # The scalar path would fail in build_launch/occupancy
-                    # (only invalid entries are infinite).
-                    return EvalOutcome(
-                        config=config,
-                        value=PENALTY_SECONDS,
-                        wall=self.model.cal.compile_seconds,
-                        status="invalid",
-                        detail="table: unbuildable configuration",
-                    )
-                total_s = (table.h2d_s + kernel_s) + table.d2h_s
-                cal = self.model.cal
-                wall = cal.compile_seconds + min(
-                    cal.repetitions * total_s, cal.measure_cap_seconds
-                )
-                value = total_s if self.include_transfer else kernel_s
-                if self.noisy:
-                    value = self.model.noisy_measurement(
-                        value, self._measure_rng(config)
-                    )
-                return EvalOutcome(config=config, value=value, wall=wall)
+        """One successful dispatch: the model's outcome."""
         program = self.program_for(config)
         try:
             timing = self.model.program_timing(program, config)
@@ -365,9 +300,4 @@ class ConfigurationEvaluator(BatchEvaluator):
                 status="invalid",
                 detail=f"build failed: {exc}",
             )
-        return EvalOutcome(
-            config=config,
-            value=value,
-            wall=wall,
-            detail=TABLE_FALLBACK if fallback else "",
-        )
+        return EvalOutcome(config=config, value=value, wall=wall)

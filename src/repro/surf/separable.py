@@ -23,9 +23,7 @@ optimizes one noisy draw per point.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-
-import numpy as np
+from collections.abc import Sequence
 
 from repro.errors import CheckpointError, SearchError
 from repro.gpusim.timing_table import ProgramTimingTable
@@ -49,12 +47,6 @@ class SeparableExhaustiveSearch:
     include_transfer:
         Whether the objective includes H2D/D2H time (must match the
         evaluator being compared against).
-    full_sweep:
-        Materialize the broadcast-summed totals of the entire product
-        space per variant instead of the per-kernel argmin.  Same answer,
-        O(product) memory — refused above ``sweep_limit`` points.
-    sweep_limit:
-        Ceiling on the per-variant product size a full sweep may allocate.
     tuning_space:
         Optional owning space, used to stamp the winner's dense
         ``global_id`` (so the result is config-equal to what pool-based
@@ -67,16 +59,12 @@ class SeparableExhaustiveSearch:
         self,
         tables: Sequence[ProgramTimingTable],
         include_transfer: bool = True,
-        full_sweep: bool = False,
-        sweep_limit: int = 4_000_000,
         tuning_space: TuningSpace | None = None,
     ) -> None:
         if not tables:
             raise SearchError("separable search needs at least one timing table")
         self.tables = tuple(tables)
         self.include_transfer = include_transfer
-        self.full_sweep = full_sweep
-        self.sweep_limit = sweep_limit
         self.tuning_space = tuning_space
 
     # ------------------------------------------------------------------
@@ -90,19 +78,10 @@ class SeparableExhaustiveSearch:
         unbuildable points at ``PENALTY_SECONDS``.
         """
         candidates: list[tuple[float, int, tuple[int, ...]]] = []
-        if self.full_sweep and table.size() <= self.sweep_limit:
-            totals = table.full_totals(include_transfer=self.include_transfer)
-            best_local = int(np.argmin(totals))
-            best_val = float(totals[best_local])
-            if best_val != float("inf"):
-                candidates.append(
-                    (best_val, best_local, self._decode_local(table, best_local))
-                )
-        else:
-            found = table.argmin(include_transfer=self.include_transfer)
-            if found is not None:
-                ids, val = found
-                candidates.append((val, table.local_index(ids), ids))
+        found = table.argmin(include_transfer=self.include_transfer)
+        if found is not None:
+            ids, val = found
+            candidates.append((val, table.local_index(ids), ids))
         first_invalid = table.first_invalid()
         if first_invalid is not None:
             candidates.append(
@@ -113,29 +92,14 @@ class SeparableExhaustiveSearch:
         val, _pos, ids = min(candidates, key=lambda c: (c[0], c[1]))
         return ids, val
 
-    @staticmethod
-    def _decode_local(
-        table: ProgramTimingTable, local: int
-    ) -> tuple[int, ...]:
-        digits: list[int] = []
-        for t in reversed(table.kernels):
-            local, d = divmod(local, len(t))
-            digits.append(d)
-        return tuple(reversed(digits))
-
     # ------------------------------------------------------------------
     def search(
         self,
-        pool: Sequence[ProgramConfig] = (),
-        evaluate_batch: Callable[[Sequence[ProgramConfig]], list[float]] | None = None,
-        wall_seconds: Callable[[], float] | None = None,
         telemetry: SearchTelemetry | None = None,
         checkpointer: SearchCheckpointer | None = None,
     ) -> SearchResult:
-        """Optimize over the tables; ``pool``/``evaluate_batch`` are unused.
+        """Optimize over the tables: no pool, no evaluator.
 
-        (They are accepted so this searcher is call-compatible with the
-        others; the tables already contain every point's objective.)
         With a checkpointer, state is saved after each variant's argmin and
         an interrupted sweep resumes at the first unprocessed variant.
         """

@@ -32,9 +32,6 @@ class BatchRecord:
     batch_size: int
     #: model evaluations spent on this batch
     evaluations: int
-    #: always 0 (nothing is memoized per point); kept so saved checkpoints
-    #: and stored results keep their layout
-    cache_hits: int
     #: best objective (seconds) over everything evaluated so far
     best_so_far: float
     #: real wall-clock seconds spent (re)fitting the surrogate, 0 for
@@ -98,7 +95,6 @@ class SearchTelemetry:
             batch_index=len(self.records),
             batch_size=batch_size,
             evaluations=evals,
-            cache_hits=0,
             best_so_far=float(best_so_far),
             fit_seconds=float(fit_seconds),
             simulated_wall_seconds=wall,
@@ -138,8 +134,16 @@ class SearchTelemetry:
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
-        """Checkpointable state: the records plus the counter snapshot."""
-        return {"records": self.as_dicts(), "last": dict(self._last)}
+        """Checkpointable state: the records plus the counter snapshot.
+
+        Saved records keep the key of the retired, always-zero
+        ``cache_hits`` field at 0: the state layout, and every digest
+        pinned over it, stay what they have been since the format began.
+        """
+        return {
+            "records": [{**r, "cache_hits": 0} for r in self.as_dicts()],
+            "last": dict(self._last),
+        }
 
     def restore_state(self, state: dict[str, object]) -> None:
         """Restore :meth:`snapshot_state` output (for search resume).
@@ -151,9 +155,13 @@ class SearchTelemetry:
         own counter record) — diffing the first post-resume batch against
         the stale snapshot produced negative or double-counted deltas.
         Without a provider the persisted snapshot is the only baseline
-        available, so it is kept as saved.
+        available, so it is kept as saved.  The saved records' retired
+        ``cache_hits`` key is dropped.
         """
-        self.records = [BatchRecord(**r) for r in state.get("records", [])]
+        self.records = [
+            BatchRecord(**{k: v for k, v in r.items() if k != "cache_hits"})
+            for r in state.get("records", [])
+        ]
         if self._counters is not None:
             self._last = self._snapshot()
         else:
@@ -192,7 +200,6 @@ class SearchTelemetry:
                         batch_index=record.batch_index,
                         batch_size=record.batch_size,
                         evaluations=record.evaluations,
-                        cache_hits=record.cache_hits,
                         best_so_far=running_best,
                         fit_seconds=record.fit_seconds,
                         simulated_wall_seconds=base_wall

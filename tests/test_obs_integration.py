@@ -31,11 +31,24 @@ REQUIRED_SPANS = {
     "octopi.fusion",
     "tcr.decision",
     "space.pool",
-    "table.build",
     "search.run",
     "search.fit",
     "search.batch",
     "eval.batch",
+    "checkpoint.save",
+}
+
+#: The phases of a checkpointed CLI ``--sweep`` run, the only user of the
+#: timing tables: they stand in for the pool, the forest and the rig.
+SWEEP_SPANS = {
+    "tune.run",
+    "dsl.parse",
+    "octopi.variants",
+    "octopi.fusion",
+    "tcr.decision",
+    "table.build",
+    "search.run",
+    "search.batch",
     "checkpoint.save",
 }
 
@@ -46,7 +59,9 @@ def _tuner(**kw):
     return Autotuner(GTX980, **defaults)
 
 
-def _cli_tune(tmp_path: pathlib.Path, tag: str) -> tuple[pathlib.Path, pathlib.Path]:
+def _cli_tune(
+    tmp_path: pathlib.Path, tag: str, *flags: str
+) -> tuple[pathlib.Path, pathlib.Path]:
     """Run a checkpointed, traced CLI tune; return (trace, checkpoint dir)."""
     dsl = tmp_path / f"mm_{tag}.oct"
     dsl.write_text(DSL)
@@ -55,7 +70,7 @@ def _cli_tune(tmp_path: pathlib.Path, tag: str) -> tuple[pathlib.Path, pathlib.P
     code = main(
         [
             "tune", str(dsl),
-            "--evals", "10", "--pool", "100", "--seed", "3", "--fast-model",
+            "--evals", "10", "--pool", "100", "--seed", "3", *flags,
             "--trace", str(trace), "--checkpoint-dir", str(ck),
         ]
     )
@@ -87,6 +102,8 @@ class TestPhaseCoverage:
         assert REQUIRED_SPANS <= names, (
             f"missing spans: {sorted(REQUIRED_SPANS - names)}"
         )
+        # The rig scores every point on the model: no timing tables.
+        assert "table.build" not in names
         # The CLI parses the workload before the tuner starts, so the trace
         # has exactly two top-level spans: dsl.parse then the tune.run root
         # everything else nests under.
@@ -97,6 +114,14 @@ class TestPhaseCoverage:
         # eval.batch carries the unified telemetry counters.
         batch = next(e for e in events if e["name"] == "eval.batch")
         assert "evaluations" in batch["args"]
+
+    def test_cli_sweep_trace_covers_the_table_build(self, tmp_path):
+        trace, _ = _cli_tune(tmp_path, "sweep", "--sweep")
+        names = {e["name"] for e in json.loads(trace.read_text())["traceEvents"]}
+        assert SWEEP_SPANS <= names, (
+            f"missing spans: {sorted(SWEEP_SPANS - names)}"
+        )
+        assert not {"space.pool", "search.fit", "eval.batch"} & names
 
     def test_fit_spans_record_the_forest_shape(self, mttkrp):
         tracer = Tracer()

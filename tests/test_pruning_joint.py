@@ -164,3 +164,24 @@ class TestJoint:
         assert pruned.pool_size <= plain.pool_size
         # Pruning should not cost much tuned quality.
         assert pruned.seconds <= plain.seconds * 1.5
+
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_rig_and_searcher_settings_reach_the_search(self, prune):
+        # Lanes, faults and the acquisition rule change a pruned run the
+        # way they change an unpruned one: both run on the tuner's rig.
+        p3, p3t = lg3(8, 32).program, lg3t(8, 32, output_name="w").program
+
+        def run(**setting):
+            tuner = Autotuner(
+                K20, max_evaluations=20, batch_size=5, pool_size=300, seed=5,
+                **setting,
+            )
+            return tune_jointly(tuner, "ax", [p3, p3t], prune=prune)
+
+        plain = run()
+        lanes = run(batch_parallelism=4)
+        assert lanes.search.history == plain.search.history
+        assert lanes.search_seconds < plain.search_seconds
+        totals = run(faults="0.3").search.telemetry.totals()
+        assert totals["transient"] + totals["permanent"] > 0
+        assert run(acquisition="lcb").search.history != plain.search.history

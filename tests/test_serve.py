@@ -52,9 +52,9 @@ class TestStoreKey:
         )
 
     def test_from_manifest_ignores_result_neutral_settings(self, two_op_program):
-        # Only keyed settings enter the key: recorded ones, and names the
-        # declaration no longer has (a manifest written before "workers",
-        # "sweep_full", "elastic" and "search_workers" were deleted), leave
+        # Only keyed settings enter the key: names the declaration no
+        # longer has (a manifest written before "fast_model", "workers",
+        # "sweep_full", "elastic" and "search_workers" were deleted) leave
         # the address alone.
         manifest = Autotuner(GTX980, seed=0).run_manifest("m", [two_op_program])
         base = StoreKey.from_manifest(manifest)

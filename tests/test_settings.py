@@ -1,8 +1,7 @@
 """Tests for the TuneSettings declaration: one place decides what a setting changes.
 
-The test driven by the declaration walks every field: each ``recorded``
-and ``runtime`` setting at a non-default value must reproduce the default
-run bit for bit — champion, history, best objective, simulated search
+The test driven by the declaration walks every field: each ``runtime``
+setting at a non-default value must reproduce the default run bit for bit — champion, history, best objective, simulated search
 seconds — under the same result-store digest, and each ``keyed`` setting
 at a non-default value must change the digest.
 """
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.autotune import Autotuner
-from repro.autotune.settings import KEYED, KEYED_SETTINGS, TuneSettings
+from repro.autotune.settings import KEYED, KEYED_SETTINGS, RUNTIME, TuneSettings
 from repro.core.pipeline import compile_contraction
 from repro.dsl.parser import parse_contraction
 from repro.errors import CheckpointError
@@ -33,7 +32,6 @@ BASE = dict(max_evaluations=12, batch_size=4, pool_size=60, seed=3)
 
 #: A cheap non-default value for every setting that is not keyed.
 NOT_KEYED = {
-    "fast_model": lambda tmp: {"fast_model": True},
     "checkpoint_dir": lambda tmp: {"checkpoint_dir": tmp / "ck"},
     "resume": lambda tmp: {"checkpoint_dir": tmp / "ck", "resume": True},
     "trace": lambda tmp: {"trace": tmp / "trace" / "out.trace"},
@@ -118,6 +116,11 @@ def _roles() -> dict[str, str]:
 
 
 class TestDeclaration:
+    def test_two_roles(self):
+        # A setting either changes results (and keys them) or only says
+        # where state lives and how the run is observed.
+        assert set(_roles().values()) == {KEYED, RUNTIME}
+
     def test_every_setting_has_a_test_value(self):
         keyed = {name for name, role in _roles().items() if role == KEYED}
         assert keyed == set(KEYED_VALUES)
@@ -143,13 +146,13 @@ class TestDeclaration:
                 assert hit.search.telemetry.totals()["evaluations"] == 0
                 assert _outcome(hit) == reference
 
-    def test_store_written_under_recorded_settings_serves_default_request(
+    def test_store_written_under_runtime_settings_serves_default_run(
         self, two_op_program, tmp_path
     ):
         root = tmp_path / "rs"
         written = Autotuner(
-            GTX980, **BASE, result_store=root, fast_model=True,
-            checkpoint_dir=tmp_path / "ck",
+            GTX980, **BASE, result_store=root,
+            checkpoint_dir=tmp_path / "ck", trace=tmp_path / "t" / "out.trace",
         ).tune_program(two_op_program)
         served = Autotuner(GTX980, **BASE, result_store=root).tune_program(
             two_op_program
@@ -214,6 +217,7 @@ class TestKeywordsAndEnvironment:
             {"resilient": True},
             {"max_retries": 3},
             {"search_workers": 2},
+            {"fast_model": True},
         ],
     )
     def test_deleted_keywords_rejected(self, knob):
@@ -239,7 +243,6 @@ class TestKeywordsAndEnvironment:
         monkeypatch.setenv("REPRO_SPOOL", "spool")
         settings = TuneSettings()
         assert not hasattr(settings, "search_workers")
-        assert settings.fast_model is False
         assert not settings.faults.any()
         assert not hasattr(settings, "spool")
         assert not hasattr(settings, "cache")

@@ -1,14 +1,15 @@
-"""Timing tables, the evaluator fast path, and the separable sweep.
+"""Timing tables and the separable sweep that reads them.
 
 The contract under test is *exact* parity: every number the vectorized
 layer produces must be bitwise equal to the scalar model's — not close,
-equal — so the fast paths can replace the scalar paths anywhere without
-changing a single search decision.
+equal — so the sweep's optimum is the one an exhaustive search on the
+evaluator would find.
 """
 
 from __future__ import annotations
 
-import pickle
+import itertools
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from repro.gpusim.arch import C2050, GTX980, K20
 from repro.gpusim.kernel import build_launch, build_launch_cached
 from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.gpusim.timing_table import KernelTimingTable, ProgramTimingTable
-from repro.surf.evaluator import PENALTY_SECONDS, ConfigurationEvaluator
+from repro.surf.evaluator import ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
 from repro.surf.separable import SeparableExhaustiveSearch
 from repro.surf.telemetry import SearchTelemetry
@@ -67,6 +68,12 @@ def _two_red_program(dims: dict[str, int]) -> TCRProgram:
             )
         ],
     )
+
+
+def _positions(space) -> Iterator[tuple[int, ...]]:
+    """Per-kernel table positions of every configuration of ``space``, in
+    ``config_at`` order (the last kernel varies fastest)."""
+    return itertools.product(*(range(len(ks)) for ks in space.kernel_spaces))
 
 
 def _big_elemwise() -> TCRProgram:
@@ -187,31 +194,15 @@ class TestTTGTTableParity:
         model = GPUPerformanceModel(GTX980)
         space = decide_search_space(program, backend="ttgt")
         table = ProgramTimingTable.build(model, program, space)
-        for g in range(space.size()):
+        for g, ids in enumerate(_positions(space)):
             cfg = space.config_at(g)
-            ids = table.lookup(cfg)
+            assert table.config_for(ids).kernels == cfg.kernels
             timing = model.program_timing(program, cfg)
             assert table.total_seconds(ids) == timing.total_s
             assert (
                 table.total_seconds(ids, include_transfer=False)
                 == timing.kernel_s
             )
-
-    def test_evaluator_fast_path_bitwise(self):
-        program = _ttgt_program({"b": 4, "i": 4, "j": 4, "k": 4})
-        model = GPUPerformanceModel(K20)
-        space = decide_search_space(program, backend="ttgt")
-        tuning = TuningSpace([space])
-        table = ProgramTimingTable.build(model, program, space)
-        scalar = ConfigurationEvaluator([program], model, noisy=False)
-        fast = ConfigurationEvaluator(
-            [program], model, noisy=False, tables=[table]
-        )
-        for cfg in tuning.enumerate_all():
-            a = scalar.evaluate_one(cfg)
-            b = fast.evaluate_one(cfg)
-            assert a.value == b.value
-            assert a.wall == b.wall
 
     def test_auto_program_total_is_min_of_fixed_backends(self):
         """Under the separable sweep, auto == min(loopnest, ttgt) exactly."""
@@ -234,9 +225,11 @@ class TestProgramTableParity:
         model = GPUPerformanceModel(GTX980)
         space = decide_search_space(two_op_program)
         table = ProgramTimingTable.build(model, two_op_program, space)
-        for g in range(space.size()):
+        for g, ids in enumerate(_positions(space)):
             cfg = space.config_at(g)
-            ids = table.lookup(cfg)
+            # The sweep's decode of a position: the same point, same place.
+            assert table.config_for(ids).kernels == cfg.kernels
+            assert table.local_index(ids) == g
             timing = model.program_timing(two_op_program, cfg)
             assert table.total_seconds(ids) == timing.total_s
             assert table.total_seconds(ids, include_transfer=False) == timing.kernel_s
@@ -244,90 +237,14 @@ class TestProgramTableParity:
                 two_op_program, cfg
             )
 
-    def test_full_totals_matches_per_point_lookup(self, two_op_program):
-        model = GPUPerformanceModel(K20)
-        space = decide_search_space(two_op_program, permute_serial=True)
-        table = ProgramTimingTable.build(model, two_op_program, space)
-        for include in (True, False):
-            swept = table.full_totals(include_transfer=include)
-            assert len(swept) == space.size()
-            for g in range(space.size()):
-                ids = table.lookup(space.config_at(g))
-                assert swept[g] == table.total_seconds(ids, include_transfer=include)
-
     def test_argmin_matches_enumeration(self, two_op_program):
         model = GPUPerformanceModel(GTX980)
         space = decide_search_space(two_op_program, permute_serial=True)
         table = ProgramTimingTable.build(model, two_op_program, space)
-        swept = table.full_totals()
+        swept = [table.total_seconds(ids) for ids in _positions(space)]
         ids, val = table.argmin()
         assert table.local_index(ids) == int(np.argmin(swept))
-        assert val == float(np.min(swept))
-
-    def test_pickle_roundtrip_preserves_lookups(self, two_op_program):
-        model = GPUPerformanceModel(GTX980)
-        space = decide_search_space(two_op_program)
-        table = ProgramTimingTable.build(model, two_op_program, space)
-        cfg = space.config_at(3)
-        _ = table.lookup(cfg)  # populate the identity maps before pickling
-        clone = pickle.loads(pickle.dumps(table))
-        # Cached identity maps must not cross the pickle boundary (their
-        # keys are process-local object addresses).
-        assert "_identity_maps" not in clone.__dict__
-        assert clone.lookup(cfg) == table.lookup(cfg)
-        assert clone.total_seconds(clone.lookup(cfg)) == table.total_seconds(
-            table.lookup(cfg)
-        )
-
-
-class TestEvaluatorFastPath:
-    @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("include_transfer", [False, True])
-    def test_bitwise_equal_to_scalar_path(self, noisy, include_transfer):
-        program = _two_red_program({"i": 4, "j": 2, "k": 8})
-        model = GPUPerformanceModel(GTX980)
-        space = decide_search_space(program, permute_serial=True)
-        tuning = TuningSpace([space])
-        table = ProgramTimingTable.build(model, program, space)
-        kwargs = dict(seed=11, noisy=noisy, include_transfer=include_transfer)
-        scalar = ConfigurationEvaluator([program], model, **kwargs)
-        fast = ConfigurationEvaluator([program], model, tables=[table], **kwargs)
-        for cfg in tuning.enumerate_all():
-            a = scalar.evaluate_one(cfg)
-            b = fast.evaluate_one(cfg)
-            assert a.value == b.value
-            assert a.wall == b.wall
-
-    def test_penalty_parity(self):
-        program = _big_elemwise()
-        model = GPUPerformanceModel(GTX980)
-        space = decide_search_space(program)
-        table = ProgramTimingTable.build(model, program, space)
-        scalar = ConfigurationEvaluator([program], model, noisy=False)
-        fast = ConfigurationEvaluator([program], model, noisy=False, tables=[table])
-        hit_penalty = 0
-        for g in range(space.size()):
-            cfg = space.config_at(g)
-            a = scalar.evaluate_one(cfg)
-            b = fast.evaluate_one(cfg)
-            assert a.value == b.value
-            assert a.wall == b.wall
-            if a.value == PENALTY_SECONDS:
-                hit_penalty += 1
-                assert a.wall == model.cal.compile_seconds
-        assert hit_penalty > 0
-
-    def test_batch_api_and_wall_accounting_match(self, two_op_program):
-        model = GPUPerformanceModel(GTX980)
-        space = decide_search_space(two_op_program)
-        tuning = TuningSpace([space])
-        pool = list(tuning.enumerate_all())
-        table = ProgramTimingTable.build(model, two_op_program, space)
-        scalar = ConfigurationEvaluator([two_op_program], model, seed=3)
-        fast = ConfigurationEvaluator([two_op_program], model, seed=3, tables=[table])
-        assert scalar.evaluate_batch(pool) == fast.evaluate_batch(pool)
-        assert scalar.simulated_wall_seconds == fast.simulated_wall_seconds
-        assert scalar.evaluation_count == fast.evaluation_count
+        assert val == min(swept)
 
 
 class TestSeparableSearch:
@@ -344,19 +261,21 @@ class TestSeparableSearch:
         ]
         return model, spaces, tuning, tables
 
-    @pytest.mark.parametrize("full_sweep", [False, True])
+    @pytest.mark.parametrize("include_transfer", [False, True])
     def test_matches_exhaustive_on_enumerable_space(
-        self, two_op_program, full_sweep
+        self, two_op_program, include_transfer
     ):
         programs = [two_op_program, two_op_program]
         model, _spaces, tuning, tables = self._tuning_setup(programs)
         pool = list(tuning.enumerate_all())
-        evaluator = ConfigurationEvaluator(programs, model, noisy=False)
+        evaluator = ConfigurationEvaluator(
+            programs, model, noisy=False, include_transfer=include_transfer
+        )
         exhaustive = ExhaustiveSearch(batch_size=16).search(
             pool, evaluator.evaluate_batch
         )
         separable = SeparableExhaustiveSearch(
-            tables, tuning_space=tuning, full_sweep=full_sweep
+            tables, include_transfer=include_transfer, tuning_space=tuning
         ).search()
         assert separable.best_objective == exhaustive.best_objective
         # Same winning point, including the dense global id (ProgramConfig
