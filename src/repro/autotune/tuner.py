@@ -387,13 +387,20 @@ class Autotuner:
         tuning_space = TuningSpace(spaces)
         if settings.searcher == "sweep":
             # The separable sweep reads the tables directly — no pool, no
-            # evaluator; it optimizes the noise-free modeled time.
+            # evaluator; it optimizes the noise-free modeled time.  The
+            # kernel tables an ``auto`` decision built come with its space.
             tables = []
             for p, s in zip(programs, spaces):
                 with tracer.span(
                     "table.build", category="table", program=p.name
-                ):
-                    tables.append(ProgramTimingTable.build(self.model, p, s))
+                ) as sp:
+                    table = ProgramTimingTable.build(self.model, p, s)
+                    if tracer.enabled:
+                        reused = sum(
+                            k is t for k, t in zip(table.kernels, s.tables)
+                        )
+                        sp.set(built=len(table.kernels) - reused, reused=reused)
+                tables.append(table)
             searcher = SeparableExhaustiveSearch(
                 tables,
                 include_transfer=settings.include_transfer,

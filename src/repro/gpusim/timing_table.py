@@ -24,12 +24,15 @@ distinct kernel timings.  This module exploits that separability:
     the per-kernel ``argmin`` in O(sum |Ki|) that the separable sweep
     (:mod:`repro.surf.separable`) reads the exact optimum from.  It
     serves only the sweep; the evaluator scores every point on the scalar
-    model.
+    model.  The tables a ``backend="auto"`` decision built to choose each
+    operation's lowering come with its space and are not built again.
 
 The deterministic wobble (``stable_uniform`` keyed on the configuration)
 is inherently scalar — one BLAKE2b hash per configuration — so it is
 precomputed once per table entry during the gather pass instead of being
-re-hashed on every model call.
+re-hashed on every model call.  A loop-nest family's hash state absorbs
+the shared :meth:`~repro.tcr.space.KernelConfig.family_prefix` once, and
+each configuration only adds its unroll digits.
 
 What the tables do *not* model: measurement noise (the sweep optimizes
 the noise-free modeled time) and the ``scalar_replacement=False`` /
@@ -41,6 +44,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -67,6 +72,9 @@ _B = 8  # bytes per double (matches perfmodel)
 
 #: Access-class codes for the vectorized memory model.
 _COALESCED, _BROADCAST, _STRIDED = 0, 1, 2
+
+#: What a configuration's family is: all of it but the unroll factor.
+_FAMILY_KEY = attrgetter("tx", "ty", "bx", "by", "serial_order")
 
 
 @dataclass(frozen=True)
@@ -118,93 +126,98 @@ class KernelTimingTable:
             return 1 if idx == ONE else dims[idx]
 
         # ------------------------------------------------------------------
-        # Gather pass: per-configuration integers.  Everything that does not
-        # depend on the unroll factor is shared by a "family" of
-        # configurations (same decomposition + serial order), so it is
-        # computed once per family and reused — the per-configuration work
-        # is a dict lookup, the unroll legality check, and the wobble hash.
+        # Gather pass.  A family is a run of consecutive configurations that
+        # differ only in the unroll factor (a KernelSpace lists each family
+        # as one run of its unroll factors).  Everything but the unroll
+        # legality and the wobble is a function of the family, so each run's
+        # integers are computed once and repeated over the run; a family
+        # met again later, out of order, is just computed again.
         # ------------------------------------------------------------------
-        family_cache: dict[tuple, tuple] = {}
-
-        def family(cfg: KernelConfig) -> tuple:
-            key = (cfg.tx, cfg.ty, cfg.bx, cfg.by, cfg.serial_order)
-            fam = family_cache.get(key)
-            if fam is None:
-                ok = cfg.tx != ONE
-                mapped = cfg.mapped
-                mapped_set = set(mapped)
-                if ok:
-                    if len(mapped_set) != len(mapped):
+        def family(cfg: KernelConfig) -> list[int]:
+            ok = cfg.tx != ONE
+            mapped = cfg.mapped
+            mapped_set = set(mapped)
+            if ok:
+                if len(mapped_set) != len(mapped):
+                    ok = False
+                elif any(i not in all_idx or i not in parallel for i in mapped):
+                    ok = False
+                else:
+                    expected = [i for i in serial_pool if i not in mapped_set]
+                    if sorted(cfg.serial_order) != sorted(expected):
                         ok = False
-                    elif any(i not in all_idx or i not in parallel for i in mapped):
-                        ok = False
-                    else:
-                        expected = [i for i in serial_pool if i not in mapped_set]
-                        if sorted(cfg.serial_order) != sorted(expected):
-                            ok = False
-                inner_red = 1
-                for idx in reversed(cfg.serial_order):
-                    if idx in red:
-                        inner_red = dims[idx]
-                        break
-                tpb = ext(cfg.tx) * ext(cfg.ty)
-                blocks = ext(cfg.bx) * ext(cfg.by)
-                sit = 1
-                for idx in cfg.serial_order:
-                    sit *= dims[idx]
-                grid = {cfg.bx, cfg.by}
-                inner = cfg.serial_order[-1] if cfg.serial_order else None
-                per_ref = []
-                for ref, _is_out in refs:
-                    txs = stride_of(ref, cfg.tx, dims)
-                    ins = stride_of(ref, inner, dims) if inner is not None else 0
-                    code = (
-                        _COALESCED if txs == 1
-                        else _BROADCAST if txs == 0
-                        else _STRIDED
-                    )
-                    reacc = 1
-                    for idx in dict.fromkeys(cfg.serial_order):
-                        if idx in ref.indices:
-                            reacc *= dims[idx]
-                    fp = _B
-                    for idx in ref.indices:
-                        if idx not in grid:
-                            fp *= dims[idx]
-                    per_ref.append((code, 0 <= ins <= 4, reacc, fp))
-                fam = (ok, inner_red, tpb, blocks, sit, len(cfg.serial_order), per_ref)
-                family_cache[key] = fam
-            return fam
+            inner_red = 1
+            for idx in reversed(cfg.serial_order):
+                if idx in red:
+                    inner_red = dims[idx]
+                    break
+            sit = 1
+            for idx in cfg.serial_order:
+                sit *= dims[idx]
+            row = [
+                ok,
+                inner_red,
+                ext(cfg.tx) * ext(cfg.ty),
+                ext(cfg.bx) * ext(cfg.by),
+                sit,
+                len(cfg.serial_order),
+            ]
+            grid = {cfg.bx, cfg.by}
+            inner = cfg.serial_order[-1] if cfg.serial_order else None
+            for ref, _is_out in refs:
+                txs = stride_of(ref, cfg.tx, dims)
+                ins = stride_of(ref, inner, dims) if inner is not None else 0
+                code = (
+                    _COALESCED if txs == 1
+                    else _BROADCAST if txs == 0
+                    else _STRIDED
+                )
+                reacc = 1
+                for idx in dict.fromkeys(cfg.serial_order):
+                    if idx in ref.indices:
+                        reacc *= dims[idx]
+                fp = _B
+                for idx in ref.indices:
+                    if idx not in grid:
+                        fp *= dims[idx]
+                row += (code, 0 <= ins <= 4, reacc, fp)
+            return row
 
-        ok_l = np.empty(n, dtype=bool)
-        tpb_l = np.empty(n, dtype=np.int64)
-        blocks_l = np.empty(n, dtype=np.int64)
-        sit_l = np.empty(n, dtype=np.int64)
-        nser_l = np.empty(n, dtype=np.int64)
-        unroll_l = np.empty(n, dtype=np.int64)
-        wob_l = np.empty(n, dtype=np.float64)
-        code_l = np.empty((n_refs, n), dtype=np.int64)
-        local_l = np.empty((n_refs, n), dtype=bool)
-        reacc_l = np.empty((n_refs, n), dtype=np.int64)
-        fp_l = np.empty((n_refs, n), dtype=np.int64)
-
-        for i, cfg in enumerate(configs):
-            ok, inner_red, tpb, blocks, sit, nser, per_ref = family(cfg)
-            u = cfg.unroll
-            if u < 1 or (inner_red == 1 and u != 1) or u > inner_red:
-                ok = False
-            ok_l[i] = ok
-            tpb_l[i] = tpb
-            blocks_l[i] = blocks
-            sit_l[i] = sit
-            nser_l[i] = nser
-            unroll_l[i] = u
-            wob_l[i] = wobble_key.uniform(cfg.describe())
-            for r, (code, inner_local, reacc, fp) in enumerate(per_ref):
-                code_l[r, i] = code
-                local_l[r, i] = inner_local
-                reacc_l[r, i] = reacc
-                fp_l[r, i] = fp
+        rows: list[list[int]] = []
+        lengths: list[int] = []
+        wobs: list[float] = []
+        for _key, run in groupby(configs, _FAMILY_KEY):
+            run = tuple(run)
+            rows.append(family(run[0]))
+            lengths.append(len(run))
+            wobs += wobble_key.uniform_tails(
+                run[0].family_prefix(), [str(cfg.unroll) for cfg in run]
+            )
+        # One row per family field (6 scalars, then 4 per reference), one
+        # column per configuration.
+        fam = np.repeat(
+            np.array(rows, dtype=np.int64).reshape(len(rows), 6 + 4 * n_refs).T,
+            lengths,
+            axis=1,
+        )
+        unroll_l = np.fromiter(
+            map(attrgetter("unroll"), configs), dtype=np.int64, count=n
+        )
+        inner_red_l = fam[1]
+        # build_launch's unroll rule: 1 <= unroll <= the inner reduction
+        # trip, and exactly 1 without a reduction loop inside.
+        ok_l = (
+            (fam[0] != 0)
+            & (unroll_l >= 1)
+            & ((inner_red_l != 1) | (unroll_l == 1))
+            & (unroll_l <= inner_red_l)
+        )
+        tpb_l, blocks_l, sit_l, nser_l = fam[2], fam[3], fam[4], fam[5]
+        code_l = fam[6::4]
+        local_l = fam[7::4] != 0
+        reacc_l = fam[8::4]
+        fp_l = fam[9::4]
+        wob_l = np.array(wobs, dtype=np.float64)
 
         # ------------------------------------------------------------------
         # Occupancy (perfmodel.occupancy): block slots, warp slots, registers.
@@ -439,12 +452,24 @@ class ProgramTimingTable:
         program: TCRProgram,
         space: ProgramSpace,
     ) -> "ProgramTimingTable":
-        kernels = tuple(
-            KernelTimingTable.build_ttgt(model, op, ks, program.dims)
-            if isinstance(ks, TTGTKernelSpace)
-            else KernelTimingTable.build(model, op, ks, program.dims)
-            for op, ks in zip(program.operations, space.kernel_spaces)
-        )
+        """Every kernel's table, plus the transfer costs.
+
+        A table the decision already built for ``space`` under this
+        ``model`` (:attr:`ProgramSpace.tables`) is taken as it is; every
+        other one is built here.
+        """
+        priced = space.priced_by is model and space.program is program
+        kernels = []
+        for k, (op, ks) in enumerate(zip(program.operations, space.kernel_spaces)):
+            table = space.tables[k] if priced else None
+            if table is None:
+                build = (
+                    KernelTimingTable.build_ttgt
+                    if isinstance(ks, TTGTKernelSpace)
+                    else KernelTimingTable.build
+                )
+                table = build(model, op, ks, program.dims)
+            kernels.append(table)
         h2d_elems, d2h_elems = program.transfer_elements()
         h2d, d2h = program_transfer_time(
             model.arch, h2d_elems, d2h_elems, h2d_calls=len(program.input_names)
@@ -452,7 +477,7 @@ class ProgramTimingTable:
         return cls(
             program=program,
             space=space,
-            kernels=kernels,
+            kernels=tuple(kernels),
             cal=model.cal,
             h2d_s=h2d,
             d2h_s=d2h,

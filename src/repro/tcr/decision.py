@@ -175,7 +175,9 @@ def _choose_backend_space(operation, loop_space, ttgt_space, dims, model):
     program objective ``auto`` can never lose to either fixed backend.
     Ties (and a loop-nest space with no valid configuration at all) go
     to TTGT only when it is strictly better / the only survivor;
-    otherwise the paper's loop-nest path wins.
+    otherwise the paper's loop-nest path wins.  Returns the chosen space,
+    its table (which the sweep then reads instead of rebuilding it) and
+    both minima.
     """
     # Local import: repro.gpusim.timing_table imports repro.tcr.space,
     # which would close a package-level cycle through repro.tcr.__init__.
@@ -185,10 +187,11 @@ def _choose_backend_space(operation, loop_space, ttgt_space, dims, model):
     ttgt_table = KernelTimingTable.build_ttgt(model, operation, ttgt_space, dims)
     best_ttgt = float(ttgt_table.totals.min())
     if not bool(loop_table.valid.any()):
-        return ttgt_space, float("inf"), best_ttgt
+        return ttgt_space, ttgt_table, float("inf"), best_ttgt
     best_loop = float(loop_table.totals.min())
-    chosen = ttgt_space if best_ttgt < best_loop else loop_space
-    return chosen, best_loop, best_ttgt
+    if best_ttgt < best_loop:
+        return ttgt_space, ttgt_table, best_loop, best_ttgt
+    return loop_space, loop_table, best_loop, best_ttgt
 
 
 def decide_search_space(
@@ -208,7 +211,9 @@ def decide_search_space(
       copies, outer products…) fall back to the loop-nest space.
     * ``"auto"`` — score both candidate spaces with ``model`` (a
       :class:`~repro.gpusim.perfmodel.GPUPerformanceModel`, required)
-      and keep the per-operation winner.
+      and keep the per-operation winner.  The winner's timing table
+      rides along in :attr:`ProgramSpace.tables`, so a sweep over the
+      space does not price it again.
     """
     if backend not in BACKENDS:
         raise SearchSpaceError(
@@ -229,7 +234,8 @@ def decide_search_space(
         program=program.name, variant=variant_index, backend=backend,
     ) as sp:
         spaces = []
-        for op in program.operations:
+        tables = [None] * len(program.operations)
+        for k, op in enumerate(program.operations):
             loop_space = decide_kernel_space(op, program.dims, permute_serial)
             if backend == "loopnest":
                 spaces.append(loop_space)
@@ -247,9 +253,10 @@ def decide_search_space(
             if backend == "ttgt":
                 spaces.append(ttgt_space)
                 continue
-            chosen, best_loop, best_ttgt = _choose_backend_space(
+            chosen, table, best_loop, best_ttgt = _choose_backend_space(
                 op, loop_space, ttgt_space, program.dims, model
             )
+            tables[k] = table
             if tracer.enabled:
                 tracer.event(
                     "tcr.backend_choice", category="tcr",
@@ -262,6 +269,8 @@ def decide_search_space(
             variant_index=variant_index,
             program=program,
             kernel_spaces=tuple(spaces),
+            tables=tuple(tables),
+            priced_by=model,
         )
         if tracer.enabled:
             sp.set(kernels=len(spaces), size=space.size())

@@ -21,7 +21,7 @@ module turns those candidate lists into enumerable, sampleable spaces:
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,12 +75,22 @@ class KernelConfig:
     def innermost_serial(self) -> str | None:
         return self.serial_order[-1] if self.serial_order else None
 
-    def describe(self) -> str:
+    def family_prefix(self) -> str:
+        """:meth:`describe` up to the unroll digits.
+
+        It is the same for every configuration of a *family* (the same
+        decomposition and serial order, any unroll factor), so the timing
+        tables hash it once per family; ``describe()`` is this prefix
+        followed by ``str(unroll)``.
+        """
         so = ",".join(self.serial_order) if self.serial_order else "-"
         return (
             f"thread=({self.tx},{self.ty}) block=({self.bx},{self.by}) "
-            f"serial=({so}) unroll={self.unroll}"
+            f"serial=({so}) unroll="
         )
+
+    def describe(self) -> str:
+        return f"{self.family_prefix()}{self.unroll}"
 
 
 @dataclass(frozen=True)
@@ -221,6 +231,8 @@ class KernelSpace:
 
     Parameters mirror the Orio annotation of Fig. 2(c): candidate lists for
     the four PERMUTE parameters, serial-order options, and unroll factors.
+    Unroll varies fastest, so each family (one decomposition and serial
+    order) is one run of ``unroll_factors`` in the enumeration.
     """
 
     def __init__(
@@ -254,7 +266,7 @@ class KernelSpace:
                 f"kernel space for {operation} is empty after the distinctness "
                 "constraint; candidate lists are inconsistent"
             )
-        self._index = {cfg: i for i, cfg in enumerate(self._configs)}
+        self._index: dict[KernelConfig, int] | None = None
         self._feature_tables: dict[str, object] | None = None
 
     def _enumerate(self, serial_orders_for) -> tuple[KernelConfig, ...]:
@@ -292,6 +304,8 @@ class KernelSpace:
         return self._configs[i]
 
     def index_of(self, config: KernelConfig) -> int:
+        if self._index is None:  # built on first use: no search reads it
+            self._index = {cfg: i for i, cfg in enumerate(self._configs)}
         try:
             return self._index[config]
         except KeyError:
@@ -351,7 +365,7 @@ class TTGTKernelSpace:
                 f"TTGT space for {operation} is empty; the operation should "
                 "have been ruled ineligible instead"
             )
-        self._index = {cfg: i for i, cfg in enumerate(self._configs)}
+        self._index: dict[TTGTConfig, int] | None = None
         self._feature_tables: dict[str, object] | None = None
 
     def __len__(self) -> int:
@@ -364,6 +378,8 @@ class TTGTKernelSpace:
         return self._configs[i]
 
     def index_of(self, config: TTGTConfig) -> int:
+        if self._index is None:  # built on first use: no search reads it
+            self._index = {cfg: i for i, cfg in enumerate(self._configs)}
         try:
             return self._index[config]
         except KeyError:
@@ -404,6 +420,14 @@ class ProgramSpace:
     variant_index: int
     program: TCRProgram
     kernel_spaces: tuple[KernelSpace | TTGTKernelSpace, ...]
+    #: Kernel timing tables the decision already built, by kernel position
+    #: (None where it built none): ``backend="auto"`` prices both
+    #: candidate spaces of a TTGT-eligible operation and keeps the chosen
+    #: one's table here.  ``priced_by`` is the performance model that
+    #: built them; ``ProgramTimingTable.build`` takes them only when given
+    #: that model and this space's program, and builds every other table.
+    tables: tuple = field(default=(), repr=False, compare=False)
+    priced_by: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.kernel_spaces) != len(self.program.operations):

@@ -19,6 +19,7 @@ all draw from seeded generators.  Two primitives cover every need:
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
@@ -99,6 +100,22 @@ class StableHashPrefix:
 
     def uniform(self, *suffix: Any) -> float:
         return self.hash(*suffix) / 2**64
+
+    def uniform_tails(self, head: str, tails: Iterable[str]) -> list[float]:
+        """``[self.uniform(head + tail) for tail in tails]``, bit for bit.
+
+        A string part is absorbed as its encoding and then the ``b"\\0"``
+        separator, so the encoding of ``head`` is absorbed once and each
+        tail only finishes a copy of that state.
+        """
+        h = self._state.copy()
+        h.update(_encode(head))
+        out = []
+        for tail in tails:
+            t = h.copy()
+            t.update(tail.encode("utf-8") + b"\x00")
+            out.append(int.from_bytes(t.digest(), "little") / 2**64)
+        return out
 
 
 def spawn_rng(seed: int, *parts: Any) -> np.random.Generator:

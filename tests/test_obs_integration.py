@@ -123,6 +123,18 @@ class TestPhaseCoverage:
         )
         assert not {"space.pool", "search.fit", "eval.batch"} & names
 
+    def test_cli_auto_sweep_trace_counts_the_reused_tables(self, tmp_path):
+        trace, _ = _cli_tune(tmp_path, "auto", "--sweep", "--backend", "auto")
+        events = json.loads(trace.read_text())["traceEvents"]
+        kernels = sum(
+            e["args"]["kernels"] for e in events if e["name"] == "tcr.decision"
+        )
+        builds = [e["args"] for e in events if e["name"] == "table.build"]
+        assert builds
+        # The matmul is TTGT-eligible: the decision priced its one kernel.
+        assert sum(b["built"] + b["reused"] for b in builds) == kernels
+        assert sum(b["reused"] for b in builds) >= 1
+
     def test_fit_spans_record_the_forest_shape(self, mttkrp):
         tracer = Tracer()
         with use_tracer(tracer):

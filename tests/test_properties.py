@@ -10,7 +10,7 @@ structural invariants of the enumeration, the spaces, and the surrogate.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.contraction import Contraction
 from repro.core.opcount import tree_operation_count
@@ -22,8 +22,8 @@ from repro.surf.binarize import FeatureBinarizer
 from repro.surf.forest import ExtraTreesRegressor
 from repro.tcr.decision import decide_search_space
 from repro.tcr.program import TCRProgram
-from repro.tcr.space import TuningSpace
-from repro.util.rng import spawn_rng, stable_hash
+from repro.tcr.space import ONE, KernelConfig, TuningSpace
+from repro.util.rng import StableHashPrefix, spawn_rng, stable_hash, stable_uniform
 
 # ----------------------------------------------------------------------
 # Random contraction generator
@@ -134,6 +134,22 @@ class TestMappingEquivalence:
             assert space.index_of(space.config_at(idx)) == idx
 
 
+_LOOPS = ("i", "j", "k", "l", "a1", "b22")
+
+
+@st.composite
+def kernel_families(draw) -> list[KernelConfig]:
+    """Configurations of one loop-nest family: any decomposition (``ONE``
+    allowed in the Y slots), any serial order (possibly empty), and
+    unroll factors up to two digits."""
+    loop = st.sampled_from(_LOOPS)
+    maybe_one = st.sampled_from(_LOOPS + (ONE,))
+    tx, ty, bx, by = draw(loop), draw(maybe_one), draw(maybe_one), draw(maybe_one)
+    serial = tuple(draw(st.lists(loop, max_size=3)))
+    unrolls = draw(st.lists(st.integers(1, 16), min_size=1, max_size=6))
+    return [KernelConfig(tx, ty, bx, by, serial, u) for u in unrolls]
+
+
 class TestHashingProperties:
     @given(st.lists(st.one_of(st.integers(), st.text(), st.floats(allow_nan=False)), max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -142,6 +158,21 @@ class TestHashingProperties:
         b = stable_hash(*parts)
         assert a == b
         assert 0 <= a < 2**64
+
+    @given(kernel_families(), st.sampled_from(("GTX 980", "Tesla K20")), st.text(max_size=12))
+    @example(
+        [KernelConfig("i", ONE, "j", ONE, (), u) for u in (1, 10, 16)],
+        "GTX 980", "Y[i j] = X[i j]",
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_family_prefix_hash_is_the_scalar_wobble(self, family, arch, op):
+        """The tables absorb a family's prefix once and finish each
+        configuration with its unroll digits: the scalar model's hash."""
+        tables = StableHashPrefix("kernel", arch, op).uniform_tails(
+            family[0].family_prefix(), [str(c.unroll) for c in family]
+        )
+        scalar = [stable_uniform("kernel", arch, op, c.describe()) for c in family]
+        assert tables == scalar
 
 
 class TestSurrogateProperties:

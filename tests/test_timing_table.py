@@ -9,11 +9,13 @@ evaluator would find.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterator
 
 import numpy as np
 import pytest
 
+from repro.autotune import Autotuner
 from repro.core.tensor import TensorRef
 from repro.errors import ConfigurationError
 from repro.gpusim.arch import C2050, GTX980, K20
@@ -26,8 +28,9 @@ from repro.surf.separable import SeparableExhaustiveSearch
 from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.decision import decide_search_space
 from repro.tcr.program import TCROperation, TCRProgram
-from repro.tcr.space import TuningSpace
+from repro.tcr.space import TTGTKernelSpace, TuningSpace
 from repro.util.rng import StableHashPrefix, stable_hash
+from repro.workloads import get_workload
 
 
 def _chain_program(dims: dict[str, int]) -> TCRProgram:
@@ -93,42 +96,75 @@ def _big_elemwise() -> TCRProgram:
     )
 
 
+def _parity_programs() -> list[TCRProgram]:
+    return [
+        _chain_program({"i": 4, "j": 4, "k": 4, "l": 4}),
+        _chain_program({"i": 16, "j": 8, "k": 24, "l": 2}),
+        # Heterogeneous reduction extents: with permuted serial orders
+        # some in-space unroll factors exceed the rotated inner trip,
+        # so validity handling is exercised too.
+        _two_red_program({"i": 4, "j": 2, "k": 8}),
+    ]
+
+
+def _assert_matches_scalar(model, op, configs, dims) -> int:
+    """Build a table over ``configs`` in their order; check every entry
+    bitwise against the scalar model.  Returns the invalid-entry count."""
+    table = KernelTimingTable.build(model, op, configs, dims)
+    invalid = 0
+    for i, cfg in enumerate(configs):
+        try:
+            ref = model.kernel_timing(build_launch(op, cfg, dims))
+        except ConfigurationError:
+            assert not table.valid[i]
+            assert table.totals[i] == float("inf")
+            invalid += 1
+            continue
+        assert table.valid[i]
+        assert table.totals[i] == ref.total_s
+        assert table.compute_s[i] == ref.compute_s
+        assert table.memory_s[i] == ref.memory_s
+        assert table.utilization[i] == ref.utilization
+        assert table.occupancy[i] == ref.occupancy
+    return invalid
+
+
 class TestKernelTableParity:
     """Table entries are bitwise equal to the scalar ``kernel_timing``."""
 
     @pytest.mark.parametrize("arch", [GTX980, K20, C2050], ids=lambda a: a.name)
     @pytest.mark.parametrize("permute", [False, True])
     def test_bitwise_equal_across_spaces(self, arch, permute):
-        programs = [
-            _chain_program({"i": 4, "j": 4, "k": 4, "l": 4}),
-            _chain_program({"i": 16, "j": 8, "k": 24, "l": 2}),
-            # Heterogeneous reduction extents: with permuted serial orders
-            # some in-space unroll factors exceed the rotated inner trip,
-            # so validity handling is exercised too.
-            _two_red_program({"i": 4, "j": 2, "k": 8}),
-        ]
         model = GPUPerformanceModel(arch)
         checked_invalid = 0
-        for program in programs:
+        for program in _parity_programs():
             space = decide_search_space(program, permute_serial=permute)
             for op, ks in zip(program.operations, space.kernel_spaces):
-                table = KernelTimingTable.build(model, op, tuple(ks), program.dims)
-                for i, cfg in enumerate(ks):
-                    try:
-                        ref = model.kernel_timing(build_launch(op, cfg, program.dims))
-                    except ConfigurationError:
-                        assert not table.valid[i]
-                        assert table.totals[i] == float("inf")
-                        checked_invalid += 1
-                        continue
-                    assert table.valid[i]
-                    assert table.totals[i] == ref.total_s
-                    assert table.compute_s[i] == ref.compute_s
-                    assert table.memory_s[i] == ref.memory_s
-                    assert table.utilization[i] == ref.utilization
-                    assert table.occupancy[i] == ref.occupancy
+                checked_invalid += _assert_matches_scalar(
+                    model, op, tuple(ks), program.dims
+                )
         if permute:
             assert checked_invalid > 0, "expected some unbuildable configs"
+
+    def test_shuffled_families_match_scalar(self):
+        """Out of space order, a family's unroll factors no longer sit in
+        one run: each run is a family of its own, priced as such."""
+        model = GPUPerformanceModel(K20)
+        rng = np.random.default_rng(11)
+        checked_invalid = split_families = 0
+        for program in _parity_programs():
+            space = decide_search_space(program, permute_serial=True)
+            for op, ks in zip(program.operations, space.kernel_spaces):
+                configs = list(ks)
+                rng.shuffle(configs)
+                prefixes = [c.family_prefix() for c in configs]
+                runs = 1 + sum(a != b for a, b in zip(prefixes, prefixes[1:]))
+                split_families += runs - len(set(prefixes))
+                checked_invalid += _assert_matches_scalar(
+                    model, op, configs, program.dims
+                )
+        assert split_families > 0, "expected families split into several runs"
+        assert checked_invalid > 0, "expected some unbuildable configs"
 
     def test_penalty_configs_from_oversized_blocks(self):
         program = _big_elemwise()
@@ -218,6 +254,52 @@ class TestTTGTTableParity:
                 table = ProgramTimingTable.build(model, program, space)
                 best[backend] = sum(k.totals.min() for k in table.kernels)
             assert best["auto"] == min(best["loopnest"], best["ttgt"])
+
+
+class TestDecisionTablesFeedTheSweep:
+    """The tables an ``auto`` decision builds to choose each operation's
+    lowering are the sweep's: a tune prices each candidate space once."""
+
+    def test_sweep_auto_prices_each_candidate_space_once(self, monkeypatch):
+        priced = []  # the spaces themselves: no id is reused mid-call
+        for name in ("build", "build_ttgt"):
+            original = getattr(KernelTimingTable, name).__func__
+
+            def counting(cls, model, op, configs, dims, _original=original):
+                priced.append(configs)
+                return _original(cls, model, op, configs, dims)
+
+            monkeypatch.setattr(KernelTimingTable, name, classmethod(counting))
+        tuner = Autotuner(GTX980, searcher="sweep", backend="auto")
+        get_workload("tce_ex").tune(tuner)
+        # Three variants of two operations: two variants' operations are
+        # TTGT-eligible (two candidate spaces each), the third's are not.
+        assert len(priced) == 10
+        counts = Counter(id(ks) for ks in priced)
+        assert sorted(counts.values()) == [1] * 10
+
+    def test_reused_only_under_the_deciding_model(self):
+        program = _ttgt_program({"b": 4, "i": 4, "j": 4, "k": 4})
+        gtx, k20 = GPUPerformanceModel(GTX980), GPUPerformanceModel(K20)
+        space = decide_search_space(program, backend="auto", model=gtx)
+        [decided] = space.tables
+        assert decided is not None
+        assert ProgramTimingTable.build(gtx, program, space).kernels == (decided,)
+        [other] = ProgramTimingTable.build(k20, program, space).kernels
+        op, [ks] = program.operations[0], space.kernel_spaces
+        build = (
+            KernelTimingTable.build_ttgt
+            if isinstance(ks, TTGTKernelSpace)
+            else KernelTimingTable.build
+        )
+        fresh = build(k20, op, ks, program.dims)
+        assert other is not decided
+        assert other.totals.tobytes() == fresh.totals.tobytes()
+        # A space the decision did not price: every build builds.
+        fixed = decide_search_space(program, backend="ttgt", model=gtx)
+        assert fixed.tables == (None,)
+        first = ProgramTimingTable.build(gtx, program, fixed).kernels[0]
+        assert ProgramTimingTable.build(gtx, program, fixed).kernels[0] is not first
 
 
 class TestProgramTableParity:
