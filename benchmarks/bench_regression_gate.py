@@ -20,9 +20,11 @@ CI usage (fails with exit 1 on a >20% speedup drop of any entry)::
     PYTHONPATH=src python benchmarks/bench_regression_gate.py \
         --json benchmarks/output/BENCH_tables.json
 
-Refresh a committed baseline after an intentional perf change::
+Refresh the committed baselines after an intentional perf change (every
+entry, or only the named ones)::
 
     PYTHONPATH=src python benchmarks/bench_regression_gate.py --update
+    PYTHONPATH=src python benchmarks/bench_regression_gate.py --update loopnest
 """
 
 from __future__ import annotations
@@ -105,6 +107,9 @@ def _gate_tables(args, baseline_path, json_path) -> int:
     own pool size and against its own ratio."""
     baseline_all = _load_baseline(baseline_path)
     entries = baseline_all["entries"]
+    unknown = set(args.update or ()) - {entry["name"] for entry in entries}
+    if unknown:
+        raise SystemExit(f"FAIL: no baseline entry named {sorted(unknown)}")
     results = []
     for entry in entries:
         case = TABLE_CASES[entry["name"]]
@@ -123,15 +128,20 @@ def _gate_tables(args, baseline_path, json_path) -> int:
             {"name": entry["name"], **result, "tolerance": args.tolerance}
         )
 
-    if args.update:
-        baseline_all["entries"] = results
+    if args.update is not None:
+        names = set(args.update) or {entry["name"] for entry in entries}
+        baseline_all["entries"] = [
+            result if entry["name"] in names else entry
+            for entry, result in zip(entries, results)
+        ]
         _write(baseline_path, baseline_all)
         for result in results:
-            print(
-                f"baseline updated: {baseline_path} [{result['name']}] "
-                f"(speedup {result['speedup']:.1f}x on "
-                f"{result['configs']} configs)"
-            )
+            if result["name"] in names:
+                print(
+                    f"baseline updated: {baseline_path} [{result['name']}] "
+                    f"(speedup {result['speedup']:.1f}x on "
+                    f"{result['configs']} configs)"
+                )
         return 0
 
     passed = [
@@ -161,9 +171,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="committed baseline record to compare against")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the fresh measurement record to PATH")
-    parser.add_argument("--update", action="store_true",
+    parser.add_argument("--update", nargs="*", default=None, metavar="NAME",
                         help="write the fresh measurement as the new baseline "
-                        "instead of gating against the old one")
+                        "of the named entries (all without a name) instead "
+                        "of gating against the old one")
     args = parser.parse_args(argv)
     return _gate_tables(
         args,

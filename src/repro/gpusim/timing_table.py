@@ -11,7 +11,9 @@ distinct kernel timings.  This module exploits that separability:
 
 ``KernelTimingTable``
     All of one kernel's per-configuration timings, computed in a single
-    numpy pass over the kernel space.  The arithmetic mirrors
+    numpy pass over the kernel space: a loop-nest space is priced family
+    by family (families × unroll factors), never configuration by
+    configuration.  The arithmetic mirrors
     ``GPUPerformanceModel`` operation for operation (same association
     order, same int-to-float conversion points), so table entries are
     **bitwise equal** to ``kernel_timing(...).total_s`` — a guarantee the
@@ -31,7 +33,7 @@ The deterministic wobble (``stable_uniform`` keyed on the configuration)
 is inherently scalar — one BLAKE2b hash per configuration — so it is
 precomputed once per table entry during the gather pass instead of being
 re-hashed on every model call.  A loop-nest family's hash state absorbs
-the shared :meth:`~repro.tcr.space.KernelConfig.family_prefix` once, and
+the shared :meth:`~repro.tcr.space.KernelFamily.family_prefix` once, and
 each configuration only adds its unroll digits.
 
 What the tables do *not* model: measurement noise (the sweep optimizes
@@ -44,8 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -58,7 +58,8 @@ from repro.tcr.memory import stride_of
 from repro.tcr.program import TCROperation, TCRProgram
 from repro.tcr.space import (
     ONE,
-    KernelConfig,
+    KernelFamily,
+    KernelSpace,
     ProgramConfig,
     ProgramSpace,
     TTGTKernelSpace,
@@ -73,23 +74,20 @@ _B = 8  # bytes per double (matches perfmodel)
 #: Access-class codes for the vectorized memory model.
 _COALESCED, _BROADCAST, _STRIDED = 0, 1, 2
 
-#: What a configuration's family is: all of it but the unroll factor.
-_FAMILY_KEY = attrgetter("tx", "ty", "bx", "by", "serial_order")
-
 
 @dataclass(frozen=True)
 class KernelTimingTable:
     """All per-configuration timings of one kernel, as flat numpy vectors.
 
     ``totals[i]`` is bitwise equal to
-    ``model.kernel_timing(build_launch(operation, configs[i], dims)).total_s``
+    ``model.kernel_timing(build_launch(operation, space[i], dims)).total_s``
     when configuration ``i`` is buildable, and ``+inf`` (with
     ``valid[i] == False``) when the scalar path would raise
     :class:`~repro.errors.ConfigurationError`.
     """
 
     operation: TCROperation
-    configs: tuple[KernelConfig, ...]
+    space: KernelSpace | TTGTKernelSpace
     flops: int
     totals: np.ndarray
     valid: np.ndarray
@@ -99,24 +97,22 @@ class KernelTimingTable:
     occupancy: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.space)
 
     @classmethod
     def build(
         cls,
         model: GPUPerformanceModel,
         operation: TCROperation,
-        configs: Sequence[KernelConfig],
+        space: KernelSpace,
         dims: Mapping[str, int],
     ) -> "KernelTimingTable":
         """Compute every configuration's timing in one vectorized pass."""
         arch, cal = model.arch, model.cal
-        configs = tuple(configs)
-        n = len(configs)
+        families, unrolls = space.families, space.unroll_factors
+        n = len(families) * len(unrolls)
         refs = [(r, False) for r in operation.inputs] + [(operation.output, True)]
-        n_refs = len(refs)
         parallel = set(operation.parallel_indices)
-        all_idx = set(operation.all_indices)
         red = set(operation.reduction_indices)
         serial_pool = operation.output.indices + operation.reduction_indices
         wobble_key = StableHashPrefix("kernel", arch.name, str(operation))
@@ -126,46 +122,38 @@ class KernelTimingTable:
             return 1 if idx == ONE else dims[idx]
 
         # ------------------------------------------------------------------
-        # Gather pass.  A family is a run of consecutive configurations that
-        # differ only in the unroll factor (a KernelSpace lists each family
-        # as one run of its unroll factors).  Everything but the unroll
-        # legality and the wobble is a function of the family, so each run's
-        # integers are computed once and repeated over the run; a family
-        # met again later, out of order, is just computed again.
+        # Gather pass.  The space is its families times its unroll factors,
+        # unroll varying fastest.  Everything but the unroll legality and
+        # the wobble is a function of the family, so each family's integers
+        # are computed once and repeated over the unroll factors.
         # ------------------------------------------------------------------
-        def family(cfg: KernelConfig) -> list[int]:
-            ok = cfg.tx != ONE
-            mapped = cfg.mapped
-            mapped_set = set(mapped)
-            if ok:
-                if len(mapped_set) != len(mapped):
-                    ok = False
-                elif any(i not in all_idx or i not in parallel for i in mapped):
-                    ok = False
-                else:
-                    expected = [i for i in serial_pool if i not in mapped_set]
-                    if sorted(cfg.serial_order) != sorted(expected):
-                        ok = False
+        def family_row(family: KernelFamily) -> list[int]:
+            # build_launch's legality: a KernelSpace's families already map
+            # ThreadX to a loop and never repeat one.
+            mapped = family.mapped
+            ok = set(mapped) <= parallel and sorted(family.serial_order) == sorted(
+                i for i in serial_pool if i not in mapped
+            )
             inner_red = 1
-            for idx in reversed(cfg.serial_order):
+            for idx in reversed(family.serial_order):
                 if idx in red:
                     inner_red = dims[idx]
                     break
             sit = 1
-            for idx in cfg.serial_order:
+            for idx in family.serial_order:
                 sit *= dims[idx]
             row = [
                 ok,
                 inner_red,
-                ext(cfg.tx) * ext(cfg.ty),
-                ext(cfg.bx) * ext(cfg.by),
+                ext(family.tx) * ext(family.ty),
+                ext(family.bx) * ext(family.by),
                 sit,
-                len(cfg.serial_order),
+                len(family.serial_order),
             ]
-            grid = {cfg.bx, cfg.by}
-            inner = cfg.serial_order[-1] if cfg.serial_order else None
+            grid = {family.bx, family.by}
+            inner = family.serial_order[-1] if family.serial_order else None
             for ref, _is_out in refs:
-                txs = stride_of(ref, cfg.tx, dims)
+                txs = stride_of(ref, family.tx, dims)
                 ins = stride_of(ref, inner, dims) if inner is not None else 0
                 code = (
                     _COALESCED if txs == 1
@@ -173,7 +161,7 @@ class KernelTimingTable:
                     else _STRIDED
                 )
                 reacc = 1
-                for idx in dict.fromkeys(cfg.serial_order):
+                for idx in dict.fromkeys(family.serial_order):
                     if idx in ref.indices:
                         reacc *= dims[idx]
                 fp = _B
@@ -183,26 +171,18 @@ class KernelTimingTable:
                 row += (code, 0 <= ins <= 4, reacc, fp)
             return row
 
-        rows: list[list[int]] = []
-        lengths: list[int] = []
+        tails = [str(uf) for uf in unrolls]
         wobs: list[float] = []
-        for _key, run in groupby(configs, _FAMILY_KEY):
-            run = tuple(run)
-            rows.append(family(run[0]))
-            lengths.append(len(run))
-            wobs += wobble_key.uniform_tails(
-                run[0].family_prefix(), [str(cfg.unroll) for cfg in run]
-            )
+        for f in families:
+            wobs += wobble_key.uniform_tails(f.family_prefix(), tails)
         # One row per family field (6 scalars, then 4 per reference), one
         # column per configuration.
         fam = np.repeat(
-            np.array(rows, dtype=np.int64).reshape(len(rows), 6 + 4 * n_refs).T,
-            lengths,
+            np.array([family_row(f) for f in families], dtype=np.int64).T,
+            len(unrolls),
             axis=1,
         )
-        unroll_l = np.fromiter(
-            map(attrgetter("unroll"), configs), dtype=np.int64, count=n
-        )
+        unroll_l = np.tile(np.array(unrolls, dtype=np.int64), len(families))
         inner_red_l = fam[1]
         # build_launch's unroll rule: 1 <= unroll <= the inner reduction
         # trip, and exactly 1 without a reduction loop inside.
@@ -335,7 +315,7 @@ class KernelTimingTable:
 
         return cls(
             operation=operation,
-            configs=configs,
+            space=space,
             flops=flops,
             totals=totals,
             valid=valid,
@@ -350,7 +330,7 @@ class KernelTimingTable:
         cls,
         model: GPUPerformanceModel,
         operation: TCROperation,
-        configs: Sequence,
+        space: TTGTKernelSpace,
         dims: Mapping[str, int],
     ) -> "KernelTimingTable":
         """Vectorized TTGT scoring: one table row per TTGT configuration.
@@ -367,8 +347,7 @@ class KernelTimingTable:
         is enforced at enumeration time, so every row is valid.
         """
         arch, cal = model.arch, model.cal
-        configs = tuple(configs)
-        n = len(configs)
+        n = len(space)
         gcal = gemm_calibration(arch)
         tcal = transpose_calibration(arch)
         wobble_key = StableHashPrefix("ttgt", arch.name, str(operation))
@@ -383,7 +362,7 @@ class KernelTimingTable:
         slot_preserved = np.zeros((3, n), dtype=np.float64)
         slot_mask = np.zeros((3, n), dtype=bool)
         slot_of = {"A": 0, "B": 1, "C": 2}
-        for i, cfg in enumerate(configs):
+        for i, cfg in enumerate(space):
             plan = resolve_plan_cached(operation, cfg, dims)
             for j, value in enumerate(gemm_features(gcal, plan)):
                 feat[j, i] = value
@@ -416,7 +395,7 @@ class KernelTimingTable:
 
         return cls(
             operation=operation,
-            configs=configs,
+            space=space,
             flops=flops,
             totals=totals,
             valid=np.ones(n, dtype=bool),

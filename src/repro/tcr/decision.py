@@ -273,5 +273,9 @@ def decide_search_space(
             priced_by=model,
         )
         if tracer.enabled:
-            sp.set(kernels=len(spaces), size=space.size())
+            families = [ks.families for ks in spaces if isinstance(ks, KernelSpace)]
+            sp.set(
+                kernels=len(spaces), families=sum(map(len, families)),
+                size=space.size(),
+            )
     return space

@@ -8,8 +8,10 @@ a Y dimension), plus serial-loop-order and unroll-factor parameters.  This
 module turns those candidate lists into enumerable, sampleable spaces:
 
 ``KernelSpace``
-    All legal :class:`KernelConfig` points for one kernel (materialized —
-    per-kernel spaces are small, O(10^2..10^4)).
+    All legal :class:`KernelConfig` points for one kernel, held as a
+    product: its :class:`KernelFamily` list (decomposition and serial
+    order) times its unroll factors.  A configuration is built only when
+    a position is read.
 ``ProgramSpace``
     The cross product across a variant's kernels, addressed by mixed-radix
     global index so points can be sampled without enumeration.
@@ -30,6 +32,7 @@ from repro.tcr.program import TCROperation, TCRProgram
 
 __all__ = [
     "ONE",
+    "KernelFamily",
     "KernelConfig",
     "TTGTConfig",
     "ProgramConfig",
@@ -44,8 +47,9 @@ ONE = "1"
 
 
 @dataclass(frozen=True)
-class KernelConfig:
-    """One point of a kernel's parameter space.
+class KernelFamily:
+    """A loop-nest decomposition and serial order: the configurations of a
+    kernel that differ only in their unroll factor.
 
     Attributes
     ----------
@@ -55,8 +59,6 @@ class KernelConfig:
     serial_order:
         Execution order of the loops left inside each thread (unmapped
         parallel loops and all reduction loops), outermost first.
-    unroll:
-        Unroll factor applied to the innermost reduction loop (1 = none).
     """
 
     tx: str
@@ -64,7 +66,6 @@ class KernelConfig:
     bx: str
     by: str
     serial_order: tuple[str, ...]
-    unroll: int
 
     @property
     def mapped(self) -> tuple[str, ...]:
@@ -76,18 +77,37 @@ class KernelConfig:
         return self.serial_order[-1] if self.serial_order else None
 
     def family_prefix(self) -> str:
-        """:meth:`describe` up to the unroll digits.
+        """:meth:`KernelConfig.describe` up to the unroll digits.
 
-        It is the same for every configuration of a *family* (the same
-        decomposition and serial order, any unroll factor), so the timing
-        tables hash it once per family; ``describe()`` is this prefix
-        followed by ``str(unroll)``.
+        It is the same for every configuration of the family, so the
+        timing tables hash it once per family; ``describe()`` is this
+        prefix followed by ``str(unroll)``.
         """
         so = ",".join(self.serial_order) if self.serial_order else "-"
         return (
             f"thread=({self.tx},{self.ty}) block=({self.bx},{self.by}) "
             f"serial=({so}) unroll="
         )
+
+    def config(self, unroll: int) -> "KernelConfig":
+        """The family's configuration with this unroll factor."""
+        return KernelConfig(
+            self.tx, self.ty, self.bx, self.by, self.serial_order, unroll
+        )
+
+
+@dataclass(frozen=True)
+class KernelConfig(KernelFamily):
+    """One point of a kernel's parameter space: a family and an unroll
+    factor.
+
+    Attributes
+    ----------
+    unroll:
+        Unroll factor applied to the innermost reduction loop (1 = none).
+    """
+
+    unroll: int
 
     def describe(self) -> str:
         return f"{self.family_prefix()}{self.unroll}"
@@ -226,13 +246,37 @@ class ProgramConfig:
         return feats
 
 
+def _feature_tables(points, unroll: np.ndarray, repeat: int = 1) -> dict[str, object]:
+    """Columnar surrogate features of a kernel space, which the feature
+    pipeline gathers by kernel-space digit: ``(codes, vocab)`` per
+    categorical attribute (``vocab[codes[i]]`` is position ``i``'s value;
+    each point's code fills ``repeat`` positions) and the ``unroll`` values."""
+    def table(values: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+        vocab = tuple(sorted(set(values)))
+        index = {v: c for c, v in enumerate(vocab)}
+        codes = np.array([index[v] for v in values], dtype=np.int64)
+        return np.repeat(codes, repeat), vocab
+
+    return {
+        "tx": table([p.tx for p in points]),
+        "ty": table([p.ty for p in points]),
+        "bx": table([p.bx for p in points]),
+        "by": table([p.by for p in points]),
+        "inner": table([p.innermost_serial or "-" for p in points]),
+        "unroll": unroll,
+    }
+
+
 class KernelSpace:
-    """The legal configurations of one kernel, fully materialized.
+    """The legal configurations of one kernel: families × unroll factors.
 
     Parameters mirror the Orio annotation of Fig. 2(c): candidate lists for
     the four PERMUTE parameters, serial-order options, and unroll factors.
-    Unroll varies fastest, so each family (one decomposition and serial
-    order) is one run of ``unroll_factors`` in the enumeration.
+    The space is held as that product: ``families`` (one per legal
+    decomposition and serial order, in nested-loop order) and
+    ``unroll_factors``.  Unroll varies fastest, so position ``i`` is
+    family ``i // U`` with unroll factor ``i % U`` (``U`` unroll factors),
+    and its :class:`KernelConfig` is built when the position is read.
     """
 
     def __init__(
@@ -260,87 +304,68 @@ class KernelSpace:
             )
         if not self.unroll_factors:
             raise SearchSpaceError("unroll factor list is empty")
-        self._configs = self._enumerate(serial_orders_for)
-        if not self._configs:
+        self.families = self._families(serial_orders_for)
+        if not self.families:
             raise SearchSpaceError(
                 f"kernel space for {operation} is empty after the distinctness "
                 "constraint; candidate lists are inconsistent"
             )
-        self._index: dict[KernelConfig, int] | None = None
         self._feature_tables: dict[str, object] | None = None
 
-    def _enumerate(self, serial_orders_for) -> tuple[KernelConfig, ...]:
-        out: list[KernelConfig] = []
+    def _families(self, serial_orders_for) -> tuple[KernelFamily, ...]:
+        out: list[KernelFamily] = []
         for tx in self.tx_candidates:
+            if tx == ONE:
+                continue  # ThreadX always maps a real loop
             for ty in self.ty_candidates:
                 for bx in self.bx_candidates:
                     for by in self.by_candidates:
                         chosen = [v for v in (tx, ty, bx, by) if v != ONE]
                         if len(set(chosen)) != len(chosen):
                             continue  # PERMUTE: loop values must be distinct
-                        if tx == ONE:
-                            continue  # ThreadX always maps a real loop
                         for order in serial_orders_for(tuple(chosen)):
-                            for uf in self.unroll_factors:
-                                out.append(
-                                    KernelConfig(
-                                        tx=tx,
-                                        ty=ty,
-                                        bx=bx,
-                                        by=by,
-                                        serial_order=tuple(order),
-                                        unroll=uf,
-                                    )
-                                )
+                            out.append(KernelFamily(tx, ty, bx, by, tuple(order)))
         return tuple(out)
 
     def __len__(self) -> int:
-        return len(self._configs)
+        return len(self.families) * len(self.unroll_factors)
 
     def __iter__(self) -> Iterator[KernelConfig]:
-        return iter(self._configs)
+        for family in self.families:
+            for uf in self.unroll_factors:
+                yield family.config(uf)
 
     def __getitem__(self, i: int) -> KernelConfig:
-        return self._configs[i]
+        f, u = divmod(i, len(self.unroll_factors))
+        return self.families[f].config(self.unroll_factors[u])
 
     def index_of(self, config: KernelConfig) -> int:
-        if self._index is None:  # built on first use: no search reads it
-            self._index = {cfg: i for i, cfg in enumerate(self._configs)}
-        try:
-            return self._index[config]
-        except KeyError:
-            raise ConfigurationError(
-                f"configuration {config.describe()} is not in this kernel space"
-            ) from None
+        """Position of ``config``: its family's, then its unroll factor's."""
+        if isinstance(config, KernelConfig):
+            family = KernelFamily(
+                config.tx, config.ty, config.bx, config.by, config.serial_order
+            )
+            if family in self.families and config.unroll in self.unroll_factors:
+                u = len(self.unroll_factors)
+                return self.families.index(family) * u + self.unroll_factors.index(
+                    config.unroll
+                )
+        raise ConfigurationError(
+            f"configuration {config.describe()} is not in this kernel space"
+        )
 
     def feature_tables(self) -> dict[str, object]:
-        """Columnar view of every config's surrogate features (cached).
-
-        Categorical attributes (``tx``/``ty``/``bx``/``by``/``inner``) map
-        to ``(codes, vocab)`` — ``vocab[codes[i]]`` is config ``i``'s
-        value; ``unroll`` maps to a float64 value array.  The array-native
-        feature pipeline gathers these by kernel-space digit instead of
-        materializing ``ProgramConfig.features()`` dicts.
-        """
+        """Columnar view of every position's surrogate features (cached):
+        each family's codes repeated over the unroll factors."""
         if self._feature_tables is None:
-            def table(values: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-                vocab = tuple(sorted(set(values)))
-                index = {v: c for c, v in enumerate(vocab)}
-                codes = np.array([index[v] for v in values], dtype=np.int64)
-                return codes, vocab
-
-            self._feature_tables = {
-                "tx": table([c.tx for c in self._configs]),
-                "ty": table([c.ty for c in self._configs]),
-                "bx": table([c.bx for c in self._configs]),
-                "by": table([c.by for c in self._configs]),
-                "inner": table(
-                    [c.innermost_serial or "-" for c in self._configs]
+            self._feature_tables = _feature_tables(
+                self.families,
+                np.tile(
+                    np.array(self.unroll_factors, dtype=np.float64),
+                    len(self.families),
                 ),
-                "unroll": np.array(
-                    [float(c.unroll) for c in self._configs]
-                ),
-            }
+                repeat=len(self.unroll_factors),
+            )
         return self._feature_tables
 
 
@@ -365,7 +390,6 @@ class TTGTKernelSpace:
                 f"TTGT space for {operation} is empty; the operation should "
                 "have been ruled ineligible instead"
             )
-        self._index: dict[TTGTConfig, int] | None = None
         self._feature_tables: dict[str, object] | None = None
 
     def __len__(self) -> int:
@@ -378,38 +402,21 @@ class TTGTKernelSpace:
         return self._configs[i]
 
     def index_of(self, config: TTGTConfig) -> int:
-        if self._index is None:  # built on first use: no search reads it
-            self._index = {cfg: i for i, cfg in enumerate(self._configs)}
         try:
-            return self._index[config]
-        except KeyError:
+            return self._configs.index(config)
+        except ValueError:
             raise ConfigurationError(
                 f"configuration {config.describe()} is not in this kernel space"
             ) from None
 
     def feature_tables(self) -> dict[str, object]:
         """Columnar surrogate features — same schema as
-        :meth:`KernelSpace.feature_tables` (the configs duck-type the
-        attribute surface, so the construction is identical)."""
+        :meth:`KernelSpace.feature_tables`, one point per position."""
         if self._feature_tables is None:
-            def table(values: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-                vocab = tuple(sorted(set(values)))
-                index = {v: c for c, v in enumerate(vocab)}
-                codes = np.array([index[v] for v in values], dtype=np.int64)
-                return codes, vocab
-
-            self._feature_tables = {
-                "tx": table([c.tx for c in self._configs]),
-                "ty": table([c.ty for c in self._configs]),
-                "bx": table([c.bx for c in self._configs]),
-                "by": table([c.by for c in self._configs]),
-                "inner": table(
-                    [c.innermost_serial or "-" for c in self._configs]
-                ),
-                "unroll": np.array(
-                    [float(c.unroll) for c in self._configs]
-                ),
-            }
+            self._feature_tables = _feature_tables(
+                self._configs,
+                np.array([float(c.unroll) for c in self._configs]),
+            )
         return self._feature_tables
 
 
@@ -457,6 +464,12 @@ class ProgramSpace:
         )
 
     def index_of(self, config: ProgramConfig) -> int:
+        shape = (config.variant_index, len(config.kernels))
+        if shape != (self.variant_index, len(self.kernel_spaces)):
+            raise ConfigurationError(
+                f"configuration of variant {shape[0]} with {shape[1]} kernels "
+                f"is not in the space of variant {self.variant_index}"
+            )
         index = 0
         for ks, kc in zip(self.kernel_spaces, config.kernels):
             index = index * len(ks) + ks.index_of(kc)
@@ -580,7 +593,9 @@ class TuningSpace:
                 return
             if ps.size() == 0:
                 continue
-            spaces = ps.kernel_spaces
+            # The odometer re-reads the faster kernels' positions many
+            # times: build each kernel's configurations once per walk.
+            spaces = [tuple(ks) for ks in ps.kernel_spaces]
             digits = [0] * len(spaces)
             kernels = [ks[0] for ks in spaces]
             offset = self._offsets[pos]

@@ -117,11 +117,18 @@ class TestPhaseCoverage:
 
     def test_cli_sweep_trace_covers_the_table_build(self, tmp_path):
         trace, _ = _cli_tune(tmp_path, "sweep", "--sweep")
-        names = {e["name"] for e in json.loads(trace.read_text())["traceEvents"]}
+        events = json.loads(trace.read_text())["traceEvents"]
+        names = {e["name"] for e in events}
         assert SWEEP_SPANS <= names, (
             f"missing spans: {sorted(SWEEP_SPANS - names)}"
         )
         assert not {"space.pool", "search.fit", "eval.batch"} & names
+        # The decision records the families the tables price: the matmul's
+        # one loop-nest family times the 16 unroll factors of k.
+        [decision] = [e["args"] for e in events if e["name"] == "tcr.decision"]
+        assert decision["kernels"] == 1
+        assert decision["families"] == 1
+        assert decision["size"] == 16
 
     def test_cli_auto_sweep_trace_counts_the_reused_tables(self, tmp_path):
         trace, _ = _cli_tune(tmp_path, "auto", "--sweep", "--backend", "auto")
@@ -134,6 +141,10 @@ class TestPhaseCoverage:
         # The matmul is TTGT-eligible: the decision priced its one kernel.
         assert sum(b["built"] + b["reused"] for b in builds) == kernels
         assert sum(b["reused"] for b in builds) >= 1
+        # TTGT won it, so no loop-nest family is left in the space.
+        assert [
+            e["args"]["families"] for e in events if e["name"] == "tcr.decision"
+        ] == [0]
 
     def test_fit_spans_record_the_forest_shape(self, mttkrp):
         tracer = Tracer()

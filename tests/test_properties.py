@@ -9,7 +9,10 @@ structural invariants of the enumeration, the spaces, and the surrogate.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.contraction import Contraction
@@ -17,10 +20,15 @@ from repro.core.opcount import tree_operation_count
 from repro.core.strength_reduction import count_trees, enumerate_trees
 from repro.core.tensor import TensorRef
 from repro.core.variants import lower_tree_to_tcr
+from repro.errors import ConfigurationError
 from repro.gpusim.executor import execute_program
 from repro.surf.binarize import FeatureBinarizer
 from repro.surf.forest import ExtraTreesRegressor
-from repro.tcr.decision import decide_search_space
+from repro.tcr.decision import (
+    _serial_orders_factory,
+    decide_kernel_space,
+    decide_search_space,
+)
 from repro.tcr.program import TCRProgram
 from repro.tcr.space import ONE, KernelConfig, TuningSpace
 from repro.util.rng import StableHashPrefix, spawn_rng, stable_hash, stable_uniform
@@ -132,6 +140,70 @@ class TestMappingEquivalence:
         size = space.size()
         for idx in {0, size // 2, size - 1}:
             assert space.index_of(space.config_at(idx)) == idx
+
+
+def _nested_loop_configs(space, serial_orders_for) -> list[KernelConfig]:
+    """The oracle: a kernel space's configurations in the nested-loop
+    order of the decision algorithm, unroll varying fastest."""
+    out = []
+    for tx in space.tx_candidates:
+        for ty in space.ty_candidates:
+            for bx in space.bx_candidates:
+                for by in space.by_candidates:
+                    chosen = [v for v in (tx, ty, bx, by) if v != ONE]
+                    if tx == ONE or len(set(chosen)) != len(chosen):
+                        continue
+                    for order in serial_orders_for(tuple(chosen)):
+                        for uf in space.unroll_factors:
+                            out.append(
+                                KernelConfig(tx, ty, bx, by, tuple(order), uf)
+                            )
+    return out
+
+
+class TestKernelSpaceProduct:
+    @given(contractions(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_product_equals_the_enumeration(self, c: Contraction, permute: bool):
+        """Families × unroll factors reproduce the nested-loop enumeration:
+        length, order, every position, lookups and feature tables."""
+        [tree] = enumerate_trees(c, max_variants=1)
+        program = lower_tree_to_tcr(tree)
+        for op in program.operations:
+            if not op.parallel_indices:
+                continue  # a scalar-valued kernel has no space
+            space = decide_kernel_space(op, program.dims, permute)
+            oracle = _nested_loop_configs(
+                space, _serial_orders_factory(op, program.dims, permute)
+            )
+            assert len(space) == len(oracle)
+            assert list(space) == oracle
+            assert [space[i] for i in range(len(space))] == oracle
+            with pytest.raises(IndexError):
+                space[len(space)]
+            assert [space.index_of(cfg) for cfg in oracle] == list(
+                range(len(oracle))
+            )
+            first = oracle[0]
+            for foreign in (
+                replace(first, serial_order=first.serial_order + ("zz",)),
+                replace(first, unroll=max(space.unroll_factors) + 1),
+            ):
+                with pytest.raises(ConfigurationError):
+                    space.index_of(foreign)
+            tables = space.feature_tables()
+            for attr in ("tx", "ty", "bx", "by", "inner"):
+                values = [
+                    (cfg.innermost_serial or "-") if attr == "inner"
+                    else getattr(cfg, attr)
+                    for cfg in oracle
+                ]
+                codes, vocab = tables[attr]
+                assert vocab == tuple(sorted(set(values)))
+                assert codes.dtype == np.int64
+                assert codes.tolist() == [vocab.index(v) for v in values]
+            assert tables["unroll"].dtype == np.float64
+            assert tables["unroll"].tolist() == [float(cfg.unroll) for cfg in oracle]
 
 
 _LOOPS = ("i", "j", "k", "l", "a1", "b22")

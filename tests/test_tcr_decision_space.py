@@ -10,7 +10,7 @@ from repro.tcr.decision import (
     thread_block_candidates,
 )
 from repro.tcr.program import TCROperation
-from repro.tcr.space import ONE, KernelConfig, TuningSpace
+from repro.tcr.space import ONE, KernelConfig, ProgramConfig, TuningSpace
 from repro.util.rng import spawn_rng
 from repro.workloads.spectral import eqn1, lg3
 
@@ -128,6 +128,21 @@ class TestKernelSpace:
 
 
 class TestProgramAndTuningSpace:
+    def test_foreign_program_config_rejected(self):
+        """A configuration of another variant, or with another kernel
+        count, is outside the space even where its kernels are inside."""
+        space = decide_search_space(lg3(4, 8).program)
+        inside = space.config_at(5)
+        assert len(inside.kernels) == 3
+        assert space.index_of(inside) == 5
+        for foreign in (
+            ProgramConfig(7, inside.kernels[:1]),
+            ProgramConfig(0, inside.kernels + inside.kernels[:1]),
+            ProgramConfig(1, inside.kernels),
+        ):
+            with pytest.raises(ConfigurationError, match="not in the space"):
+                space.index_of(foreign)
+
     def test_eqn1_variant_space_is_paper_scale(self):
         from repro.core.pipeline import compile_contraction
 

@@ -26,9 +26,18 @@ from repro.surf.evaluator import ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
 from repro.surf.separable import SeparableExhaustiveSearch
 from repro.surf.telemetry import SearchTelemetry
-from repro.tcr.decision import decide_search_space
+from repro.tcr.decision import (
+    _serial_orders_factory,
+    decide_kernel_space,
+    decide_search_space,
+)
 from repro.tcr.program import TCROperation, TCRProgram
-from repro.tcr.space import TTGTKernelSpace, TuningSpace
+from repro.tcr.space import (
+    KernelConfig,
+    KernelSpace,
+    TTGTKernelSpace,
+    TuningSpace,
+)
 from repro.util.rng import StableHashPrefix, stable_hash
 from repro.workloads import get_workload
 
@@ -107,12 +116,12 @@ def _parity_programs() -> list[TCRProgram]:
     ]
 
 
-def _assert_matches_scalar(model, op, configs, dims) -> int:
-    """Build a table over ``configs`` in their order; check every entry
-    bitwise against the scalar model.  Returns the invalid-entry count."""
-    table = KernelTimingTable.build(model, op, configs, dims)
+def _assert_matches_scalar(model, op, space, dims) -> int:
+    """Build a table over ``space``; check every entry bitwise against
+    the scalar model.  Returns the invalid-entry count."""
+    table = KernelTimingTable.build(model, op, space, dims)
     invalid = 0
-    for i, cfg in enumerate(configs):
+    for i, cfg in enumerate(space):
         try:
             ref = model.kernel_timing(build_launch(op, cfg, dims))
         except ConfigurationError:
@@ -141,29 +150,41 @@ class TestKernelTableParity:
             space = decide_search_space(program, permute_serial=permute)
             for op, ks in zip(program.operations, space.kernel_spaces):
                 checked_invalid += _assert_matches_scalar(
-                    model, op, tuple(ks), program.dims
+                    model, op, ks, program.dims
                 )
         if permute:
             assert checked_invalid > 0, "expected some unbuildable configs"
 
-    def test_shuffled_families_match_scalar(self):
-        """Out of space order, a family's unroll factors no longer sit in
-        one run: each run is a family of its own, priced as such."""
+    def test_shuffled_candidate_lists_match_scalar(self):
+        """Spaces built from shuffled candidate lists list their families
+        (and unroll factors) in other orders; every entry still matches
+        the scalar model at its own position."""
         model = GPUPerformanceModel(K20)
         rng = np.random.default_rng(11)
-        checked_invalid = split_families = 0
+
+        def shuffled(values):
+            return [values[i] for i in rng.permutation(len(values))]
+
+        checked_invalid = reordered = 0
         for program in _parity_programs():
-            space = decide_search_space(program, permute_serial=True)
-            for op, ks in zip(program.operations, space.kernel_spaces):
-                configs = list(ks)
-                rng.shuffle(configs)
-                prefixes = [c.family_prefix() for c in configs]
-                runs = 1 + sum(a != b for a, b in zip(prefixes, prefixes[1:]))
-                split_families += runs - len(set(prefixes))
-                checked_invalid += _assert_matches_scalar(
-                    model, op, configs, program.dims
+            for op in program.operations:
+                base = decide_kernel_space(op, program.dims, permute_serial=True)
+                orders = _serial_orders_factory(op, program.dims, True)
+                space = KernelSpace(
+                    op,
+                    shuffled(base.tx_candidates),
+                    shuffled(base.ty_candidates),
+                    shuffled(base.bx_candidates),
+                    shuffled(base.by_candidates),
+                    lambda mapped, orders=orders: shuffled(orders(mapped)),
+                    shuffled(base.unroll_factors),
                 )
-        assert split_families > 0, "expected families split into several runs"
+                assert set(space) == set(base)
+                reordered += space.families != base.families
+                checked_invalid += _assert_matches_scalar(
+                    model, op, space, program.dims
+                )
+        assert reordered > 0, "expected families in another order"
         assert checked_invalid > 0, "expected some unbuildable configs"
 
     def test_penalty_configs_from_oversized_blocks(self):
@@ -171,7 +192,7 @@ class TestKernelTableParity:
         model = GPUPerformanceModel(GTX980)
         space = decide_search_space(program)
         op, ks = program.operations[0], space.kernel_spaces[0]
-        table = KernelTimingTable.build(model, op, tuple(ks), program.dims)
+        table = KernelTimingTable.build(model, op, ks, program.dims)
         invalid = int((~table.valid).sum())
         assert invalid > 0, "tx=k, ty=j mappings should exceed 1024 threads"
         for i, cfg in enumerate(ks):
@@ -216,7 +237,7 @@ class TestTTGTTableParity:
             space = decide_search_space(program, backend="ttgt")
             for op, ks in zip(program.operations, space.kernel_spaces):
                 table = KernelTimingTable.build_ttgt(
-                    model, op, tuple(ks), program.dims
+                    model, op, ks, program.dims
                 )
                 assert bool(table.valid.all())
                 for i, cfg in enumerate(ks):
@@ -265,9 +286,9 @@ class TestDecisionTablesFeedTheSweep:
         for name in ("build", "build_ttgt"):
             original = getattr(KernelTimingTable, name).__func__
 
-            def counting(cls, model, op, configs, dims, _original=original):
-                priced.append(configs)
-                return _original(cls, model, op, configs, dims)
+            def counting(cls, model, op, space, dims, _original=original):
+                priced.append(space)
+                return _original(cls, model, op, space, dims)
 
             monkeypatch.setattr(KernelTimingTable, name, classmethod(counting))
         tuner = Autotuner(GTX980, searcher="sweep", backend="auto")
@@ -277,6 +298,29 @@ class TestDecisionTablesFeedTheSweep:
         assert len(priced) == 10
         counts = Counter(id(ks) for ks in priced)
         assert sorted(counts.values()) == [1] * 10
+
+    def test_sweep_builds_no_per_configuration_objects(self, monkeypatch):
+        """The decision and the tables price families: a sweep builds at
+        most one configuration per family, plus the champion's kernels."""
+        built = Counter()
+        config_init, space_init = KernelConfig.__init__, KernelSpace.__init__
+
+        def counting_config(self, *args, **kwargs):
+            built["configs"] += 1
+            config_init(self, *args, **kwargs)
+
+        def counting_space(self, *args, **kwargs):
+            space_init(self, *args, **kwargs)
+            built["families"] += len(self.families)
+
+        monkeypatch.setattr(KernelConfig, "__init__", counting_config)
+        monkeypatch.setattr(KernelSpace, "__init__", counting_space)
+        tuner = Autotuner(GTX980, searcher="sweep", backend="auto")
+        result = get_workload("tce_ex").tune(tuner)
+        assert built["families"] > 0
+        assert built["configs"] <= built["families"] + len(
+            result.best_config.kernels
+        )
 
     def test_reused_only_under_the_deciding_model(self):
         program = _ttgt_program({"b": 4, "i": 4, "j": 4, "k": 4})

@@ -274,15 +274,15 @@ class TestBackendDecision:
             program, backend="auto", model=model
         ).kernel_spaces[0]
         best_loop = KernelTimingTable.build(
-            model, op, tuple(loop), program.dims
+            model, op, loop, program.dims
         ).totals.min()
         best_ttgt = KernelTimingTable.build_ttgt(
-            model, op, tuple(ttgt), program.dims
+            model, op, ttgt, program.dims
         ).totals.min()
         chosen = KernelTimingTable.build_ttgt(
-            model, op, tuple(auto), program.dims
+            model, op, auto, program.dims
         ).totals.min() if isinstance(auto, TTGTKernelSpace) else (
-            KernelTimingTable.build(model, op, tuple(auto), program.dims)
+            KernelTimingTable.build(model, op, auto, program.dims)
             .totals.min()
         )
         assert chosen == min(best_loop, best_ttgt)
