@@ -6,15 +6,12 @@
   comparison: enumerate the [25]-style pruned space exhaustively, run SURF
   on the full space, compare champions and costs.
 * **Joint tuning of Lg3 + Lg3t** — merge the two programs (the Nekbone
-  ``ax`` body) and tune the six kernels together, with and without the
-  model-based pool pruning the conclusion calls "essential to
-  feasibility".
+  ``ax`` body) and tune the six kernels together in one search, against
+  tuning the two halves separately.
 """
 
-import pytest
-
 from repro.autotune import Autotuner
-from repro.autotune.joint import tune_jointly
+from repro.autotune.joint import concatenate_programs
 from repro.gpusim.arch import GTX980, K20
 from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.surf import ConfigurationEvaluator, ExhaustiveSearch
@@ -75,7 +72,7 @@ def test_joint_lg3_lg3t_tuning(benchmark, bench_budgets):
             pool_size=bench_budgets["pool"],
             seed=bench_budgets["seed"],
         )
-        joint = tune_jointly(tuner, "nekbone_ax", [p3, p3t], prune=True)
+        joint = tuner.tune_program(concatenate_programs("nekbone_ax", [p3, p3t]))
         sep3 = tuner.tune_program(p3)
         sep3t = tuner.tune_program(p3t)
         separate_total = sep3.timing.total_s + sep3t.timing.total_s
@@ -88,24 +85,3 @@ def test_joint_lg3_lg3t_tuning(benchmark, bench_budgets):
     )
     # Keeping ur/us/ut device-resident must win end to end.
     assert joint_s < separate_s
-
-
-@pytest.mark.parametrize("prune", [False, True])
-def test_pruning_cost_benefit(benchmark, bench_budgets, prune):
-    """Search quality and pool size with/without model-based pruning."""
-    p3 = lg3(12, 256).program
-    p3t = lg3t(12, 256, output_name="w").program
-
-    def run():
-        tuner = Autotuner(
-            K20,
-            max_evaluations=bench_budgets["evals"],
-            pool_size=bench_budgets["pool"],
-            seed=3,
-        )
-        result = tune_jointly(tuner, "ax", [p3, p3t], prune=prune)
-        return result.timing.kernel_s, result.pool_size
-
-    kernel_s, pool_size = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nprune={prune}: kernels {kernel_s * 1e3:.2f} ms, pool {pool_size}")
-    assert kernel_s > 0

@@ -21,7 +21,8 @@ CI usage (fails with exit 1 on a >20% speedup drop of any entry)::
         --json benchmarks/output/BENCH_tables.json
 
 Refresh the committed baselines after an intentional perf change (every
-entry, or only the named ones)::
+entry, or only the named ones; each is measured ``UPDATE_RUNS`` times and
+the median-ratio run is recorded)::
 
     PYTHONPATH=src python benchmarks/bench_regression_gate.py --update
     PYTHONPATH=src python benchmarks/bench_regression_gate.py --update loopnest
@@ -53,6 +54,11 @@ TOLERANCE = 0.20
 
 #: The (program, space) each ``tables`` entry times, by entry name.
 TABLE_CASES = {"loopnest": lg3t_case, "ttgt": ttgt_case}
+
+#: ``--update`` measures each named entry this many times (each run the
+#: best of ``--repeats``) and records the median-ratio run: a single run's
+#: ratio spreads too widely between processes to serve as a baseline.
+UPDATE_RUNS = 5
 
 
 def _best_of(measure, repeats: int) -> dict:
@@ -102,6 +108,47 @@ def _write(path: pathlib.Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
+def _measure(entry: dict, args) -> dict | None:
+    """One best-of-N measurement of ``entry`` at its own pool size; None
+    (after reporting) if a table entry diverges from the scalar model."""
+    case = TABLE_CASES[entry["name"]]
+    result = _best_of(
+        lambda: run_table_bench(*case(), entry["configs"]), args.repeats
+    )
+    if not result["exact_match"]:
+        print(
+            f"FAIL: {entry['name']} table entries diverge from the scalar "
+            f"model ({result['mismatches']} mismatches)",
+            file=sys.stderr,
+        )
+        return None
+    return {"name": entry["name"], **result, "tolerance": args.tolerance}
+
+
+def _update(args, baseline_all: dict, baseline_path) -> int:
+    """Re-record the named entries (all without a name), each as the
+    median-ratio run of :data:`UPDATE_RUNS` measurements."""
+    entries = baseline_all["entries"]
+    names = set(args.update) or {entry["name"] for entry in entries}
+    for i, entry in enumerate(entries):
+        if entry["name"] not in names:
+            continue
+        runs = [_measure(entry, args) for _ in range(UPDATE_RUNS)]
+        if None in runs:
+            return 1
+        median = sorted(runs, key=lambda run: run["speedup"])[len(runs) // 2]
+        entries[i] = median
+        print(
+            f"{entry['name']}: "
+            + " ".join(f"{run['speedup']:.1f}x" for run in runs)
+            + f" over {UPDATE_RUNS} runs; recording the median "
+            f"{median['speedup']:.1f}x on {median['configs']} configs"
+        )
+    _write(baseline_path, baseline_all)
+    print(f"baseline updated: {baseline_path} {sorted(names)}")
+    return 0
+
+
 def _gate_tables(args, baseline_path, json_path) -> int:
     """One best-of-N measurement per committed entry, each at the entry's
     own pool size and against its own ratio."""
@@ -110,39 +157,11 @@ def _gate_tables(args, baseline_path, json_path) -> int:
     unknown = set(args.update or ()) - {entry["name"] for entry in entries}
     if unknown:
         raise SystemExit(f"FAIL: no baseline entry named {sorted(unknown)}")
-    results = []
-    for entry in entries:
-        case = TABLE_CASES[entry["name"]]
-        result = _best_of(
-            lambda: run_table_bench(*case(), entry["configs"]),
-            args.repeats,
-        )
-        if not result["exact_match"]:
-            print(
-                f"FAIL: {entry['name']} table entries diverge from the scalar "
-                f"model ({result['mismatches']} mismatches)",
-                file=sys.stderr,
-            )
-            return 1
-        results.append(
-            {"name": entry["name"], **result, "tolerance": args.tolerance}
-        )
-
     if args.update is not None:
-        names = set(args.update) or {entry["name"] for entry in entries}
-        baseline_all["entries"] = [
-            result if entry["name"] in names else entry
-            for entry, result in zip(entries, results)
-        ]
-        _write(baseline_path, baseline_all)
-        for result in results:
-            if result["name"] in names:
-                print(
-                    f"baseline updated: {baseline_path} [{result['name']}] "
-                    f"(speedup {result['speedup']:.1f}x on "
-                    f"{result['configs']} configs)"
-                )
-        return 0
+        return _update(args, baseline_all, baseline_path)
+    results = [_measure(entry, args) for entry in entries]
+    if None in results:
+        return 1
 
     passed = [
         _check(

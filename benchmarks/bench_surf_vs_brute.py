@@ -100,31 +100,3 @@ def test_surrogate_fit_cost(benchmark, shared_pool):
         return ExtraTreesRegressor(n_estimators=30, seed=0).fit(X, y)
 
     benchmark(fit)
-
-
-def test_annealing_baseline(benchmark, shared_pool, bench_budgets):
-    """A classical metaheuristic baseline (related-work style): SURF should
-    match or beat pool-bound simulated annealing at equal budget."""
-    from repro.surf.annealing import AnnealingSearch
-
-    program, pool, model = shared_pool
-    evals = bench_budgets["evals"]
-
-    def trial():
-        surf_wins = 0
-        for seed in range(3):
-            surf = _best_of(
-                SURFSearch(batch_size=10, max_evaluations=evals, seed=seed),
-                program, pool, model, seed,
-            )
-            sa = _best_of(
-                AnnealingSearch(max_evaluations=evals, seed=seed),
-                program, pool, model, seed,
-            )
-            if surf <= sa * 1.05:
-                surf_wins += 1
-        return surf_wins
-
-    wins = benchmark.pedantic(trial, rounds=1, iterations=1)
-    print(f"\nSURF matches/beats annealing on {wins}/3 seeds")
-    assert wins >= 2

@@ -47,11 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("surf", "random", "exhaustive", "sweep"),
     )
     tune.add_argument(
-        "--sweep", action="store_true",
-        help="shorthand for --searcher sweep: exact noise-free optimum via "
-        "separable per-kernel argmin over vectorized timing tables",
-    )
-    tune.add_argument(
         "--backend", default="loopnest",
         choices=("loopnest", "ttgt", "auto"),
         help="kernel backend per operation: 'loopnest' (the paper's mapped "
@@ -212,7 +207,7 @@ def _run_tune(args: argparse.Namespace) -> int:
     workload = _load_workload(args.workload)
     tuner = Autotuner(
         gpu_by_name(args.arch),
-        searcher="sweep" if args.sweep else args.searcher,
+        searcher=args.searcher,
         max_evaluations=args.evals,
         batch_size=args.batch,
         pool_size=args.pool,

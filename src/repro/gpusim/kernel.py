@@ -250,9 +250,11 @@ def build_launch_cached(
 ) -> KernelLaunch:
     """Memoized :func:`build_launch` for repeat visits to the same point.
 
-    Annealing neighborhoods and per-variant sweeps rebuild identical
-    launches many times; the launch is immutable, so one construction per
-    ``(operation, config, dims)`` suffices.  Failed builds are *not* cached
+    Pool points that share a kernel's configuration, the rig's retries,
+    the champion's re-timing after a search and the OpenACC strategy
+    models rebuild identical launches many times; the launch is
+    immutable, so one construction per ``(operation, config, dims)``
+    suffices.  Failed builds are *not* cached
     (``lru_cache`` does not memoize exceptions) — penalty
     configurations re-pay construction, which is fine because they are also
     re-charged compile time by the evaluator.

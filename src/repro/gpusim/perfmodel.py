@@ -307,7 +307,8 @@ class GPUPerformanceModel:
         keyed under a distinct ``"ttgt"`` prefix so the two lowerings of
         one operation land on independent points of the landscape.
 
-        Bitwise contract: :func:`repro.gpusim.timing_table.build_ttgt_table`
+        Bitwise contract:
+        :meth:`repro.gpusim.timing_table.KernelTimingTable.build_ttgt`
         mirrors this computation with array arguments through the *same*
         gemm/transpose helper functions — keep the two in lockstep.
         """

@@ -214,14 +214,29 @@ class SpacePool:
         if len(self) <= SMALL_POOL_LIMIT:
             # Seed-compatible describe hash: checkpoints written against a
             # materialized pool with the same ids keep resuming.
-            describes = [
-                self.space.config_at(int(g)).describe() for g in self.ids
-            ]
-            return format(stable_hash("pool", describes), "016x")
+            return format(stable_hash("pool", self._describes()), "016x")
         return format(
             stable_hash("pool-ids", int(self.space.size()), self.ids.tolist()),
             "016x",
         )
+
+    def _describes(self) -> list[str]:
+        """``[config.describe() for config in pool]``, built from the
+        decoded digits: one kernel ``describe()`` per distinct digit."""
+        out: list[str] = []
+        for pos, _rows, digits in self.space.decode_rows(self.ids):
+            ps = self.space.program_spaces[pos]
+            columns = []
+            for k, (ks, dig) in enumerate(zip(ps.kernel_spaces, digits)):
+                uniq, inverse = np.unique(dig, return_inverse=True)
+                names = np.array(
+                    [f"k{k}: {ks[int(d)].describe()}" for d in uniq.tolist()],
+                    dtype=object,
+                )
+                columns.append(names[inverse].tolist())
+            prefix = f"variant={ps.variant_index}"
+            out.extend("; ".join((prefix, *parts)) for parts in zip(*columns))
+        return out
 
 
 def as_pool(pool) -> MaterializedPool | SpacePool:

@@ -68,6 +68,14 @@ __all__ = ["SearchHistory", "SearchResult", "SURFSearch", "clamp_targets"]
 #: by ``mean - LCB_KAPPA * std`` (lower confidence bound on log-time).
 LCB_KAPPA = 1.0
 
+#: Surrogate forest size.
+N_ESTIMATORS = 30
+
+#: Share of each batch drawn at random instead of by predicted rank: it
+#: keeps the surrogate from tunnel-visioning on one region ("the batching
+#: allows for a higher degree of parameter space exploration", Section V).
+EXPLORE_FRACTION = 0.2
+
 
 def _bottom_k_lex(preds: np.ndarray, perm: np.ndarray, k: int) -> np.ndarray:
     """Bottom-``k`` of the (preds, perm) lexicographic order — exactly
@@ -115,7 +123,7 @@ def clamp_targets(y: np.ndarray) -> np.ndarray:
 
     Failed evaluations are clamped to the invalid-configuration penalty:
     the model still learns the region is bad, but the fit is not destroyed
-    by infinities (and, under ``log_objective``, the target stays finite).
+    by infinities (and the log-time target stays finite).
     """
     return np.where(np.isfinite(y), y, PENALTY_SECONDS)
 
@@ -263,8 +271,6 @@ class SURFSearch:
         ``bs`` — concurrent evaluations per iteration.
     max_evaluations:
         ``nmax`` — total evaluation budget.
-    n_estimators:
-        Surrogate forest size.
     seed:
         Drives pool sampling, surrogate randomness and tie-breaking.
     """
@@ -275,21 +281,16 @@ class SURFSearch:
         self,
         batch_size: int = 10,
         max_evaluations: int = 100,
-        n_estimators: int = 30,
         seed: int = 0,
-        explore_fraction: float = 0.2,
-        log_objective: bool = True,
         binarize: bool = True,
         acquisition: str = "mean",
     ) -> None:
-        """``explore_fraction`` of each batch is drawn at random instead of
-        by predicted rank (keeps the surrogate from tunnel-visioning on one
-        region — "the batching allows for a higher degree of parameter
-        space exploration", Section V).  ``log_objective`` fits the model
-        on log-times: the objective spans microseconds to multi-second
-        penalty values, and variance-reduction splits in linear space see
-        only the penalties.  ``binarize=False`` swaps the paper's feature
-        binarization for a naive ordinal encoding (ablation).
+        """The forest (:data:`N_ESTIMATORS` trees) fits log-times: the
+        objective spans microseconds to multi-second penalty values, and
+        variance-reduction splits in linear space see only the penalties.
+        :data:`EXPLORE_FRACTION` of each batch is drawn at random.
+        ``binarize=False`` swaps the paper's feature binarization for a
+        naive ordinal encoding (ablation).
 
         Equal predictions are ordered within a batch by a seeded
         permutation (``(prediction, permutation)`` lexsort), so ties are
@@ -302,16 +303,11 @@ class SURFSearch:
         combined tree descent (:meth:`PoolRouter.predict_mean_std`)."""
         if batch_size < 1 or max_evaluations < 1:
             raise SearchError("batch size and evaluation budget must be >= 1")
-        if not 0.0 <= explore_fraction < 1.0:
-            raise SearchError("explore_fraction must be in [0, 1)")
         if acquisition not in ("mean", "lcb"):
             raise SearchError("acquisition must be 'mean' or 'lcb'")
         self.batch_size = batch_size
         self.max_evaluations = max_evaluations
-        self.n_estimators = n_estimators
         self.seed = seed
-        self.explore_fraction = explore_fraction
-        self.log_objective = log_objective
         self.binarize = binarize
         self.acquisition = acquisition
 
@@ -347,12 +343,11 @@ class SURFSearch:
 
         alive = np.ones(n, dtype=bool)  # not yet dispatched
         nmax = min(self.max_evaluations, n)
-        model = ExtraTreesRegressor(n_estimators=self.n_estimators, seed=self.seed)
+        model = ExtraTreesRegressor(n_estimators=N_ESTIMATORS, seed=self.seed)
         router = None
 
         def targets() -> np.ndarray:
-            y = clamp_targets(hist.ys.view)
-            return np.log(np.maximum(y, 1e-12)) if self.log_objective else y
+            return np.log(np.maximum(clamp_targets(hist.ys.view), 1e-12))
 
         def refit(model) -> float:
             nonlocal router
@@ -407,7 +402,7 @@ class SURFSearch:
             alive_ids = np.flatnonzero(alive)
             m = alive_ids.size
             bs = min(self.batch_size, nmax - hist.useful, m)
-            n_explore = min(int(round(bs * self.explore_fraction)), bs - 1)
+            n_explore = min(int(round(bs * EXPLORE_FRACTION)), bs - 1)
             take = bs - n_explore
             with get_tracer().span(
                 "search.predict", category="search", rows=m,

@@ -1,41 +1,29 @@
-"""Pruned search spaces — the paper's prior work [25] and its future work.
+"""The pruned search space of the paper's prior work [25].
 
-Two pruning strategies are provided:
-
-* :func:`decide_pruned_kernel_space` — the *a-priori* pruned space of the
-  earlier decision algorithm ("an earlier version of this decision
-  algorithm created a smaller, pruned search space, which is a subset of
-  the one used in [25]"): ThreadX restricted to the single best coalescing
-  candidate, one-dimensional thread blocks (ThreadY = 1), BlockY limited to
-  {loop, 1}, and unroll factors limited to divisors of the trip count.
-  Small enough to enumerate exhaustively — this is the brute-force
-  comparison point of Section VI ("we also compared performance for some
-  of these with prior work in [25] which used a brute force search of a
-  smaller search space").
-
-* :func:`model_pruned_pool` — the *model-based* pruning the conclusion
-  proposes as future work ("we plan to extend this work to further prune
-  the autotuning search space"): drop configurations whose cheap static
-  features (occupancy, grid utilisation, store coalescing) predict they
-  cannot be competitive, before SURF ever sees them.
+:func:`decide_pruned_kernel_space` is the *a-priori* pruned space of the
+earlier decision algorithm ("an earlier version of this decision
+algorithm created a smaller, pruned search space, which is a subset of
+the one used in [25]"): ThreadX restricted to the single best coalescing
+candidate, one-dimensional thread blocks (ThreadY = 1), BlockY limited to
+{loop, 1}, and unroll factors limited to divisors of the trip count.
+Small enough to enumerate exhaustively — this is the brute-force
+comparison point of Section VI ("we also compared performance for some
+of these with prior work in [25] which used a brute force search of a
+smaller search space").
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
-from repro.gpusim.arch import GPUArch
-from repro.gpusim.kernel import build_launch
-from repro.errors import ConfigurationError, SearchSpaceError
+from repro.errors import SearchSpaceError
 from repro.tcr.decision import thread_block_candidates, _serial_orders_factory
 from repro.tcr.program import TCROperation, TCRProgram
-from repro.tcr.space import ONE, KernelSpace, ProgramConfig, ProgramSpace
+from repro.tcr.space import ONE, KernelSpace, ProgramSpace
 
 __all__ = [
     "decide_pruned_kernel_space",
     "decide_pruned_search_space",
-    "model_pruned_pool",
 ]
 
 
@@ -85,68 +73,3 @@ def decide_pruned_search_space(
             for op in program.operations
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Model-based pruning (the conclusion's future work)
-# ----------------------------------------------------------------------
-def _config_is_plausible(
-    program: TCRProgram,
-    config: ProgramConfig,
-    arch: GPUArch,
-    min_parallelism: int,
-) -> bool:
-    """Cheap static filters: reject configurations that cannot compete.
-
-    * the block must fit the device;
-    * the grid x block must expose at least ``min_parallelism`` threads
-      (unless the whole kernel has fewer iterations than that);
-    * the output store should not be fully strided when a coalescing
-      ThreadX exists elsewhere in the kernel's own space — strided stores
-      through every kernel are the single strongest slowdown signal.
-    """
-    for op, kc in zip(program.operations, config.kernels):
-        try:
-            launch = build_launch(op, kc, program.dims)
-        except ConfigurationError:
-            return False
-        if launch.threads_per_block > arch.max_threads_per_block:
-            return False
-        total_iters = launch.total_threads * launch.serial_iterations
-        if (
-            launch.total_threads < min_parallelism
-            and total_iters >= min_parallelism
-        ):
-            return False
-        wpb = math.ceil(launch.threads_per_block / arch.warp_size)
-        if wpb * launch.total_blocks < arch.sm_count and total_iters >= min_parallelism:
-            return False
-    return True
-
-
-def model_pruned_pool(
-    program: TCRProgram,
-    pool: Sequence[ProgramConfig],
-    arch: GPUArch,
-    min_parallelism: int = 1024,
-    keep_at_least: int = 32,
-) -> list[ProgramConfig]:
-    """Filter a sampled pool with the static plausibility rules.
-
-    Never returns fewer than ``keep_at_least`` configurations (falls back
-    to the unfiltered prefix if the rules are too aggressive for a tiny
-    problem), so the search always has something to work with.
-    """
-    kept = [
-        c
-        for c in pool
-        if _config_is_plausible(program, c, arch, min_parallelism)
-    ]
-    if len(kept) < keep_at_least:
-        seen = {id(c) for c in kept}
-        for c in pool:
-            if id(c) not in seen:
-                kept.append(c)
-            if len(kept) >= keep_at_least:
-                break
-    return kept

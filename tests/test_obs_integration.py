@@ -38,8 +38,9 @@ REQUIRED_SPANS = {
     "checkpoint.save",
 }
 
-#: The phases of a checkpointed CLI ``--sweep`` run, the only user of the
-#: timing tables: they stand in for the pool, the forest and the rig.
+#: The phases of a checkpointed CLI ``--searcher sweep`` run, the only
+#: user of the timing tables: they stand in for the pool, the forest and
+#: the rig.
 SWEEP_SPANS = {
     "tune.run",
     "dsl.parse",
@@ -116,7 +117,7 @@ class TestPhaseCoverage:
         assert "evaluations" in batch["args"]
 
     def test_cli_sweep_trace_covers_the_table_build(self, tmp_path):
-        trace, _ = _cli_tune(tmp_path, "sweep", "--sweep")
+        trace, _ = _cli_tune(tmp_path, "sweep", "--searcher", "sweep")
         events = json.loads(trace.read_text())["traceEvents"]
         names = {e["name"] for e in events}
         assert SWEEP_SPANS <= names, (
@@ -131,7 +132,9 @@ class TestPhaseCoverage:
         assert decision["size"] == 16
 
     def test_cli_auto_sweep_trace_counts_the_reused_tables(self, tmp_path):
-        trace, _ = _cli_tune(tmp_path, "auto", "--sweep", "--backend", "auto")
+        trace, _ = _cli_tune(
+            tmp_path, "auto", "--searcher", "sweep", "--backend", "auto"
+        )
         events = json.loads(trace.read_text())["traceEvents"]
         kernels = sum(
             e["args"]["kernels"] for e in events if e["name"] == "tcr.decision"

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from repro.autotune import Autotuner
-from repro.autotune.joint import concatenate_programs, tune_jointly
+from repro.autotune.joint import concatenate_programs
 from repro.errors import TCRError
 from repro.gpusim.arch import GTX980, K20
 from repro.tcr.decision import decide_search_space
-from repro.tcr.pruning import (
-    decide_pruned_kernel_space,
-    decide_pruned_search_space,
-    model_pruned_pool,
-)
-from repro.tcr.space import ONE, TuningSpace
-from repro.util.rng import spawn_rng
+from repro.tcr.pruning import decide_pruned_kernel_space, decide_pruned_search_space
+from repro.tcr.space import ONE
 from repro.workloads.spectral import lg3, lg3t
 
 
@@ -57,42 +52,6 @@ class TestPrunedSpace:
         full = best(decide_search_space(two_op_program).kernel_spaces[0])
         pruned = best(decide_pruned_search_space(two_op_program).kernel_spaces[0])
         assert pruned <= full * 3.0
-
-
-class TestModelPruning:
-    def test_filters_and_keeps_floor(self):
-        program = lg3(12, 256).program
-        space = TuningSpace([decide_search_space(program)])
-        pool = space.sample_pool(500, spawn_rng(0, "prune-test"))
-        kept = model_pruned_pool(program, pool, GTX980)
-        assert 32 <= len(kept) <= len(pool)
-
-    def test_pruning_keeps_the_good_configs(self):
-        from repro.gpusim.perfmodel import GPUPerformanceModel
-
-        program = lg3(12, 256).program
-        model = GPUPerformanceModel(GTX980)
-        space = TuningSpace([decide_search_space(program)])
-        pool = space.sample_pool(600, spawn_rng(1, "prune-good"))
-        kept = model_pruned_pool(program, pool, GTX980)
-
-        def best_of(configs):
-            times = []
-            for c in configs:
-                try:
-                    times.append(model.program_timing(program, c).kernel_s)
-                except Exception:
-                    pass
-            return min(times)
-
-        # Pruning must not discard the pool optimum (within noise).
-        assert best_of(kept) <= best_of(pool) * 1.05
-
-    def test_tiny_problem_fallback(self, two_op_program):
-        space = TuningSpace([decide_search_space(two_op_program)])
-        pool = space.sample_pool(min(16, space.size()), spawn_rng(0, "tiny"))
-        kept = model_pruned_pool(two_op_program, pool, GTX980, keep_at_least=8)
-        assert len(kept) >= min(8, len(pool))
 
 
 class TestJoint:
@@ -139,7 +98,7 @@ class TestJoint:
     def test_joint_tuning_runs_and_saves_transfers(self):
         tuner = Autotuner(K20, max_evaluations=25, pool_size=400, seed=5)
         p3, p3t = lg3(8, 32).program, lg3t(8, 32, output_name="w").program
-        joint = tune_jointly(tuner, "nekbone_ax", [p3, p3t])
+        joint = tuner.tune_program(concatenate_programs("nekbone_ax", [p3, p3t]))
         separate_h2d = (
             tuner.model.program_timing(
                 p3, tuner.tune_program(p3).best_config
@@ -156,27 +115,19 @@ class TestJoint:
         assert joint.timing.total_s > 0
         assert separate_h2d > 0  # (sanity on the comparison values)
 
-    def test_joint_with_pruning(self):
-        tuner = Autotuner(K20, max_evaluations=25, pool_size=400, seed=5)
-        p3, p3t = lg3(8, 32).program, lg3t(8, 32, output_name="w").program
-        plain = tune_jointly(tuner, "ax", [p3, p3t], prune=False)
-        pruned = tune_jointly(tuner, "ax", [p3, p3t], prune=True)
-        assert pruned.pool_size <= plain.pool_size
-        # Pruning should not cost much tuned quality.
-        assert pruned.seconds <= plain.seconds * 1.5
-
-    @pytest.mark.parametrize("prune", [False, True])
-    def test_rig_and_searcher_settings_reach_the_search(self, prune):
-        # Lanes, faults and the acquisition rule change a pruned run the
-        # way they change an unpruned one: both run on the tuner's rig.
-        p3, p3t = lg3(8, 32).program, lg3t(8, 32, output_name="w").program
+    def test_rig_and_searcher_settings_reach_the_search(self):
+        # Lanes, faults and the acquisition rule reach a joint run: it is
+        # an ordinary tune of the merged program, on the tuner's rig.
+        merged = concatenate_programs(
+            "ax", [lg3(8, 32).program, lg3t(8, 32, output_name="w").program]
+        )
 
         def run(**setting):
             tuner = Autotuner(
                 K20, max_evaluations=20, batch_size=5, pool_size=300, seed=5,
                 **setting,
             )
-            return tune_jointly(tuner, "ax", [p3, p3t], prune=prune)
+            return tuner.tune_program(merged)
 
         plain = run()
         lanes = run(batch_parallelism=4)

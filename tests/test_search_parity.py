@@ -360,6 +360,35 @@ class TestPoolParity:
 
         assert SpacePool(space, ids).fingerprint() == as_pool(pool).fingerprint()
 
+    @pytest.mark.parametrize(
+        "workload, backend",
+        [("lg3", "loopnest"), ("eqn1", "loopnest"), ("lg3", "ttgt")],
+    )
+    def test_fingerprint_is_the_describe_hash(self, workload, backend):
+        # Built from decoded digits, the fingerprint hashes the same
+        # strings as one describe() per id: single- and multi-variant
+        # loop-nest pools, and a pool of TTGT kernels.
+        from repro.core.pipeline import compile_contraction
+        from repro.workloads import get_workload
+
+        wl = get_workload(workload)
+        programs = (
+            [wl.program] if wl.program is not None
+            else [v.program for v in compile_contraction(wl.contraction).variants]
+        )
+        space = TuningSpace([
+            decide_search_space(p, variant_index=i, backend=backend)
+            for i, p in enumerate(programs)
+        ])
+        ids = space.sample_ids(400, spawn_rng(0, "fingerprint"))
+        describes = [space.config_at(g).describe() for g in ids]
+        if workload == "eqn1":
+            assert len({d.split(";")[0] for d in describes}) > 1
+        if backend == "ttgt":
+            assert all(" ttgt " in d for d in describes)
+        expect = format(stable_hash("pool", describes), "016x")
+        assert SpacePool(space, ids).fingerprint() == expect
+
     def test_configs_round_trip(self, setup):
         _program, space, ids, pool, _model = setup
         space_pool = SpacePool(space, ids)

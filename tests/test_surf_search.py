@@ -122,8 +122,6 @@ class TestSURF:
     def test_invalid_params(self):
         with pytest.raises(SearchError):
             SURFSearch(batch_size=0)
-        with pytest.raises(SearchError):
-            SURFSearch(explore_fraction=1.0)
 
     def test_mismatched_evaluator_rejected(self, tuning_setup):
         program, pool, model = tuning_setup
