@@ -171,9 +171,6 @@ class NekboneProblem:
         # g*grad (3), mass term (3), two dots (4), three axpys (6)
         return 16 * npts
 
-    def field_bytes(self) -> int:
-        return self.elements * self.n**3 * _B
-
 
 def cg_solve(
     problem: NekboneProblem,

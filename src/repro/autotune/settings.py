@@ -1,8 +1,7 @@
 """Every :class:`~repro.autotune.tuner.Autotuner` setting, declared once.
 
-Each field of :class:`TuneSettings` carries its default, its environment
-variable (only the result-store path keeps one), and exactly one of two
-**roles** — the single place that decides what a setting changes:
+Each field of :class:`TuneSettings` carries its default and exactly one
+of two **roles** — the single place that decides what a setting changes:
 
 ``keyed``
     Changes the tuned result or its accounting (champion, history, best
@@ -14,6 +13,8 @@ variable (only the result-store path keeps one), and exactly one of two
 ``runtime``
     Where state lives and how the run is observed: checkpoints, trace and
     result store.  Enters neither.
+
+Beside the settings, :data:`SEARCH_REVISION` keys the search code itself.
 """
 
 from __future__ import annotations
@@ -27,19 +28,27 @@ from repro.errors import ConfigurationError
 from repro.surf.faults import FaultSpec
 from repro.tcr.decision import BACKENDS
 
-__all__ = ["TuneSettings", "KEYED", "RUNTIME", "KEYED_SETTINGS"]
+__all__ = [
+    "TuneSettings", "KEYED", "RUNTIME", "KEYED_SETTINGS", "SEARCH_REVISION",
+]
 
 KEYED = "keyed"
 RUNTIME = "runtime"
+
+#: The revision of the search code, keyed beside the settings: it enters
+#: the run manifest (and through it the result-store key) and the
+#: checkpoint fingerprint, so a stored result or a ``state.json`` written
+#: under another revision is never served or resumed.  Bump it with any
+#: change that moves a champion, a history, a simulated search time or
+#: the checkpoint layout for fixed inputs and settings.
+SEARCH_REVISION = 1
 
 #: Keyed settings the run manifest records as fields of its own.
 MANIFEST_FIELDS = ("searcher", "seed")
 
 
-def _setting(default, role: str, *, env: str | None = None, encode=None):
-    return field(
-        default=default, metadata={"role": role, "env": env, "encode": encode}
-    )
+def _setting(default, role: str, *, encode=None):
+    return field(default=default, metadata={"role": role, "encode": encode})
 
 
 @dataclass(frozen=True)
@@ -58,23 +67,16 @@ class TuneSettings:
         SURF's ``nmax`` and ``bs`` (paper defaults: 100 and a small batch).
     pool_size:
         Size of the sampled configuration pool ``Xp`` handed to the search.
-    max_variants:
-        Optional cap on OCTOPI variant enumeration.
     noisy / include_transfer:
         Measurement noise on evaluations; PCIe transfers in the objective.
     per_variant:
         Autotune each OCTOPI variant with its own budget and let the
         champions compete (the paper's flow, Table II's Eqn.(1) search).
-    batch_parallelism:
-        Concurrent lanes of the simulated tuning rig — sets the simulated
-        wall-clock (Table II's "Search"), never the objective values.
     faults:
         The simulated rig's hazards and retry budget
         (:mod:`repro.surf.faults`): a :class:`FaultSpec` or a spec string
         for :meth:`FaultSpec.parse` (empty = none).  A fault-free spec
         enters keys as ``""``, whatever its seed and retry budget.
-    acquisition:
-        SURF's ranking rule: ``"mean"`` (default) or ``"lcb"``.
     backend:
         Kernel lowering per operation: ``"loopnest"`` (default),
         ``"ttgt"`` or ``"auto"``.
@@ -86,13 +88,14 @@ class TuneSettings:
         (:mod:`repro.surf.checkpoint`); ``resume`` continues an
         interrupted run bitwise-identically, and refuses one whose
         fingerprint differs with a :class:`~repro.errors.CheckpointError`.
+        The sweep saves no search state.
     trace:
         Write a Chrome trace of every ``tune_*`` call to this path, plus a
         ``manifest.json`` next to it.
     result_store:
         Whole-run memoization (:mod:`repro.serve.store`): a
         ``ResultStore`` or a directory; ``None`` reads
-        ``REPRO_RESULT_STORE``.
+        ``REPRO_RESULT_STORE``, the one setting the environment fills.
     """
 
     searcher: str = _setting("surf", KEYED)
@@ -100,32 +103,27 @@ class TuneSettings:
     max_evaluations: int = _setting(100, KEYED)
     batch_size: int = _setting(10, KEYED)
     pool_size: int = _setting(3000, KEYED)
-    max_variants: int | None = _setting(None, KEYED)
     noisy: bool = _setting(True, KEYED)
     include_transfer: bool = _setting(True, KEYED)
     per_variant: bool = _setting(False, KEYED)
-    batch_parallelism: int = _setting(1, KEYED)
     faults: FaultSpec | str = _setting("", KEYED, encode=FaultSpec.describe)
-    acquisition: str = _setting("mean", KEYED)
     backend: str = _setting("loopnest", KEYED)
     checkpoint_dir: str | Path | None = _setting(None, RUNTIME)
     resume: bool = _setting(False, RUNTIME)
     trace: str | Path | None = _setting(None, RUNTIME)
-    result_store: object = _setting(None, RUNTIME, env="REPRO_RESULT_STORE")
+    result_store: object = _setting(None, RUNTIME)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        normal = _from_environment(self)
         faults = self.faults
         if isinstance(faults, str):
             faults = FaultSpec.parse(faults, seed=self.seed)
-        normal.update(
-            faults=faults,
-            batch_parallelism=max(1, int(self.batch_parallelism)),
-        )
+        normal = {"faults": faults}
+        if self.result_store is None:
+            normal["result_store"] = os.environ.get("REPRO_RESULT_STORE") or None
         for name in ("checkpoint_dir", "trace"):
             value = getattr(self, name)
             normal[name] = Path(value) if value else None
@@ -160,16 +158,3 @@ _MANIFEST = tuple(e for e in _KEYED if e[0] not in MANIFEST_FIELDS)
 
 #: Names of the keyed settings a manifest's ``settings`` may carry.
 KEYED_SETTINGS = frozenset(name for name, _ in _MANIFEST)
-
-_ENV_SETTINGS = tuple(
-    (f.name, f.metadata["env"]) for f in fields(TuneSettings) if f.metadata["env"]
-)
-
-
-def _from_environment(settings: TuneSettings) -> dict:
-    """Fill the unset path settings from their environment variables."""
-    return {
-        name: os.environ.get(env) or None
-        for name, env in _ENV_SETTINGS
-        if getattr(settings, name) is None
-    }

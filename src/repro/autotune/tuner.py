@@ -20,7 +20,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.autotune.settings import TuneSettings
+from repro.autotune.settings import SEARCH_REVISION, TuneSettings
 from repro.core.contraction import Contraction
 from repro.core.pipeline import compile_contraction
 from repro.errors import SearchError
@@ -34,7 +34,7 @@ from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
 from repro.surf.evaluator import ConfigurationEvaluator
 from repro.surf.exhaustive import ExhaustiveSearch
-from repro.surf.pool import SpacePool, as_pool
+from repro.surf.pool import SpacePool
 from repro.surf.random_search import RandomSearch
 from repro.surf.search import SearchResult, SURFSearch
 from repro.surf.separable import SeparableExhaustiveSearch
@@ -94,19 +94,10 @@ def _retag_variant(config: ProgramConfig, variant_index: int) -> ProgramConfig:
     )
 
 
-def _make_searcher(
-    kind: str,
-    batch_size: int,
-    max_evaluations: int,
-    seed: int,
-    acquisition: str = "mean",
-):
+def _make_searcher(kind: str, batch_size: int, max_evaluations: int, seed: int):
     if kind == "surf":
         return SURFSearch(
-            batch_size=batch_size,
-            max_evaluations=max_evaluations,
-            seed=seed,
-            acquisition=acquisition,
+            batch_size=batch_size, max_evaluations=max_evaluations, seed=seed
         )
     if kind == "random":
         return RandomSearch(
@@ -179,7 +170,6 @@ class Autotuner:
             seed=settings.seed,
             noisy=settings.noisy,
             include_transfer=settings.include_transfer,
-            batch_parallelism=settings.batch_parallelism,
             faults=settings.faults,
         )
 
@@ -233,6 +223,7 @@ class Autotuner:
             seed=self.settings.seed,
             searcher=self.settings.searcher,
             settings=dict(self.settings.manifest_settings),
+            search_revision=SEARCH_REVISION,
         )
 
     def _write_manifests(self, name: str, programs: list[TCRProgram]) -> None:
@@ -252,9 +243,7 @@ class Autotuner:
     def tune_contraction(self, contraction: Contraction) -> TuneResult:
         """Full pipeline: OCTOPI variants, then search across all of them."""
         with self._observe(contraction.name):
-            compiled = compile_contraction(
-                contraction, max_variants=self.settings.max_variants
-            )
+            compiled = compile_contraction(contraction)
             programs = [v.program for v in compiled.variants]
             self._write_manifests(contraction.name, programs)
             return self._tune_stored(contraction.name, programs)
@@ -321,15 +310,16 @@ class Autotuner:
         store.put(key, pack_tune_record(result))
         return result
 
-    def _run_fingerprint(self, name: str, pool, space_size: int) -> dict:
+    def _run_fingerprint(self, name: str, pool: SpacePool) -> dict:
         """Identity of a run for checkpoint-resume safety: the run's own
-        identity plus every keyed setting.  Resuming under a different
-        fingerprint is refused."""
+        identity, the search revision and every keyed setting.  Resuming
+        under a different fingerprint is refused."""
         return {
             "name": name,
             "arch": self.arch.name,
-            "space_size": space_size,
-            "pool": as_pool(pool).fingerprint(),
+            "space_size": pool.space.size(),
+            "pool": pool.fingerprint(),
+            "search_revision": SEARCH_REVISION,
             **self.settings.keyed,
         }
 
@@ -337,32 +327,23 @@ class Autotuner:
         self,
         checkpoint_dir: Path | None,
         name: str,
-        pool,
-        space_size: int,
-        evaluator: ConfigurationEvaluator | None,
+        pool: SpacePool,
+        evaluator: ConfigurationEvaluator,
     ) -> SearchCheckpointer | None:
         """Build the per-run checkpoint handle; load prior state on resume."""
         if checkpoint_dir is None:
             return None
-        manager = CheckpointManager(
-            checkpoint_dir, self._run_fingerprint(name, pool, space_size)
-        )
+        manager = CheckpointManager(checkpoint_dir, self._run_fingerprint(name, pool))
         checkpointer = SearchCheckpointer(
-            manager,
-            extra=(
-                (lambda: {"evaluator_counters": evaluator.counters()})
-                if evaluator is not None
-                else None
-            ),
+            manager, extra=lambda: {"evaluator_counters": evaluator.counters()}
         )
         if self.settings.resume:
             payload = manager.load()  # raises CheckpointError on mismatch
             if payload is not None:
                 checkpointer.resume_state = payload.get("searcher")
-                if evaluator is not None:
-                    evaluator.restore_counters(
-                        payload.get("extra", {}).get("evaluator_counters", {})
-                    )
+                evaluator.restore_counters(
+                    payload.get("extra", {}).get("evaluator_counters", {})
+                )
         return checkpointer
 
     # ------------------------------------------------------------------
@@ -407,16 +388,13 @@ class Autotuner:
                 tuning_space=tuning_space,
             )
             pool = []
-            checkpointer = self._checkpointer(
-                checkpoint_dir, name, pool, tuning_space.size(), None
-            )
+            # A sweep takes milliseconds: it saves no search state, and a
+            # resumed sweep simply runs again.
             with tracer.span(
                 "search.run", category="search",
                 searcher=settings.searcher, workload=name,
             ):
-                result = searcher.search(
-                    telemetry=SearchTelemetry(), checkpointer=checkpointer
-                )
+                result = searcher.search(telemetry=SearchTelemetry())
         else:
             with tracer.span("space.pool", category="space") as sp:
                 rng = spawn_rng(settings.seed, "pool", name, self.arch.name)
@@ -429,18 +407,15 @@ class Autotuner:
                 )
                 if tracer.enabled:
                     sp.set(pool=len(pool), space=tuning_space.size())
-            # Wall-clock accounting defaults to sequential
-            # (batch_parallelism=1): the paper's ~4 s/variant search times
-            # for Lg3t imply one rig timing one variant at a time, with
-            # batching used for model refresh cadence.
+            # Wall-clock accounting is sequential: the paper's ~4 s/variant
+            # search times for Lg3t imply one rig timing one variant at a
+            # time, with batching used for model refresh cadence.
             evaluator = self._build_evaluator(programs)
             searcher = _make_searcher(
                 settings.searcher, settings.batch_size, settings.max_evaluations,
-                settings.seed, acquisition=settings.acquisition,
+                settings.seed,
             )
-            checkpointer = self._checkpointer(
-                checkpoint_dir, name, pool, tuning_space.size(), evaluator
-            )
+            checkpointer = self._checkpointer(checkpoint_dir, name, pool, evaluator)
             with tracer.span(
                 "search.run", category="search",
                 searcher=settings.searcher, workload=name,

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="persist search state (atomic per-batch checkpoint) under "
-        "DIR for kill-safe resumption",
+        "DIR for kill-safe resumption; the sweep saves only its manifest",
     )
     tune.add_argument(
         "--resume", action="store_true",

@@ -16,7 +16,7 @@ relies on for reproducible variant numbering.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from repro.core.contraction import Contraction
 from repro.core.expr_tree import ContractionTree, Leaf, Node
@@ -115,15 +115,3 @@ def left_deep_tree(contraction: Contraction) -> ContractionTree:
     for t in range(1, len(contraction.terms)):
         root = Node(root, Leaf(t))
     return ContractionTree(contraction, root.canonical() if isinstance(root, Node) else root)
-
-
-def best_trees_by_flops(
-    trees: Sequence[ContractionTree],
-    flops_of,
-) -> list[ContractionTree]:
-    """Return the trees achieving the minimum of ``flops_of(tree)``."""
-    if not trees:
-        return []
-    costs = [flops_of(t) for t in trees]
-    best = min(costs)
-    return [t for t, c in zip(trees, costs) if c == best]

@@ -3,9 +3,9 @@
 A :class:`RunManifest` captures everything needed to attribute and replay
 a tuning run — package version, workload name, architecture and
 calibration fingerprints (stable hashes over their dataclass fields), a
-DSL hash over the tuned TCR programs, the searcher and master seed, and
-the ``keyed`` settings of :class:`~repro.autotune.settings.TuneSettings`
-(which form the result-store key).  Kernel Tuner persists the same kind of
+DSL hash over the tuned TCR programs, the searcher and master seed, the
+``keyed`` settings of :class:`~repro.autotune.settings.TuneSettings` and
+the search code's revision (which together form the result-store key).  Kernel Tuner persists the same kind of
 header atop its cache files; here it is a standalone JSON document so
 checkpoints and traces stay self-describing.
 
@@ -54,6 +54,9 @@ class RunManifest:
     seed: int
     searcher: str
     settings: dict = field(default_factory=dict)
+    #: :data:`~repro.autotune.settings.SEARCH_REVISION` of the run; 0 for
+    #: manifests written before the revision was keyed.
+    search_revision: int = 0
     format: int = MANIFEST_FORMAT
 
     def to_dict(self) -> dict:

@@ -8,23 +8,25 @@ bitwise:
 * the **DSL fingerprint** (hash over the tuned TCR program texts),
 * the **architecture fingerprint** (hash over the GPU's dataclass fields),
 * the **calibration fingerprint** (the model constants),
-* the **searcher-settings fingerprint** (searcher kind, master seed, and
-  every result-relevant setting).
+* the **searcher-settings fingerprint** (searcher kind, master seed,
+  every result-relevant setting, and the search code's
+  :data:`~repro.autotune.settings.SEARCH_REVISION`).
 
 These are exactly the fields a :class:`~repro.obs.manifest.RunManifest`
 records, so the provenance layer doubles as the cache key: two requests
 with identical manifests would run bitwise-identical searches, which is
 what makes serving the stored result safe.  Only the manifest settings
 :class:`~repro.autotune.settings.TuneSettings` declares ``keyed`` enter
-the key; a name an older manifest carries that is no longer keyed (or no
-longer declared) is ignored, so retiring a setting keeps every stored
-result reachable.
+the key; a name an older manifest carries that is no longer declared is
+ignored.  That keeps stored results reachable only when the retired
+name never entered the key.  Retiring a keyed setting, or bumping the
+revision, moves every digest, so nothing stored before is served.
 
 On disk the store is a directory of **sharded append-only JSONL files**
 (``shard-NNN.jsonl``, shard chosen by key digest), each starting with a
 versioned header line.  All appends go through
-:func:`repro.util.jsonl.atomic_append_jsonl` (single ``O_APPEND`` write),
-so any number of concurrent writer processes is safe; duplicate keys
+:func:`repro.util.jsonl.atomic_append_jsonl` (one ``O_APPEND`` write under
+an exclusive lock), so any number of concurrent writer processes is safe; duplicate keys
 resolve **first-wins** on load, matching live ``put`` semantics, so every
 reader agrees with every writer.  Corrupt lines are counted and warned
 about, never fatal; a shard whose *header* is wrong (alien format
@@ -112,7 +114,8 @@ class StoreKey:
         }
         searcher_fp = format(
             stable_hash(
-                "searcher-settings", manifest.searcher, manifest.seed, settings
+                "searcher-settings", manifest.searcher, manifest.seed, settings,
+                manifest.search_revision,
             ),
             "016x",
         )

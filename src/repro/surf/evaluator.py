@@ -21,10 +21,10 @@ capped backoff, permanent ones are scored ``+inf``.  The
 Nothing is memoized: each call scores every point it is handed, so a
 run's accounting never depends on what an earlier run evaluated.
 
-Every batch runs in the search driver's process.  The paper's rig
-evaluates a batch "in parallel"; here that concurrency is simulated by the
-``batch_parallelism`` lanes of the wall-clock accounting, and the model
-itself is too cheap (milliseconds per batch) for a process fan-out to pay.
+Every batch runs in the search driver's process, and the simulated rig
+times one configuration at a time: the paper's Table II search times imply
+one rig timing one variant at a time.  The model itself is too cheap
+(milliseconds per batch) for a process fan-out to pay.
 """
 
 from __future__ import annotations
@@ -98,13 +98,9 @@ class BatchEvaluator:
 
     Subclasses implement :meth:`evaluate_one` (a *pure* scoring function —
     no counter mutation).  ``evaluate_batch`` then does all bookkeeping
-    once per batch: counters and batch-aware wall accounting.
-
-    Wall accounting models the paper's rig evaluating each SURF batch "in
-    parallel" over ``batch_lanes`` concurrent lanes: outcomes are
-    list-scheduled onto the least-loaded lane in order, and the batch costs
-    the *longest lane*, not the sum (and not sum/parallelism — lanes cannot
-    split a single compile+measure cycle).
+    once per batch: counters and wall accounting.  One rig times the
+    batch's points one after another, so a batch costs the sum of its
+    outcomes' walls.
     """
 
     evaluation_count: int = 0
@@ -113,11 +109,6 @@ class BatchEvaluator:
     transient_count: int = 0
     permanent_count: int = 0
     retry_count: int = 0
-
-    @property
-    def batch_lanes(self) -> int:
-        """How many evaluations the rig can run concurrently."""
-        return 1
 
     def evaluate_one(self, config: ProgramConfig) -> EvalOutcome:
         raise NotImplementedError
@@ -156,11 +147,7 @@ class BatchEvaluator:
             elif o.status == "permanent":
                 self.permanent_count += 1
             self.retry_count += max(0, o.attempts - 1)
-        lanes = [0.0] * min(self.batch_lanes, len(outcomes))
-        for o in outcomes:
-            slot = min(range(len(lanes)), key=lanes.__getitem__)
-            lanes[slot] += o.wall
-        self.simulated_wall_seconds += max(lanes)
+        self.simulated_wall_seconds += sum(o.wall for o in outcomes)
 
     def counters(self) -> dict[str, float]:
         """Monotone counters for telemetry deltas (see ``SearchTelemetry``)."""
@@ -199,10 +186,8 @@ class ConfigurationEvaluator(BatchEvaluator):
         same point is itself reproducible).
     noisy:
         Disable to make the objective exactly deterministic.
-    batch_parallelism:
-        How many concurrent empirical evaluations the rig supports (the
-        paper evaluates each SURF batch "in parallel"); affects only the
-        simulated wall-clock accounting, not the results.
+    include_transfer:
+        Whether the objective includes the program's PCIe transfers.
     faults:
         The rig's hazard mix and retry budget (:mod:`repro.surf.faults`);
         fault-free by default.
@@ -215,7 +200,6 @@ class ConfigurationEvaluator(BatchEvaluator):
         seed: int = 0,
         noisy: bool = True,
         include_transfer: bool = True,
-        batch_parallelism: int = 1,
         faults: FaultSpec | None = None,
     ) -> None:
         self.programs = list(programs)
@@ -223,14 +207,9 @@ class ConfigurationEvaluator(BatchEvaluator):
         self.seed = seed
         self.noisy = noisy
         self.include_transfer = include_transfer
-        self.batch_parallelism = max(1, batch_parallelism)
         self.faults = faults if faults is not None else FaultSpec()
         self.evaluation_count = 0
         self.simulated_wall_seconds = 0.0
-
-    @property
-    def batch_lanes(self) -> int:
-        return self.batch_parallelism
 
     def program_for(self, config: ProgramConfig) -> TCRProgram:
         return self.programs[config.variant_index]

@@ -53,14 +53,11 @@ class ExhaustiveSearch:
         n = len(hist.pool)
         stop = n if self.limit is None else min(self.limit, n)
 
-        def selection_state() -> dict:
-            # Resume recomputes the champion from the history; the keys
-            # stay so every exhaustive state.json keeps the same shape.
-            return {"best_i": hist.best_i, "best_y": hist.best_y}
-
+        # The scan's position is the history's length, and resume
+        # recomputes the champion from it: no selection state to save.
         hist.resume()
         for start in range(len(hist), stop, self.batch_size):
             ids = list(range(start, min(start + self.batch_size, stop)))
             hist.run_batch(ids)
-            hist.end_batch(len(ids), selection_state)
+            hist.end_batch(len(ids))
         return hist.result(wall_seconds)

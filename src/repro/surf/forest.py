@@ -342,8 +342,8 @@ class PoolRouter:
         """Both ensemble moments from a single table descent — bitwise
         equal to ``forest.predict(X[ids])`` and ``forest.predict_std(X[ids])``.
 
-        Acquisition rules that need uncertainty (e.g. a lower confidence
-        bound) get both here for one descent."""
+        No search calls it (SURF ranks by the mean alone); it stays while
+        perfbench times it as a wrap point."""
         ids = np.asarray(ids, dtype=np.int64)
         mean = np.zeros(ids.size)
         std = np.empty(ids.size)

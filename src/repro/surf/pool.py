@@ -14,10 +14,11 @@ objects per point.  This module gives them an id-based protocol instead:
     matrix on the way; ``ProgramConfig`` objects are materialized lazily,
     only for evaluation batches, the champion, and checkpoints.
 
-Both expose ``__len__``, ``config(i)``, ``configs(ids)``,
-``design_matrix(encoder)`` and ``fingerprint()``.  For identical ids the
-two produce bitwise-identical design matrices and value-equal configs,
-so search results do not depend on which representation carried the pool.
+Both expose ``__len__``, ``config(i)``, ``configs(ids)`` and
+``design_matrix(encoder)``.  For identical ids the two produce
+bitwise-identical design matrices and value-equal configs, so search
+results do not depend on which representation carried the pool.  A
+``SpacePool`` also has the ``fingerprint()`` a checkpoint is keyed on.
 
 ``GrowableArray`` is the amortized-append numpy buffer the drivers use
 for history ids/objectives (replacing per-batch Python list churn).
@@ -46,13 +47,6 @@ __all__ = [
     "SpacePool",
     "as_pool",
 ]
-
-#: Pools at most this large keep the seed checkpoint layout (explicit
-#: "remaining" id list, describe-based fingerprint); larger pools switch
-#: to derived remaining-sets and id-based fingerprints so checkpoint size
-#: and save time stay bounded.
-SMALL_POOL_LIMIT = 200_000
-
 
 class GrowableArray:
     """An append-friendly 1-D numpy buffer (amortized doubling)."""
@@ -168,11 +162,6 @@ class MaterializedPool:
     ) -> np.ndarray:
         return encoder.fit_transform([c.features() for c in self._items])
 
-    def fingerprint(self) -> str:
-        return format(
-            stable_hash("pool", [c.describe() for c in self._items]), "016x"
-        )
-
 
 class SpacePool:
     """A pool of global ids against a :class:`TuningSpace` — nothing
@@ -211,32 +200,22 @@ class SpacePool:
         return encoder.transform_codes(view)
 
     def fingerprint(self) -> str:
-        if len(self) <= SMALL_POOL_LIMIT:
-            # Seed-compatible describe hash: checkpoints written against a
-            # materialized pool with the same ids keep resuming.
-            return format(stable_hash("pool", self._describes()), "016x")
+        """Hash of the space's description and the sorted ids: together
+        they fix every pooled configuration's ``describe()``.  The
+        description is each variant index and every kernel position's
+        ``describe()``, so the cost is O(sum of kernel-space sizes) plus
+        one pass over the ids, at any pool size."""
+        description = [
+            (
+                ps.variant_index,
+                [[k.describe() for k in ks] for ks in ps.kernel_spaces],
+            )
+            for ps in self.space.program_spaces
+        ]
         return format(
-            stable_hash("pool-ids", int(self.space.size()), self.ids.tolist()),
+            stable_hash("pool", description, self.ids.astype("<i8").tobytes()),
             "016x",
         )
-
-    def _describes(self) -> list[str]:
-        """``[config.describe() for config in pool]``, built from the
-        decoded digits: one kernel ``describe()`` per distinct digit."""
-        out: list[str] = []
-        for pos, _rows, digits in self.space.decode_rows(self.ids):
-            ps = self.space.program_spaces[pos]
-            columns = []
-            for k, (ks, dig) in enumerate(zip(ps.kernel_spaces, digits)):
-                uniq, inverse = np.unique(dig, return_inverse=True)
-                names = np.array(
-                    [f"k{k}: {ks[int(d)].describe()}" for d in uniq.tolist()],
-                    dtype=object,
-                )
-                columns.append(names[inverse].tolist())
-            prefix = f"variant={ps.variant_index}"
-            out.extend("; ".join((prefix, *parts)) for parts in zip(*columns))
-        return out
 
 
 def as_pool(pool) -> MaterializedPool | SpacePool:

@@ -57,16 +57,12 @@ from repro.surf.binarize import FeatureBinarizer, OrdinalEncoder
 from repro.surf.checkpoint import SearchCheckpointer, rng_state, set_rng_state
 from repro.surf.evaluator import PENALTY_SECONDS
 from repro.surf.forest import ExtraTreesRegressor, PoolCodes, pool_codes
-from repro.surf.pool import SMALL_POOL_LIMIT, GrowableArray, SpacePool, as_pool
+from repro.surf.pool import GrowableArray, SpacePool, as_pool
 from repro.surf.telemetry import SearchTelemetry
 from repro.tcr.space import ProgramConfig
 from repro.util.rng import spawn_rng
 
 __all__ = ["SearchHistory", "SearchResult", "SURFSearch", "clamp_targets"]
-
-#: Exploration weight of the ``"lcb"`` acquisition rule: candidates rank
-#: by ``mean - LCB_KAPPA * std`` (lower confidence bound on log-time).
-LCB_KAPPA = 1.0
 
 #: Surrogate forest size.
 N_ESTIMATORS = 30
@@ -159,7 +155,8 @@ class SearchHistory:
     that the ``nmax`` budget buys, and the index of the first best value,
     which is the champion (strict ``<``, like ``argmin``).  A checkpoint
     state is ``searcher`` and ``history`` from here, then the driver's
-    selection state, then ``telemetry``.
+    selection state, then ``telemetry``; resume recounts the useful count
+    and the champion from the history.
     """
 
     def __init__(
@@ -228,11 +225,12 @@ class SearchHistory:
     def end_batch(
         self,
         batch_size: int,
-        selection_state: Callable[[], dict],
+        selection_state: Callable[[], dict] = dict,
         fit_seconds: float = 0.0,
     ) -> None:
         """Record the batch's telemetry, then checkpoint the run; the
-        driver's ``selection_state()`` is built only when checkpointing."""
+        driver's ``selection_state()`` (none by default) is built only when
+        checkpointing."""
         self.telemetry.record_batch(
             batch_size=batch_size, best_so_far=self.best_y, fit_seconds=fit_seconds
         )
@@ -283,7 +281,6 @@ class SURFSearch:
         max_evaluations: int = 100,
         seed: int = 0,
         binarize: bool = True,
-        acquisition: str = "mean",
     ) -> None:
         """The forest (:data:`N_ESTIMATORS` trees) fits log-times: the
         objective spans microseconds to multi-second penalty values, and
@@ -292,24 +289,17 @@ class SURFSearch:
         ``binarize=False`` swaps the paper's feature binarization for a
         naive ordinal encoding (ablation).
 
-        Equal predictions are ordered within a batch by a seeded
-        permutation (``(prediction, permutation)`` lexsort), so ties are
-        randomized at any prediction magnitude.
-
-        ``acquisition`` ranks the not-yet-evaluated pool each iteration:
-        ``"mean"`` (default, the paper's rule) by the ensemble-mean
-        prediction alone; ``"lcb"`` by the lower confidence bound ``mean -
-        kappa * std``, which needs both moments and gets them from one
-        combined tree descent (:meth:`PoolRouter.predict_mean_std`)."""
+        Each iteration ranks the not-yet-evaluated pool by the
+        ensemble-mean prediction, as Algorithm 2 does.  Equal predictions
+        are ordered within a batch by a seeded permutation
+        (``(prediction, permutation)`` lexsort), so ties are randomized at
+        any prediction magnitude."""
         if batch_size < 1 or max_evaluations < 1:
             raise SearchError("batch size and evaluation budget must be >= 1")
-        if acquisition not in ("mean", "lcb"):
-            raise SearchError("acquisition must be 'mean' or 'lcb'")
         self.batch_size = batch_size
         self.max_evaluations = max_evaluations
         self.seed = seed
         self.binarize = binarize
-        self.acquisition = acquisition
 
     def search(
         self,
@@ -361,15 +351,9 @@ class SURFSearch:
                 return time.perf_counter() - start
 
         def selection_state() -> dict:
-            state = {}
-            if n <= SMALL_POOL_LIMIT:
-                # Small pools store the remaining set; huge pools derive
-                # it from the history on load instead.
-                state["remaining"] = np.flatnonzero(alive).tolist()
-            state["useful"] = hist.useful
-            state["rng_state"] = rng_state(rng)
-            state["fits"] = model._fit_count
-            return state
+            # The dispatched set is the history's ids, and the useful
+            # count is recounted from its values: resume derives both.
+            return {"rng_state": rng_state(rng), "fits": model._fit_count}
 
         def step(batch_ids: list[int]) -> None:
             alive[batch_ids] = False
@@ -379,11 +363,7 @@ class SURFSearch:
 
         state = hist.resume()
         if state is not None:
-            if "remaining" in state:
-                alive[:] = False
-                alive[np.asarray(state["remaining"], dtype=np.int64)] = True
-            else:
-                alive[hist.ids.view] = False
+            alive[hist.ids.view] = False
             set_rng_state(rng, state["rng_state"])
             # Rebuild the surrogate the interrupted run was holding: rewind
             # the refit counter and refit on the restored (X, y) — the refit
@@ -405,19 +385,12 @@ class SURFSearch:
             n_explore = min(int(round(bs * EXPLORE_FRACTION)), bs - 1)
             take = bs - n_explore
             with get_tracer().span(
-                "search.predict", category="search", rows=m,
-                acquisition=self.acquisition,
+                "search.predict", category="search", rows=m
             ) as sp:
                 # Which predictor ran: "partition" or "table" on the
                 # coded pool, "float" without codes (+ partition counts).
                 info = {"path": "table" if router is not None else "float"}
-                if self.acquisition == "lcb":
-                    if router is not None:
-                        mean, std = router.predict_mean_std(alive_ids)
-                    else:
-                        mean, std = model.predict_mean_std(X_all[alive_ids])
-                    preds = mean - LCB_KAPPA * std
-                elif router is not None:
+                if router is not None:
                     preds = router.predict(alive_ids, info)
                 else:
                     preds = model.predict(X_all[alive_ids])

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.errors import CheckpointError, SearchError
+from repro.errors import SearchError
 from repro.gpusim.timing_table import ProgramTimingTable
-from repro.surf.checkpoint import SearchCheckpointer
 from repro.surf.evaluator import PENALTY_SECONDS
 from repro.surf.search import SearchResult
 from repro.surf.telemetry import SearchTelemetry
@@ -93,80 +92,40 @@ class SeparableExhaustiveSearch:
         return ids, val
 
     # ------------------------------------------------------------------
-    def search(
-        self,
-        telemetry: SearchTelemetry | None = None,
-        checkpointer: SearchCheckpointer | None = None,
-    ) -> SearchResult:
+    def search(self, telemetry: SearchTelemetry | None = None) -> SearchResult:
         """Optimize over the tables: no pool, no evaluator.
 
-        With a checkpointer, state is saved after each variant's argmin and
-        an interrupted sweep resumes at the first unprocessed variant.
+        The sweep takes milliseconds, so it saves no checkpoint state.
         """
         if telemetry is None:
             telemetry = SearchTelemetry()
         history: list[tuple[ProgramConfig, float]] = []
-        champions: list[list] = []  # checkpoint form: [pos, ids, val, global_id]
         best_i: int | None = None
         best_y = float("inf")
         simulated_wall = 0.0
         kernel_evals = 0
-        first = 0
-        state = checkpointer.resume_state if checkpointer is not None else None
-        if state is not None:
-            if state.get("searcher") != self.name:
-                raise CheckpointError(
-                    f"checkpoint belongs to searcher {state.get('searcher')!r}, "
-                    f"cannot resume with {self.name!r}"
-                )
-            for pos, ids, val, global_id in state["champions"]:
-                ids = tuple(int(k) for k in ids)
-                config = self.tables[int(pos)].config_for(ids, global_id=int(global_id))
-                history.append((config, float(val)))
-                champions.append([int(pos), list(ids), float(val), int(global_id)])
-            best_i = None if state["best_i"] is None else int(state["best_i"])
-            best_y = float(state["best_y"])
-            simulated_wall = float(state["simulated_wall"])
-            kernel_evals = int(state["kernel_evals"])
-            first = int(state["next_variant"])
-            telemetry.restore_state(state["telemetry"])
-        for pos in range(first, len(self.tables)):
-            table = self.tables[pos]
+        for pos, table in enumerate(self.tables):
             champion = self._variant_champion(table)
             kernel_evals += table.kernel_evaluations
-            if champion is not None:
-                ids, val = champion
-                global_id = (
-                    self.tuning_space.global_id_for(pos, table.local_index(ids))
-                    if self.tuning_space is not None
-                    else -1
-                )
-                config = table.config_for(ids, global_id=global_id)
-                history.append((config, val))
-                champions.append([pos, list(ids), val, global_id])
-                # One confirmation run of the champion on the simulated rig
-                # (compile + repetitions) — the wall cost an empirical tuner
-                # cannot avoid even when the model pre-screens the space.
-                simulated_wall += table.evaluation_wall(ids)
-                if val < best_y:
-                    best_y = val
-                    best_i = len(history) - 1
-                telemetry.record_batch(
-                    batch_size=table.kernel_evaluations, best_so_far=best_y
-                )
-            if checkpointer is not None:
-                checkpointer.save(
-                    {
-                        "searcher": self.name,
-                        "champions": champions,
-                        "best_i": best_i,
-                        "best_y": best_y,
-                        "simulated_wall": simulated_wall,
-                        "kernel_evals": kernel_evals,
-                        "next_variant": pos + 1,
-                        "telemetry": telemetry.snapshot_state(),
-                    }
-                )
+            if champion is None:
+                continue
+            ids, val = champion
+            global_id = (
+                self.tuning_space.global_id_for(pos, table.local_index(ids))
+                if self.tuning_space is not None
+                else -1
+            )
+            history.append((table.config_for(ids, global_id=global_id), val))
+            # One confirmation run of the champion on the simulated rig
+            # (compile + repetitions) — the wall cost an empirical tuner
+            # cannot avoid even when the model pre-screens the space.
+            simulated_wall += table.evaluation_wall(ids)
+            if val < best_y:
+                best_y = val
+                best_i = len(history) - 1
+            telemetry.record_batch(
+                batch_size=table.kernel_evaluations, best_so_far=best_y
+            )
         if best_i is None:
             raise SearchError("no variant produced a configuration")
         return SearchResult(

@@ -134,16 +134,8 @@ class SearchTelemetry:
 
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict[str, object]:
-        """Checkpointable state: the records plus the counter snapshot.
-
-        Saved records keep the key of the retired, always-zero
-        ``cache_hits`` field at 0: the state layout, and every digest
-        pinned over it, stay what they have been since the format began.
-        """
-        return {
-            "records": [{**r, "cache_hits": 0} for r in self.as_dicts()],
-            "last": dict(self._last),
-        }
+        """Checkpointable state: the records plus the counter snapshot."""
+        return {"records": self.as_dicts(), "last": dict(self._last)}
 
     def restore_state(self, state: dict[str, object]) -> None:
         """Restore :meth:`snapshot_state` output (for search resume).
@@ -155,13 +147,9 @@ class SearchTelemetry:
         own counter record) — diffing the first post-resume batch against
         the stale snapshot produced negative or double-counted deltas.
         Without a provider the persisted snapshot is the only baseline
-        available, so it is kept as saved.  The saved records' retired
-        ``cache_hits`` key is dropped.
+        available, so it is kept as saved.
         """
-        self.records = [
-            BatchRecord(**{k: v for k, v in r.items() if k != "cache_hits"})
-            for r in state.get("records", [])
-        ]
+        self.records = [BatchRecord(**r) for r in state.get("records", [])]
         if self._counters is not None:
             self._last = self._snapshot()
         else:

@@ -99,9 +99,6 @@ class TCROperation:
         per_point = 2 if len(self.inputs) == 2 else (2 if self.reduction_indices else 1)
         return space * per_point
 
-    def rename_output(self, ref: TensorRef) -> "TCROperation":
-        return TCROperation(ref, self.inputs)
-
     def to_contraction(self, dims: Mapping[str, int], name: str = "op") -> Contraction:
         """View this operation as a standalone :class:`Contraction`."""
         used = set(self.all_indices)

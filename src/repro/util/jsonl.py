@@ -25,6 +25,7 @@ file.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -55,15 +56,17 @@ def atomic_append_jsonl(path: str | Path, obj: Any) -> int:
 
     When the file does not end in a newline — a crash left a torn final
     line — the write starts with one, so the torn line stays the only
-    casualty instead of swallowing this record too.  If another writer
-    completes a line in between, the cost is one blank line, which
-    :func:`load_jsonl` skips.
+    casualty instead of swallowing this record too.  An exclusive
+    ``flock`` is held from that check through the write: unlocked, the
+    check could read the last byte of another writer's append still in
+    flight and add a needless newline, leaving a blank line.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     data = (json.dumps(obj) + "\n").encode("utf-8")
     fd = os.open(str(path), os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
+        fcntl.flock(fd, fcntl.LOCK_EX)  # released when fd closes
         size = os.fstat(fd).st_size
         if size and os.pread(fd, 1, size - 1) != b"\n":
             data = b"\n" + data

@@ -50,23 +50,6 @@ class TestTuneProgram:
             y for _c, y in b.search.history
         ]
 
-    def test_batch_parallelism_forwarded(self, two_op_program):
-        # Regression: the constructor knob used to be dead from the driver
-        # (never forwarded to ConfigurationEvaluator).
-        seq = Autotuner(GTX980, max_evaluations=30, pool_size=300, seed=0)
-        par = Autotuner(
-            GTX980,
-            max_evaluations=30,
-            pool_size=300,
-            seed=0,
-            batch_parallelism=5,
-        )
-        a = seq.tune_program(two_op_program)
-        b = par.tune_program(two_op_program)
-        assert b.search_seconds < a.search_seconds * 0.3
-        # Accounting only — the search itself is unchanged.
-        assert a.search.history == b.search.history
-
 
 class TestTuneContraction:
     def test_searches_across_variants(self, eqn1_small):

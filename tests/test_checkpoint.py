@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,14 @@ import pytest
 
 import repro
 from repro.autotune import Autotuner
+from repro.autotune.settings import SEARCH_REVISION
 from repro.errors import CheckpointError
 from repro.gpusim.arch import GTX980
 from repro.surf.checkpoint import CheckpointManager, SearchCheckpointer
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 TOOLS_DIR = Path(SRC_DIR).parent / "tools"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 class TestCheckpointManager:
@@ -143,21 +146,23 @@ class TestInterruptResume:
         )
         assert _signature(resumed) == _signature(reference)
 
-    def test_sweep_searcher_resumes(self, two_op_program, tmp_path, monkeypatch):
-        kw = {"searcher": "sweep"}
-        reference = _run(two_op_program, tmp_path, **kw)
+    def test_sweep_searcher_resumes(self, tmp_path, capsys):
+        # A sweep takes milliseconds and saves no search state: its
+        # checkpoint directory holds the manifest alone, and --resume on
+        # it just runs the sweep again.
+        from repro.cli import main
+
+        def tune(*flags: str) -> list[str]:
+            assert main(["tune", "d1_1", "--searcher", "sweep", *flags]) == 0
+            out = capsys.readouterr().out.splitlines()
+            return [line for line in out if not line.startswith("telemetry:")]
+
+        reference = tune()
         ck = tmp_path / "ck"
-        # The single-variant sweep saves once per variant; kill after it to
-        # exercise the completed-state resume path.
-        with pytest.raises(_Interrupted):
-            _run(
-                two_op_program, tmp_path, monkeypatch, kill_after=1,
-                checkpoint_dir=ck, **kw,
-            )
-        resumed = _run(
-            two_op_program, tmp_path, checkpoint_dir=ck, resume=True, **kw
-        )
-        assert _signature(resumed) == _signature(reference)
+        assert tune("--checkpoint-dir", str(ck)) == reference
+        assert sorted(p.name for p in ck.iterdir()) == ["manifest.json"]
+        assert tune("--checkpoint-dir", str(ck), "--resume") == reference
+        assert sorted(p.name for p in ck.iterdir()) == ["manifest.json"]
 
     def test_resume_without_state_starts_fresh(self, two_op_program, tmp_path):
         reference = _run(two_op_program, tmp_path)
@@ -274,10 +279,23 @@ class TestInspectTool:
         out = capsys.readouterr().out
         assert "pruned stale tmp" in out
         assert "fingerprint:" in out
+        assert f"search_revision: {SEARCH_REVISION}" in out
         # The state and the manifest are all a checkpoint directory holds.
         assert sorted(p.name for p in ck.iterdir()) == [
             "manifest.json", "state.json",
         ]
+
+    def test_state_of_another_revision_fails(self, tmp_path, capsys):
+        # Resume would refuse a state written before the search revision
+        # was keyed, so the tool reports it INVALID.
+        shutil.copy(
+            GOLDEN_DIR / "checkpoint_surf_mid_run_one_rig.json",
+            tmp_path / "state.json",
+        )
+        assert self._main()([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "search_revision: None" in out
+        assert "INVALID" in out
 
     def test_corrupt_state_fails(self, tmp_path, capsys):
         manager = CheckpointManager(tmp_path)

@@ -116,8 +116,8 @@ class TestJoint:
         assert separate_h2d > 0  # (sanity on the comparison values)
 
     def test_rig_and_searcher_settings_reach_the_search(self):
-        # Lanes, faults and the acquisition rule reach a joint run: it is
-        # an ordinary tune of the merged program, on the tuner's rig.
+        # Faults, the noise switch and the searcher reach a joint run: it
+        # is an ordinary tune of the merged program, on the tuner's rig.
         merged = concatenate_programs(
             "ax", [lg3(8, 32).program, lg3t(8, 32, output_name="w").program]
         )
@@ -130,9 +130,7 @@ class TestJoint:
             return tuner.tune_program(merged)
 
         plain = run()
-        lanes = run(batch_parallelism=4)
-        assert lanes.search.history == plain.search.history
-        assert lanes.search_seconds < plain.search_seconds
         totals = run(faults="0.3").search.telemetry.totals()
         assert totals["transient"] + totals["permanent"] > 0
-        assert run(acquisition="lcb").search.history != plain.search.history
+        assert run(noisy=False).search.history != plain.search.history
+        assert run(searcher="random").search.history != plain.search.history

@@ -1,9 +1,9 @@
 """Bitwise pins of the search drivers: golden SURF, random and exhaustive runs.
 
 SURF runs are pinned to golden digests (champion plus full history) of
-the level-wise forest, with binarize on and off, fault injection on, and
-the ``lcb`` acquisition; a killed-and-resumed run must equal the
-uninterrupted one bitwise, checkpoint state included.  Random and
+the level-wise forest, with binarize on and off and fault injection on;
+a killed-and-resumed run must equal the uninterrupted one bitwise,
+checkpoint state included.  Random and
 exhaustive runs, with and without faults, are pinned to golden digests
 of their champion, history and final checkpoint state; a
 killed-and-resumed run must reach the same digests.  Those digests were
@@ -20,6 +20,8 @@ lexsort tie rule (randomized ties at any prediction magnitude).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ from repro.surf.pool import (
 )
 from repro.surf.search import _bottom_k_lex
 from repro.tcr.decision import decide_search_space
-from repro.tcr.space import TuningSpace
+from repro.tcr.space import TTGTKernelSpace, TuningSpace
 from repro.util.rng import spawn_rng, stable_hash
 
 
@@ -144,7 +146,7 @@ def _assert_same_run(new, reference, *, state_keys):
         assert new_state[key] == ref_state[key], f"state[{key!r}] diverged"
 
 
-SURF_STATE_KEYS = ("history", "remaining", "useful", "rng_state", "fits")
+SURF_STATE_KEYS = ("history", "rng_state", "fits")
 
 
 def _run_digest(result) -> str:
@@ -166,7 +168,6 @@ GOLDEN_RUNS = {
     "binarize": "cc4d94587cecd88f",
     "ordinal": "68902910392cb04c",
     "faults": "965279628a322ced",
-    "lcb": "21238959b03f06be",
 }
 
 
@@ -190,30 +191,6 @@ class TestSURFParity:
         ys = [y for _c, y in result.history]
         assert any(not np.isfinite(y) for y in ys)  # faults actually fire
         assert _run_digest(result) == GOLDEN_RUNS["faults"]
-
-    def test_bitwise_parity_lcb(self, setup):
-        program, _space, _ids, pool, model = setup
-        result = SURFSearch(
-            batch_size=7, max_evaluations=35, seed=9, acquisition="lcb"
-        ).search(pool, _plain_evaluator(program, model).evaluate_batch)
-        assert _run_digest(result) == GOLDEN_RUNS["lcb"]
-
-    def test_lcb_changes_the_course(self, setup):
-        # Sanity that the acquisition knob is actually live: lcb explores
-        # differently from the pure-mean rule on the same seed.
-        program, space, ids, _pool, model = setup
-        kwargs = dict(batch_size=7, max_evaluations=35, seed=9)
-        mean_run = SURFSearch(**kwargs).search(
-            SpacePool(space, ids),
-            _plain_evaluator(program, model).evaluate_batch,
-        )
-        lcb_run = SURFSearch(acquisition="lcb", **kwargs).search(
-            SpacePool(space, ids),
-            _plain_evaluator(program, model).evaluate_batch,
-        )
-        assert [c.describe() for c, _y in mean_run.history] != [
-            c.describe() for c, _y in lcb_run.history
-        ]
 
     def test_resume_mid_run_matches_uninterrupted_legacy(self, setup, tmp_path):
         # Once pinned against the seed driver; now the uninterrupted run of
@@ -245,20 +222,23 @@ BASELINES = {
     ),
     "exhaustive": (
         ExhaustiveSearch, dict(batch_size=13, limit=90),
-        ("history", "best_i", "best_y", "telemetry"),
+        ("history", "telemetry"),
     ),
 }
 
 EVALUATORS = {"plain": _plain_evaluator, "faults": _faulty_evaluator}
 
 #: (champion-plus-history, final checkpoint state) digests of the
-#: baseline runs, captured while the drivers were still checked bitwise
-#: against copies of the seed implementations.
+#: baseline runs.  The champion-plus-history halves were captured while
+#: the drivers were still checked bitwise against copies of the seed
+#: implementations; the state halves at search revision 1, whose saved
+#: telemetry records carry no ``cache_hits`` and whose exhaustive state
+#: is the history and telemetry alone.
 GOLDEN_BASELINES = {
-    "random/plain": ("ff70849288187e97", "a96e8023bfe5fead"),
-    "random/faults": ("159094b1b94c2cdd", "558c0d1a01367489"),
-    "exhaustive/plain": ("c34ede6e5681a291", "5a340bfcde9d9c95"),
-    "exhaustive/faults": ("11ca67b49465b095", "2e456c8fb93c2f98"),
+    "random/plain": ("ff70849288187e97", "0d32fb586ae66a37"),
+    "random/faults": ("159094b1b94c2cdd", "0651a3cf2dbb462e"),
+    "exhaustive/plain": ("c34ede6e5681a291", "b48bdee9fa28fac9"),
+    "exhaustive/faults": ("11ca67b49465b095", "4fd18e15bea63b7d"),
 }
 
 
@@ -340,6 +320,45 @@ class TestBaselineParity:
         _assert_golden_baseline(run, searcher, evaluator)
 
 
+#: Each pool searcher, its arguments and the keys its ``state.json``
+#: holds beside ``searcher``: the history, the driver's selection state
+#: and the telemetry.  Resume recounts the useful count and the champion,
+#: and SURF re-derives its dispatched set from the history, so no state
+#: carries ``remaining``, ``useful``, ``best_i`` or ``best_y``.
+STATE_LAYOUTS = {
+    "surf": (
+        SURFSearch, dict(batch_size=8, max_evaluations=48, seed=7),
+        (*SURF_STATE_KEYS, "telemetry"),
+    ),
+    **BASELINES,
+}
+
+
+class TestStateLayout:
+    @pytest.mark.parametrize("searcher", sorted(STATE_LAYOUTS))
+    def test_state_holds_only_what_resume_reads(self, setup, tmp_path, searcher):
+        # Faults make the useful count differ from the history length, so
+        # a resume that recounted it wrongly would take another course.
+        program, _space, _ids, pool, model = setup
+        cls, kwargs, keys = STATE_LAYOUTS[searcher]
+        reference = _checkpointed_run(
+            cls(**kwargs), pool, program, model, tmp_path / "reference",
+            _faulty_evaluator,
+        )
+        resumed = _killed_and_resumed(
+            cls(**kwargs), cls(**kwargs), pool, program, model,
+            tmp_path / "resume", _faulty_evaluator,
+        )
+        for _result, state in (reference, resumed):
+            assert set(state) == {"searcher", *keys}
+            assert state["telemetry"]["records"]
+            for record in state["telemetry"]["records"]:
+                assert "cache_hits" not in record
+        _assert_same_run(
+            resumed, reference, state_keys=[k for k in keys if k != "telemetry"]
+        )
+
+
 class TestPoolParity:
     """The space-fed feature path must equal the features()-dict path."""
 
@@ -354,20 +373,16 @@ class TestPoolParity:
         assert X_space.shape == X_dict.shape
         assert np.array_equal(X_space, X_dict)
 
-    def test_fingerprint_matches_materialized(self, setup):
-        _program, space, ids, pool, _model = setup
-        from repro.surf.pool import as_pool
-
-        assert SpacePool(space, ids).fingerprint() == as_pool(pool).fingerprint()
-
     @pytest.mark.parametrize(
         "workload, backend",
         [("lg3", "loopnest"), ("eqn1", "loopnest"), ("lg3", "ttgt")],
     )
     def test_fingerprint_is_the_describe_hash(self, workload, backend):
-        # Built from decoded digits, the fingerprint hashes the same
-        # strings as one describe() per id: single- and multi-variant
-        # loop-nest pools, and a pool of TTGT kernels.
+        # The fingerprint hashes the space's description (each variant
+        # index and every kernel position's describe()) with the sorted
+        # ids: equal for equal spaces and ids, and moved by any changed id
+        # or by any kernel position's describe(), pooled or not.  Single-
+        # and multi-variant loop-nest spaces, and a space of TTGT kernels.
         from repro.core.pipeline import compile_contraction
         from repro.workloads import get_workload
 
@@ -376,18 +391,51 @@ class TestPoolParity:
             [wl.program] if wl.program is not None
             else [v.program for v in compile_contraction(wl.contraction).variants]
         )
-        space = TuningSpace([
-            decide_search_space(p, variant_index=i, backend=backend)
-            for i, p in enumerate(programs)
-        ])
+
+        def build() -> TuningSpace:
+            return TuningSpace([
+                decide_search_space(p, variant_index=i, backend=backend)
+                for i, p in enumerate(programs)
+            ])
+
+        space = build()
         ids = space.sample_ids(400, spawn_rng(0, "fingerprint"))
-        describes = [space.config_at(g).describe() for g in ids]
-        if workload == "eqn1":
-            assert len({d.split(";")[0] for d in describes}) > 1
-        if backend == "ttgt":
-            assert all(" ttgt " in d for d in describes)
-        expect = format(stable_hash("pool", describes), "016x")
-        assert SpacePool(space, ids).fingerprint() == expect
+        fingerprint = SpacePool(space, ids).fingerprint()
+        assert SpacePool(build(), ids[::-1]).fingerprint() == fingerprint
+
+        pooled = set(ids)
+        free = next(g for g in range(space.size()) if g not in pooled)
+        for j in (0, len(ids) // 2, len(ids) - 1):
+            moved = list(ids)
+            moved[j] = free
+            assert SpacePool(space, moved).fingerprint() != fingerprint
+
+        class Renamed:
+            """A kernel configuration with another ``describe()``."""
+
+            def __init__(self, config):
+                self.config = config
+
+            def describe(self) -> str:
+                return self.config.describe() + "'"
+
+        last = len(space.program_spaces) - 1
+        for pos, k in ((0, 0), (last, -1)):
+            program_space = space.program_spaces[pos]
+            kernel_space = program_space.kernel_spaces[k]
+            for position in (0, len(kernel_space) - 1):
+                configs = list(kernel_space)
+                configs[position] = Renamed(configs[position])
+                kernel_spaces = list(program_space.kernel_spaces)
+                kernel_spaces[k] = TTGTKernelSpace(kernel_space.operation, configs)
+                changed = list(space.program_spaces)
+                changed[pos] = dataclasses.replace(
+                    program_space, kernel_spaces=tuple(kernel_spaces)
+                )
+                assert (
+                    SpacePool(TuningSpace(changed), ids).fingerprint()
+                    != fingerprint
+                )
 
     def test_configs_round_trip(self, setup):
         _program, space, ids, pool, _model = setup

@@ -8,8 +8,10 @@ import threading
 import pytest
 
 from repro.autotune import Autotuner
+from repro.autotune.settings import SEARCH_REVISION
 from repro.errors import ServiceError, StoreError
 from repro.gpusim.arch import GTX980
+from repro.obs.manifest import RunManifest
 from repro.obs.tracer import Tracer, use_tracer
 from repro.serve.client import resolve_source, tune_contraction
 from repro.serve.service import JobState, TuneRequest, TuningService
@@ -54,13 +56,17 @@ class TestStoreKey:
     def test_from_manifest_ignores_result_neutral_settings(self, two_op_program):
         # Only keyed settings enter the key: names the declaration no
         # longer has (a manifest written before "fast_model", "workers",
-        # "sweep_full", "elastic" and "search_workers" were deleted) leave
-        # the address alone.
+        # "sweep_full", "elastic" and "search_workers" were deleted, or
+        # before the keyed "acquisition", "batch_parallelism" and
+        # "max_variants" were retired) leave the address alone.
         manifest = Autotuner(GTX980, seed=0).run_manifest("m", [two_op_program])
         base = StoreKey.from_manifest(manifest)
         for extra in (
             {"fast_model": True}, {"elastic": 4}, {"search_workers": 8},
             {"workers": 4, "sweep_full": True},
+            {"acquisition": "lcb"}, {"batch_parallelism": 4},
+            {"max_variants": 1},
+            {"acquisition": "mean", "batch_parallelism": 1, "max_variants": None},
         ):
             other = dataclasses.replace(
                 manifest, settings={**manifest.settings, **extra}
@@ -70,6 +76,19 @@ class TestStoreKey:
             manifest, settings={**manifest.settings, "max_evaluations": 7}
         )
         assert StoreKey.from_manifest(other) != base
+
+    def test_search_revision_enters_the_key(self, two_op_program, tmp_path):
+        # A manifest written before the revision was keyed loads as
+        # revision 0 and never maps to a current key.
+        manifest = Autotuner(GTX980, seed=0).run_manifest("m", [two_op_program])
+        assert manifest.search_revision == SEARCH_REVISION
+        payload = manifest.to_dict()
+        del payload["search_revision"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        older = RunManifest.load(path)
+        assert older == dataclasses.replace(manifest, search_revision=0)
+        assert StoreKey.from_manifest(older) != StoreKey.from_manifest(manifest)
 
     def test_backend_is_store_key_relevant(self, two_op_program):
         # The backend decides which kernel spaces exist, so "ttgt" and

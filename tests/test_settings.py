@@ -14,7 +14,14 @@ from pathlib import Path
 import pytest
 
 from repro.autotune import Autotuner
-from repro.autotune.settings import KEYED, KEYED_SETTINGS, RUNTIME, TuneSettings
+from repro.autotune import tuner as tuner_module
+from repro.autotune.settings import (
+    KEYED,
+    KEYED_SETTINGS,
+    RUNTIME,
+    SEARCH_REVISION,
+    TuneSettings,
+)
 from repro.core.pipeline import compile_contraction
 from repro.dsl.parser import parse_contraction
 from repro.errors import CheckpointError
@@ -45,39 +52,37 @@ KEYED_VALUES = {
     "max_evaluations": 13,
     "batch_size": 5,
     "pool_size": 61,
-    "max_variants": 1,
     "noisy": False,
     "include_transfer": False,
     "per_variant": True,
-    "batch_parallelism": 4,
     "faults": "0.1",
-    "acquisition": "lcb",
     "backend": "ttgt",
 }
 
-#: StoreKey digests (GTX 980, seed 0) since every keyed setting enters
-#: every key and a fault-free spec enters as "": a change to how settings
-#: enter the key must keep every stored result reachable.
+#: StoreKey digests (GTX 980, seed 0) at search revision 1, with every
+#: keyed setting in every key and a fault-free spec entering as "": a
+#: change to how settings enter the key must keep every stored result
+#: reachable, and only a deliberate re-pin may move them.
 GOLDEN_DIGESTS = {
-    "chain/default": "ea22411bedb93a08",
-    "chain/sweep_auto": "7ba85291f4330969",
-    "chain/lcb": "8fa0ca461e773952",
-    "chain/ttgt": "378e31cd013799d1",
-    "chain/faults": "d6fa3b95a60189c5",
-    "chain/per_variant": "f77b2d1382c498a3",
-    "chain/batch_parallelism": "a36cbc535f091392",
-    "eqn1/default": "2465a7d745b619f6",
-    "eqn1/sweep_auto": "2a06e87e93da1ea3",
-    "eqn1/lcb": "70ed66675637af1f",
-    "eqn1/ttgt": "2c0a90623785f978",
-    "eqn1/faults": "cecdc360a3267c93",
-    "eqn1/per_variant": "f855af44dbd2a1e3",
-    "eqn1/batch_parallelism": "ee5f118e852b82e7",
+    "chain/default": "e4c5f9d905f2338c",
+    "chain/sweep_auto": "89926fa8c8260231",
+    "chain/ttgt": "8da89266e22f273b",
+    "chain/faults": "0799e64a1796d3e4",
+    "chain/per_variant": "7256d60b51d34c82",
+    "eqn1/default": "a4599deb5837bd71",
+    "eqn1/sweep_auto": "4c949a80ecd79e64",
+    "eqn1/ttgt": "e5a2f620aa82686d",
+    "eqn1/faults": "03c59947b5547860",
+    "eqn1/per_variant": "0a7ee5add8144c26",
 }
 
-#: The same cases' digests under the seed-pinned forest, whose manifests
-#: carried ``tie_break``.  Its stored champions must never be served to a
-#: request the level-wise forest would answer differently.
+#: Digests no request may produce again.  The first sixteen are the same
+#: cases under the seed-pinned forest, whose manifests carried
+#: ``tie_break``.  The last fourteen are the cases before the search
+#: revision was keyed, when ``acquisition``, ``batch_parallelism`` and
+#: ``max_variants`` were keyed settings (the ``lcb`` and
+#: ``batch_parallelism`` cases among them).  Their stored champions must
+#: never be served to a request the current code would answer otherwise.
 RETIRED_DIGESTS = frozenset({
     "b893a2f2cd29839e", "c802548013b36573", "ae0f5bd3469f4a90",
     "2b7570d4e49fc7be", "edb9011c3de50d31", "5395600d2fba9bf9",
@@ -85,16 +90,19 @@ RETIRED_DIGESTS = frozenset({
     "947d73b048691f30", "c499e429fd8e924d", "627a2e48d03b8984",
     "0805c266ecdbb1ee", "609d19e6f2c2606d", "88607b5c13e5f0c4",
     "cdeb32e6aa603214",
+    "ea22411bedb93a08", "7ba85291f4330969", "8fa0ca461e773952",
+    "378e31cd013799d1", "d6fa3b95a60189c5", "f77b2d1382c498a3",
+    "a36cbc535f091392", "2465a7d745b619f6", "2a06e87e93da1ea3",
+    "70ed66675637af1f", "2c0a90623785f978", "cecdc360a3267c93",
+    "f855af44dbd2a1e3", "ee5f118e852b82e7",
 })
 
 GOLDEN_CASES = {
     "default": {},
     "sweep_auto": {"searcher": "sweep", "backend": "auto"},
-    "lcb": {"acquisition": "lcb"},
     "ttgt": {"backend": "ttgt"},
     "faults": {"faults": "0.1"},
     "per_variant": {"per_variant": True},
-    "batch_parallelism": {"batch_parallelism": 4},
 }
 
 
@@ -173,7 +181,7 @@ class TestDeclaration:
 
     def test_explicit_defaults_keep_the_digest(self, two_op_program):
         defaults = {f.name: f.default for f in dataclasses.fields(TuneSettings)}
-        explicit = {k: defaults[k] for k in ("acquisition", "backend")}
+        explicit = {k: defaults[k] for k in ("backend", "per_variant")}
         assert _digest(
             Autotuner(GTX980, **BASE, **explicit), "chain", [two_op_program]
         ) == _digest(Autotuner(GTX980, **BASE), "chain", [two_op_program])
@@ -218,6 +226,9 @@ class TestKeywordsAndEnvironment:
             {"max_retries": 3},
             {"search_workers": 2},
             {"fast_model": True},
+            {"acquisition": "mean"},
+            {"batch_parallelism": 1},
+            {"max_variants": 4},
         ],
     )
     def test_deleted_keywords_rejected(self, knob):
@@ -229,12 +240,9 @@ class TestKeywordsAndEnvironment:
             TuningService(tmp_path / "rs", workers=1, elastic=2)
 
     def test_only_path_settings_read_the_environment(self, monkeypatch):
-        envs = {
-            f.metadata["env"]
-            for f in dataclasses.fields(TuneSettings)
-            if f.metadata["env"]
-        }
-        assert envs == {"REPRO_RESULT_STORE"}
+        # The retired variables stay inert, and REPRO_RESULT_STORE fills
+        # an unset store (and only an unset one).
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
         for retired in ("REPRO_EVAL_WORKERS", "REPRO_SEARCH_WORKERS",
                         "REPRO_ELASTIC", "REPRO_FAST_MODEL"):
             monkeypatch.setenv(retired, "3")
@@ -243,9 +251,17 @@ class TestKeywordsAndEnvironment:
         monkeypatch.setenv("REPRO_SPOOL", "spool")
         settings = TuneSettings()
         assert not hasattr(settings, "search_workers")
-        assert not settings.faults.any()
         assert not hasattr(settings, "spool")
         assert not hasattr(settings, "cache")
+        assert not settings.faults.any()
+        for f in dataclasses.fields(TuneSettings):
+            if f.name != "faults":
+                assert getattr(settings, f.name) == f.default, f.name
+        monkeypatch.setenv("REPRO_RESULT_STORE", "rs")
+        assert TuneSettings().result_store == "rs"
+        assert TuneSettings(result_store="mine").result_store == "mine"
+        monkeypatch.setenv("REPRO_RESULT_STORE", "")
+        assert TuneSettings().result_store is None
 
 
 class TestCheckpointFingerprint:
@@ -254,11 +270,25 @@ class TestCheckpointFingerprint:
         tuner.tune_program(two_op_program)
         state = json.loads((tmp_path / "ck" / "state.json").read_text())
         fingerprint = state["fingerprint"]
-        assert set(fingerprint) == {"name", "arch", "space_size", "pool"} | set(
-            tuner.settings.keyed
-        )
+        assert set(fingerprint) == {
+            "name", "arch", "space_size", "pool", "search_revision",
+        } | set(tuner.settings.keyed)
         assert "resilient" not in fingerprint
         assert fingerprint["faults"] == ""
+        assert fingerprint["search_revision"] == SEARCH_REVISION
+
+    def test_a_bumped_revision_moves_the_digest_and_refuses_the_checkpoint(
+        self, two_op_program, tmp_path, monkeypatch
+    ):
+        ck = tmp_path / "ck"
+        tuner = Autotuner(GTX980, **BASE, checkpoint_dir=ck)
+        digest = _digest(tuner, "chain", [two_op_program])
+        tuner.tune_program(two_op_program)
+        monkeypatch.setattr(tuner_module, "SEARCH_REVISION", SEARCH_REVISION + 1)
+        bumped = Autotuner(GTX980, **BASE, checkpoint_dir=ck, resume=True)
+        assert _digest(bumped, "chain", [two_op_program]) != digest
+        with pytest.raises(CheckpointError, match=r"differing: search_revision\)"):
+            bumped.tune_program(two_op_program)
 
     def test_checkpoint_from_before_the_declaration_is_refused(
         self, two_op_program, tmp_path
@@ -272,13 +302,13 @@ class TestCheckpointFingerprint:
         )
         with pytest.raises(CheckpointError) as info:
             tuner.tune_program(two_op_program)
-        # The keyed settings the old fingerprint lacked (max_variants
-        # compares equal: absent reads as None, its default), its
-        # fault-free spec spelled with a seed, and the retired max_retries
-        # and tie_break it carried.
+        # The keyed settings the old fingerprint lacked (the retired ones
+        # it lacked too compare equal: absent reads as None both ways), its
+        # fault-free spec spelled with a seed, the retired max_retries and
+        # tie_break it carried, its per-id pool hash, and no revision.
         assert (
-            "differing: acquisition, backend, batch_parallelism, faults, "
-            "max_retries, per_variant, pool_size, tie_break)" in str(info.value)
+            "differing: backend, faults, max_retries, per_variant, pool, "
+            "pool_size, search_revision, tie_break)" in str(info.value)
         )
 
     def test_checkpoint_of_the_seed_pinned_forest_is_refused(
@@ -296,8 +326,34 @@ class TestCheckpointFingerprint:
         with pytest.raises(CheckpointError) as info:
             tuner.tune_program(two_op_program)
         assert (
-            "(differing: acquisition, backend, faults, max_retries, resilient, "
-            "tie_break)" in str(info.value)
+            "(differing: backend, batch_parallelism, faults, max_retries, pool, "
+            "resilient, search_revision, tie_break)" in str(info.value)
+        )
+
+    @pytest.mark.parametrize("searcher", ["surf", "random", "exhaustive"])
+    def test_mid_run_checkpoint_before_the_revision_is_refused(
+        self, tmp_path, searcher
+    ):
+        # Mid-run state.json files written before the search revision was
+        # keyed: their fingerprints carry the retired acquisition and
+        # batch_parallelism settings (max_variants compares equal: absent
+        # reads as None, its old default) and the per-id describe hash of
+        # the pool, and no search_revision.
+        ck = tmp_path / "ck"
+        ck.mkdir()
+        shutil.copy(
+            GOLDEN / f"checkpoint_{searcher}_mid_run_one_rig.json",
+            ck / "state.json",
+        )
+        tuner = Autotuner(
+            K20, seed=3, max_evaluations=20, batch_size=5, pool_size=200,
+            searcher=searcher, checkpoint_dir=ck, resume=True,
+        )
+        with pytest.raises(CheckpointError) as info:
+            get_workload("lg3").tune(tuner)
+        assert (
+            "(differing: acquisition, batch_parallelism, pool, search_revision)"
+            in str(info.value)
         )
 
     @pytest.mark.parametrize("searcher", ["surf", "random", "exhaustive"])
@@ -305,8 +361,9 @@ class TestCheckpointFingerprint:
         self, tmp_path, searcher
     ):
         # Mid-run state.json files whose fingerprints carried the retired
-        # resilient and max_retries settings, a seeded fault-free spec, and
-        # no acquisition or backend: the same search, under other keys.
+        # resilient, max_retries and batch_parallelism settings, a seeded
+        # fault-free spec and the per-id pool hash, and no backend or
+        # search_revision: the same search, under other keys.
         ck = tmp_path / "ck"
         ck.mkdir()
         shutil.copy(
@@ -319,8 +376,8 @@ class TestCheckpointFingerprint:
         with pytest.raises(CheckpointError) as info:
             get_workload("lg3").tune(tuner)
         assert (
-            "(differing: acquisition, backend, faults, max_retries, resilient)"
-            in str(info.value)
+            "(differing: backend, batch_parallelism, faults, max_retries, pool, "
+            "resilient, search_revision)" in str(info.value)
         )
 
     def test_mid_run_checkpoint_of_surf_resumes_bitwise(
@@ -335,7 +392,7 @@ class TestCheckpointFingerprint:
         ck = tmp_path / "ck"
         ck.mkdir()
         shutil.copy(
-            GOLDEN / "checkpoint_surf_mid_run_one_rig.json", ck / "state.json"
+            GOLDEN / "checkpoint_surf_mid_run_rev1.json", ck / "state.json"
         )
         scored = []
         evaluate_one = ConfigurationEvaluator.evaluate_one
@@ -349,8 +406,9 @@ class TestCheckpointFingerprint:
             Autotuner(K20, **settings, checkpoint_dir=ck, resume=True)
         )
         # Only the ten points the checkpoint had not reached are scored.
-        assert len(scored) == 10
-        assert len(resumed.search.history) == 20
+        history = resumed.search.history
+        assert len(history) == 20
+        assert sorted(scored) == sorted(c.global_id for c, _y in history[10:])
         assert _outcome(resumed) == _outcome(reference)
 
     @pytest.mark.parametrize("searcher,evaluations", [
@@ -370,7 +428,7 @@ class TestCheckpointFingerprint:
         ck = tmp_path / "ck"
         ck.mkdir()
         shutil.copy(
-            GOLDEN / f"checkpoint_{searcher}_mid_run_one_rig.json",
+            GOLDEN / f"checkpoint_{searcher}_mid_run_rev1.json",
             ck / "state.json",
         )
         scored = []

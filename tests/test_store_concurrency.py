@@ -33,6 +33,8 @@ from repro.serve.store import ResultStore, StoreKey
 
 root, worker = sys.argv[1], int(sys.argv[2])
 store = ResultStore(root, shards=4)
+print("ready", flush=True)
+sys.stdin.read(1)
 for i in range({n_keys}):
     key = StoreKey(
         dsl=format(i, "016x"), arch="a" * 16,
@@ -46,23 +48,35 @@ import sys
 from repro.util.jsonl import atomic_append_jsonl
 
 path, worker = sys.argv[1], int(sys.argv[2])
+print("ready", flush=True)
+sys.stdin.read(1)
 for i in range({n_keys}):
     atomic_append_jsonl(path, {{"worker": worker, "i": i, "pad": "p" * 8192}})
 """
 
 
 def _hammer(tmp_path, script: str, target: str) -> None:
+    """Start every writer, then release them together: each reports ready
+    once imported and waits for a byte on stdin, so the appends overlap
+    instead of running one process after another as the next starts."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", script.format(n_keys=N_KEYS), target, str(w)],
             env=env,
             cwd=tmp_path,
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
         for w in range(N_PROCS)
     ]
+    for proc in procs:
+        ready = proc.stdout.readline()
+        assert ready == b"ready\n", proc.communicate(timeout=120)[1].decode()
+    for proc in procs:
+        proc.stdin.write(b"g")
+        proc.stdin.flush()
     for proc in procs:
         _out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err.decode()
@@ -104,6 +118,12 @@ def test_atomic_append_many_writers(tmp_path):
 
     entries, corrupt = load_jsonl(path)
     assert corrupt == 0
+    # The torn-tail check and the write happen under one lock, so no
+    # writer mistakes another's in-flight append for a torn line and
+    # prepends a needless newline: the file holds no blank line.
+    lines = path.read_bytes().split(b"\n")
+    assert lines[-1] == b""
+    assert b"" not in lines[:-1]
     assert all(entry["pad"] == "p" * 8192 for entry in entries)
     # Every append of every writer is present, exactly once.
     assert sorted((e["worker"], e["i"]) for e in entries) == [

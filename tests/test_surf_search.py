@@ -9,6 +9,7 @@ from repro.gpusim.perfmodel import GPUPerformanceModel
 from repro.surf import (
     ConfigurationEvaluator,
     ExhaustiveSearch,
+    FaultSpec,
     RandomSearch,
     SURFSearch,
 )
@@ -195,41 +196,29 @@ class TestEvaluator:
         ev.evaluate_batch(pool[:10])
         assert ev.simulated_wall_seconds >= 10 * model.cal.compile_seconds
 
-    def test_batch_parallelism_shrinks_wall(self, tuning_setup):
-        # Batch-aware accounting: the batch costs its longest lane, which is
-        # at least sum/lanes (lanes cannot split one compile+measure cycle)
-        # but far below the sequential sum.
-        program, pool, model = tuning_setup
-        seq = ConfigurationEvaluator([program], model, seed=0)
-        par = ConfigurationEvaluator(
-            [program], model, seed=0, batch_parallelism=5
-        )
-        seq.evaluate_batch(pool[:10])
-        par.evaluate_batch(pool[:10])
-        assert par.simulated_wall_seconds >= seq.simulated_wall_seconds / 5
-        assert par.simulated_wall_seconds < seq.simulated_wall_seconds / 4
-
-    def test_batch_parallelism_matches_list_schedule(self, tuning_setup):
-        program, pool, model = tuning_setup
-        par = ConfigurationEvaluator(
-            [program], model, seed=0, batch_parallelism=3
-        )
-        walls = [par.evaluate_one(c).wall for c in pool[:10]]
-        par.evaluate_batch(pool[:10])
-        lanes = [0.0, 0.0, 0.0]
-        for w in walls:
-            lanes[min(range(3), key=lanes.__getitem__)] += w
-        assert par.simulated_wall_seconds == pytest.approx(max(lanes))
-
-    def test_lanes_capped_by_batch_size(self, tuning_setup):
-        # A single evaluation occupies one lane no matter the parallelism.
+    def test_batch_wall_is_the_sum_of_outcome_walls(self, tuning_setup):
+        # One rig times the batch's points one after another: each batch
+        # adds the sum of its outcomes' walls, bitwise.
         program, pool, model = tuning_setup
         ev = ConfigurationEvaluator(
-            [program], model, seed=0, batch_parallelism=8
+            [program], model, seed=0,
+            faults=FaultSpec(compile_rate=0.2, transient_rate=0.3, seed=1),
         )
+        expected = 0.0
+        for batch in (pool[:10], pool[10:13], pool[13:14]):
+            expected += sum(ev.evaluate_one(c).wall for c in batch)
+            ev.evaluate_batch(batch)
+            assert ev.simulated_wall_seconds == expected
+
+    def test_single_evaluation_costs_its_outcome_wall(self, tuning_setup):
+        # evaluate_one reports an outcome without charging it; evaluate
+        # charges exactly that outcome's wall, bitwise.
+        program, pool, model = tuning_setup
+        ev = ConfigurationEvaluator([program], model, seed=0)
         wall = ev.evaluate_one(pool[0]).wall
+        assert ev.simulated_wall_seconds == 0.0
         ev.evaluate(pool[0])
-        assert ev.simulated_wall_seconds == pytest.approx(wall)
+        assert ev.simulated_wall_seconds == wall
 
     def test_illegal_config_penalized(self):
         from repro.workloads.spectral import lg3

@@ -145,15 +145,14 @@ class TestResumeTelemetry:
         record = resumed.record_batch(batch_size=4, best_so_far=0.9)
         assert record.evaluations == 4
 
-    def test_saved_records_keep_the_retired_cache_hits_key(self):
-        # BatchRecord lost its always-zero ``cache_hits`` field, but the
-        # checkpoint layout did not: saved records carry the key at 0 (as
-        # every checkpoint written before did), and restoring drops it.
+    def test_saved_records_are_the_batch_records(self):
+        # Saved records hold the BatchRecord fields and nothing else (no
+        # retired ``cache_hits`` key), and restore to equal records.
         tel = SearchTelemetry()
         tel.record_batch(batch_size=3, best_so_far=1.0)
-        assert "cache_hits" not in tel.as_dicts()[0]
         saved = tel.snapshot_state()
-        assert [r["cache_hits"] for r in saved["records"]] == [0]
+        assert saved["records"] == tel.as_dicts()
+        assert "cache_hits" not in saved["records"][0]
         restored = SearchTelemetry()
         restored.restore_state(saved)
         assert restored.records == tel.records

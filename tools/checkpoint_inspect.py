@@ -3,10 +3,12 @@
 Usage:
     python tools/checkpoint_inspect.py DIR [--prune]
 
-Prints the run fingerprint, searcher progress and telemetry totals for
-``DIR`` (recursing into per-variant ``v*/`` subdirectories), and validates
-the state file's structure.  ``--prune``
-removes stale ``.state.json.tmp.*`` files left behind by killed writers.
+Prints the run fingerprint, the search revision, searcher progress and
+telemetry totals for ``DIR`` (recursing into per-variant ``v*/``
+subdirectories), and validates the state file's structure.  A state
+written under another search revision is reported INVALID: resume would
+refuse it.  ``--prune`` removes stale ``.state.json.tmp.*`` files left
+behind by killed writers.
 
 Exit status: 0 when every state file found is valid, 1 otherwise.
 """
@@ -19,6 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.autotune.settings import SEARCH_REVISION  # noqa: E402
 from repro.errors import CheckpointError  # noqa: E402
 from repro.surf.checkpoint import CheckpointManager, STATE_FILENAME  # noqa: E402
 
@@ -36,12 +39,7 @@ def _describe_state(payload: dict) -> list[str]:
     if history is not None:
         finite = sum(1 for _i, y in history if y == y and y != float("inf"))
         lines.append(f"history: {len(history)} entries ({finite} finite)")
-    if "champions" in state:
-        lines.append(
-            f"champions: {len(state['champions'])} variants done, "
-            f"next variant {state.get('next_variant')}"
-        )
-    for key in ("best_y", "useful", "remaining", "queue", "fits"):
+    for key in ("queue", "fits"):
         if key in state:
             value = state[key]
             if isinstance(value, list):
@@ -79,6 +77,15 @@ def inspect_dir(directory: Path, prune: bool, indent: str = "") -> bool:
         else:
             for line in _describe_state(payload or {}):
                 print(f"{indent}{line}")
+            revision = (payload or {}).get("fingerprint", {}).get("search_revision")
+            print(f"{indent}search_revision: {revision}")
+            if revision != SEARCH_REVISION:
+                print(
+                    f"{indent}INVALID {state_path}: written under search "
+                    f"revision {revision}, this code is revision "
+                    f"{SEARCH_REVISION}; resume would refuse it"
+                )
+                ok = False
     else:
         print(f"{indent}no {STATE_FILENAME}")
     for sub in sorted(directory.glob("v*")):
